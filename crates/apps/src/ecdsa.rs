@@ -10,8 +10,8 @@ use core::fmt;
 use std::sync::Arc;
 
 use modsram_bigint::{mod_inv, UBig};
-use modsram_core::dispatch::{ContextPool, Dispatcher};
-use modsram_core::service::ExecBackend;
+use modsram_core::dispatch::Dispatcher;
+use modsram_core::service::MulBackend;
 use modsram_core::CoreError;
 use modsram_ecc::curve::Curve;
 use modsram_ecc::curves::{secp256k1_fast, secp256k1_via, SECP256K1_N};
@@ -300,53 +300,27 @@ pub struct VerifyRequest {
     pub sig: Signature,
 }
 
-/// Verifies a batch of independent signatures, fanned out over a
-/// [`Dispatcher`]'s workers with both secp256k1 moduli — the group
-/// order `n` (scalar arithmetic) and the field prime `p` (curve
-/// arithmetic) — resolved through one shared [`ContextPool`], so the
-/// per-modulus preparation is paid once for the whole batch.
-///
-/// This is the one-shot staged entry point; see [`verify_batch_via`]
-/// for the backend-generic form that also accepts a shared streaming
-/// service.
+/// Verifies a batch of independent signatures, fanned out over
+/// `fanout`'s workers. Both secp256k1 moduli — the group order `n`
+/// (scalar arithmetic) and the field prime `p` (curve arithmetic) —
+/// resolve through `backend`: a [`modsram_core::Staged`] dispatcher +
+/// pool pays each per-modulus preparation once for the whole batch,
+/// while a shared [`modsram_core::ModSramService`] or
+/// [`modsram_core::ServiceCluster`] interleaves these verifications'
+/// modular multiplications with every other tenant's (Pedersen, NTT,
+/// raw batches).
 ///
 /// Returns one verdict per request, in order: `Ok(true)`/`Ok(false)`
 /// for well-formed requests, `Err` for malformed keys or signatures.
 ///
 /// # Errors
 ///
-/// The outer `Err` is a pool preparation failure (e.g. a backend that
-/// rejects one of the curve moduli); per-request failures land in the
-/// inner results.
+/// The outer `Err` is a context/preparation failure (e.g. a backend
+/// that rejects one of the curve moduli); per-request failures land in
+/// the inner results.
 pub fn verify_batch(
     requests: &[VerifyRequest],
-    pool: &ContextPool,
-    dispatcher: &Dispatcher,
-) -> Result<Vec<Result<bool, EcdsaError>>, CoreError> {
-    verify_batch_via(
-        requests,
-        &ExecBackend::Staged { dispatcher, pool },
-        dispatcher,
-    )
-}
-
-/// Verifies a batch of independent signatures over either execution
-/// backend: a one-shot staged dispatcher+pool, or a shared
-/// [`modsram_core::ModSramService`] whose queue then interleaves these
-/// verifications' modular multiplications with every other tenant's
-/// (Pedersen, NTT, raw batches) on one tile.
-///
-/// Request-level fan-out always runs on `fanout`'s workers; what the
-/// backend decides is where the *field and scalar multiplications*
-/// execute.
-///
-/// # Errors
-///
-/// The outer `Err` is a context/preparation failure; per-request
-/// failures land in the inner results.
-pub fn verify_batch_via(
-    requests: &[VerifyRequest],
-    backend: &ExecBackend<'_>,
+    backend: &dyn MulBackend,
     fanout: &Dispatcher,
 ) -> Result<Vec<Result<bool, EcdsaError>>, CoreError> {
     let n = UBig::from_hex(SECP256K1_N).expect("const");
@@ -390,6 +364,7 @@ fn to_be32(v: &UBig) -> [u8; 32] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use modsram_core::service::Staged;
 
     fn key() -> SigningKey {
         SigningKey::new(
@@ -516,7 +491,11 @@ mod tests {
         let pool = modsram_core::ContextPool::for_engine_name("montgomery").unwrap();
         for workers in [1usize, 4] {
             let dispatcher = Dispatcher::new(workers);
-            let verdicts = verify_batch(&requests, &pool, &dispatcher).unwrap();
+            let staged = Staged {
+                dispatcher: &dispatcher,
+                pool: &pool,
+            };
+            let verdicts = verify_batch(&requests, &staged, &dispatcher).unwrap();
             assert_eq!(
                 verdicts,
                 vec![
@@ -551,15 +530,21 @@ mod tests {
             })
             .collect();
         let pool = modsram_core::ContextPool::for_engine_name("barrett").unwrap();
-        let verdicts = verify_batch(&requests, &pool, &Dispatcher::new(2)).unwrap();
+        let dispatcher = Dispatcher::new(2);
+        let staged = Staged {
+            dispatcher: &dispatcher,
+            pool: &pool,
+        };
+        let verdicts = verify_batch(&requests, &staged, &dispatcher).unwrap();
         for (req, verdict) in requests.iter().zip(&verdicts) {
             assert_eq!(*verdict, vk.verify(&req.msg, &req.sig));
         }
     }
 
     #[test]
-    fn verify_batch_via_service_matches_staged() {
-        use modsram_core::service::{ExecBackend, ModSramService, ServiceConfig};
+    fn verify_batch_matches_staged_on_every_backend() {
+        use modsram_core::cluster::{ClusterConfig, ServiceCluster};
+        use modsram_core::service::{ModSramService, ServiceConfig};
 
         let sk = key();
         let vk = sk.verifying_key();
@@ -583,87 +568,47 @@ mod tests {
             y: UBig::from(1u64),
             ..requests[0].clone()
         });
+        let want = vec![
+            Ok(true),
+            Ok(true),
+            Ok(true),
+            Ok(false),
+            Err(EcdsaError::InvalidPublicKey),
+        ];
 
-        let pool = ContextPool::for_engine_name("montgomery").unwrap();
+        let pool = modsram_core::ContextPool::for_engine_name("montgomery").unwrap();
         let fanout = Dispatcher::new(2);
-        let staged = verify_batch_via(
-            &requests,
-            &ExecBackend::Staged {
-                dispatcher: &fanout,
-                pool: &pool,
-            },
-            &fanout,
-        )
-        .unwrap();
-
-        let service = ModSramService::for_engine_name(
-            "montgomery",
-            ServiceConfig {
-                workers: 4,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let streamed =
-            verify_batch_via(&requests, &ExecBackend::Service(&service), &fanout).unwrap();
-        assert_eq!(streamed, staged);
-        assert_eq!(
-            streamed,
-            vec![
-                Ok(true),
-                Ok(true),
-                Ok(true),
-                Ok(false),
-                Err(EcdsaError::InvalidPublicKey),
-            ]
-        );
+        let staged = Staged {
+            dispatcher: &fanout,
+            pool: &pool,
+        };
+        // No coalescing window: each dependent multiplication runs at
+        // once instead of waiting for company.
+        let service_config = ServiceConfig {
+            workers: 4,
+            flush_interval: std::time::Duration::ZERO,
+            ..Default::default()
+        };
+        let service =
+            ModSramService::for_engine_name("montgomery", service_config.clone()).unwrap();
+        // On the cluster, p and n home on their rendezvous tiles and
+        // every scalar/field multiplication streams through the router.
+        let cluster_config = ClusterConfig {
+            service: service_config,
+            ..Default::default()
+        };
+        let cluster = ServiceCluster::for_engine_name("montgomery", 2, cluster_config).unwrap();
+        for (name, backend) in [
+            ("staged", &staged as &dyn MulBackend),
+            ("service", &service),
+            ("cluster", &cluster),
+        ] {
+            let verdicts = verify_batch(&requests, backend, &fanout).unwrap();
+            assert_eq!(verdicts, want, "{name}");
+        }
         let stats = service.shutdown();
         assert_eq!(stats.failed, 0);
-        assert!(
-            stats.completed > 0,
-            "scalar muls streamed through the service"
-        );
-    }
-
-    #[test]
-    fn verify_batch_via_cluster_matches_staged() {
-        use modsram_core::cluster::{ClusterConfig, ServiceCluster};
-        use modsram_core::service::ExecBackend;
-
-        let sk = key();
-        let vk = sk.verifying_key();
-        let requests: Vec<VerifyRequest> = (0..2u8)
-            .map(|i| {
-                let msg = vec![b'k', i];
-                VerifyRequest {
-                    x: vk.x.clone(),
-                    y: vk.y.clone(),
-                    sig: sk.sign(&msg),
-                    msg,
-                }
-            })
-            .collect();
-
-        let pool = ContextPool::for_engine_name("montgomery").unwrap();
-        let fanout = Dispatcher::new(2);
-        let staged = verify_batch_via(
-            &requests,
-            &ExecBackend::Staged {
-                dispatcher: &fanout,
-                pool: &pool,
-            },
-            &fanout,
-        )
-        .unwrap();
-
-        // The same verification fanned across a 2-tile cluster: the
-        // curve's p and n home on their rendezvous tiles and every
-        // scalar/field multiplication streams through the router.
-        let cluster =
-            ServiceCluster::for_engine_name("montgomery", 2, ClusterConfig::default()).unwrap();
-        let routed = verify_batch_via(&requests, &ExecBackend::Cluster(&cluster), &fanout).unwrap();
-        assert_eq!(routed, staged);
-        assert_eq!(routed, vec![Ok(true), Ok(true)]);
+        assert!(stats.completed > 0, "muls streamed through the service");
         let stats = cluster.shutdown();
         assert_eq!(stats.failed, 0);
         assert!(stats.completed > 0, "muls streamed through the cluster");

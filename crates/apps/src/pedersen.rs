@@ -7,11 +7,10 @@
 //! bases being unknown.
 
 use modsram_bigint::{ubig_below, UBig};
-use modsram_core::dispatch::ContextPool;
-use modsram_core::service::ExecBackend;
+use modsram_core::service::MulBackend;
 use modsram_core::CoreError;
 use modsram_ecc::curve::{Affine, Curve, Jacobian};
-use modsram_ecc::curves::{bn254_fast, bn254_via, bn254_with_engine, bn254_with_pool};
+use modsram_ecc::curves::{bn254_fast, bn254_via, bn254_with_engine};
 use modsram_ecc::msm::msm;
 use modsram_ecc::scalar::mul_scalar_wnaf;
 use modsram_ecc::{DynCtx, FieldCtx, Fp256Ctx};
@@ -54,31 +53,18 @@ impl PedersenCommitter<DynCtx> {
         Self::with_curve(bn254_with_engine(engine), size, tag)
     }
 
-    /// As [`PedersenCommitter::new`], but the BN254 base-field context
-    /// is drawn from (and cached in) a shared [`ContextPool`], so
-    /// committers over several curves — or repeated construction — pay
-    /// the per-modulus preparation once. Pair with
-    /// [`PedersenCommitter::with_curve`] over e.g.
-    /// [`modsram_ecc::curves::p256_with_pool`] for a second curve on
-    /// the same pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the pool's preparation error.
-    pub fn new_with_pool(size: usize, tag: &[u8], pool: &ContextPool) -> Result<Self, CoreError> {
-        Ok(Self::with_curve(bn254_with_pool(pool)?, size, tag))
-    }
-
-    /// As [`PedersenCommitter::new_with_pool`], but over either
-    /// execution backend — pass
-    /// [`ExecBackend::Service`] to stream every
-    /// commitment's field multiplications through a shared
-    /// [`modsram_core::ModSramService`] alongside other tenants.
+    /// As [`PedersenCommitter::new`], but over any execution backend: a
+    /// [`modsram_core::Staged`] dispatcher + pool (committers over
+    /// several curves — or repeated construction — pay the per-modulus
+    /// preparation once; pair with [`PedersenCommitter::with_curve`]
+    /// over e.g. [`modsram_ecc::curves::p256_via`] for a second curve),
+    /// or a shared service or cluster that streams every commitment's
+    /// field multiplications alongside other tenants.
     ///
     /// # Errors
     ///
     /// Propagates the backend's context/preparation error.
-    pub fn new_via(size: usize, tag: &[u8], backend: &ExecBackend<'_>) -> Result<Self, CoreError> {
+    pub fn new_via(size: usize, tag: &[u8], backend: &dyn MulBackend) -> Result<Self, CoreError> {
         Ok(Self::with_curve(bn254_via(backend)?, size, tag))
     }
 }
@@ -209,15 +195,22 @@ mod tests {
 
     #[test]
     fn pooled_committers_over_two_curves_share_preparations() {
-        use modsram_ecc::curves::p256_with_pool;
+        use modsram_core::dispatch::{ContextPool, Dispatcher};
+        use modsram_core::service::Staged;
+        use modsram_ecc::curves::p256_via;
 
         let pool = ContextPool::for_engine_name("montgomery").unwrap();
+        let dispatcher = Dispatcher::new(1);
+        let staged = Staged {
+            dispatcher: &dispatcher,
+            pool: &pool,
+        };
         let values: Vec<UBig> = [4u64, 8].map(UBig::from).to_vec();
         let r = UBig::from(2024u64);
 
         // BN254 committer through the pool matches the fast backend.
         let fast = PedersenCommitter::new(2, b"modsram-pool");
-        let pooled = PedersenCommitter::new_with_pool(2, b"modsram-pool", &pool).unwrap();
+        let pooled = PedersenCommitter::new_via(2, b"modsram-pool", &staged).unwrap();
         let fast_affine = fast.curve().to_affine(&fast.commit(&values, &r));
         let pooled_affine = pooled.curve().to_affine(&pooled.commit(&values, &r));
         assert_eq!(
@@ -229,56 +222,66 @@ mod tests {
         // A second committer over a *different* curve rides the same
         // pool; a second BN254 committer hits the cached context.
         let p256 =
-            PedersenCommitter::with_curve(p256_with_pool(&pool).unwrap(), 2, b"modsram-pool-p256");
+            PedersenCommitter::with_curve(p256_via(&staged).unwrap(), 2, b"modsram-pool-p256");
         assert!(p256.open(&p256.commit(&values, &r), &values, &r));
         assert_eq!(pool.len(), 2, "bn254 p and p256 p");
         let misses_before = pool.misses();
-        let _again = PedersenCommitter::new_with_pool(2, b"modsram-pool", &pool).unwrap();
+        let _again = PedersenCommitter::new_via(2, b"modsram-pool", &staged).unwrap();
         assert_eq!(pool.misses(), misses_before, "cached context reused");
     }
 
     #[test]
-    fn service_backed_committer_matches_fast() {
-        use modsram_core::service::{ExecBackend, ModSramService, ServiceConfig};
+    fn committer_matches_fast_on_every_backend() {
+        use modsram_core::cluster::{ClusterConfig, ServiceCluster};
+        use modsram_core::dispatch::{ContextPool, Dispatcher};
+        use modsram_core::service::{ModSramService, ServiceConfig, Staged};
 
-        let service = ModSramService::for_engine_name("montgomery", ServiceConfig::default())
+        let pool = ContextPool::for_engine_name("montgomery").unwrap();
+        let dispatcher = Dispatcher::new(2);
+        let staged = Staged {
+            dispatcher: &dispatcher,
+            pool: &pool,
+        };
+        // No coalescing window: each dependent multiplication runs at
+        // once instead of waiting for company.
+        let service_config = ServiceConfig {
+            flush_interval: std::time::Duration::ZERO,
+            ..Default::default()
+        };
+        let service = ModSramService::for_engine_name("montgomery", service_config.clone())
             .expect("registered engine");
-        let backend = ExecBackend::Service(&service);
-        let streamed = PedersenCommitter::new_via(2, b"modsram-svc", &backend).unwrap();
-        let fast = PedersenCommitter::new(2, b"modsram-svc");
+        let cluster_config = ClusterConfig {
+            service: service_config,
+            ..Default::default()
+        };
+        let cluster = ServiceCluster::for_engine_name("montgomery", 2, cluster_config)
+            .expect("registered engine");
+        let fast = PedersenCommitter::new(2, b"modsram-backend");
         let values: Vec<UBig> = [4u64, 8].map(UBig::from).to_vec();
         let r = UBig::from(2024u64);
         let fast_aff = fast.curve().to_affine(&fast.commit(&values, &r));
-        let svc_aff = streamed.curve().to_affine(&streamed.commit(&values, &r));
-        assert_eq!(
-            fast.curve().ctx().to_ubig(&fast_aff.x),
-            streamed.curve().ctx().to_ubig(&svc_aff.x)
-        );
-        assert!(streamed.open(&streamed.commit(&values, &r), &values, &r));
+        for (name, backend) in [
+            ("staged", &staged as &dyn MulBackend),
+            ("service", &service),
+            ("cluster", &cluster),
+        ] {
+            let via = PedersenCommitter::new_via(2, b"modsram-backend", backend).unwrap();
+            let via_aff = via.curve().to_affine(&via.commit(&values, &r));
+            assert_eq!(
+                fast.curve().ctx().to_ubig(&fast_aff.x),
+                via.curve().ctx().to_ubig(&via_aff.x),
+                "{name}"
+            );
+            assert_eq!(
+                fast.curve().ctx().to_ubig(&fast_aff.y),
+                via.curve().ctx().to_ubig(&via_aff.y),
+                "{name}"
+            );
+            assert!(via.open(&via.commit(&values, &r), &values, &r), "{name}");
+        }
         let stats = service.shutdown();
         assert_eq!(stats.failed, 0);
         assert!(stats.completed > 0);
-    }
-
-    #[test]
-    fn cluster_backed_committer_matches_fast() {
-        use modsram_core::cluster::{ClusterConfig, ServiceCluster};
-        use modsram_core::service::ExecBackend;
-
-        let cluster = ServiceCluster::for_engine_name("montgomery", 2, ClusterConfig::default())
-            .expect("registered engine");
-        let backend = ExecBackend::Cluster(&cluster);
-        let routed = PedersenCommitter::new_via(2, b"modsram-cluster", &backend).unwrap();
-        let fast = PedersenCommitter::new(2, b"modsram-cluster");
-        let values: Vec<UBig> = [4u64, 8].map(UBig::from).to_vec();
-        let r = UBig::from(2024u64);
-        let fast_aff = fast.curve().to_affine(&fast.commit(&values, &r));
-        let routed_aff = routed.curve().to_affine(&routed.commit(&values, &r));
-        assert_eq!(
-            fast.curve().ctx().to_ubig(&fast_aff.x),
-            routed.curve().ctx().to_ubig(&routed_aff.x)
-        );
-        assert!(routed.open(&routed.commit(&values, &r), &values, &r));
         let stats = cluster.shutdown();
         assert_eq!(stats.failed, 0);
         assert!(stats.completed > 0);

@@ -1960,7 +1960,7 @@ impl PreparedModMul for ClusterPrepared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_util::{slow_pool, FailureMode};
+    use crate::test_util::{gated_pool, saturate_gated_home, slow_pool, FailureMode, Gate};
     use std::time::Duration;
 
     fn small_config() -> ClusterConfig {
@@ -2202,70 +2202,59 @@ mod tests {
         // The old router mapped the home's `Stopped` to cluster-wide
         // `Stopped` even though the neighbour was live — the fix
         // re-routes and must land the job on the surviving tile.
-        let config = ClusterConfig {
-            spill: SpillPolicy::Strict,
-            service: ServiceConfig {
-                workers: 1,
-                queue_capacity: 2,
-                max_batch: 1,
-                flush_interval: Duration::ZERO,
-                pipeline_depth: 1,
-                ..Default::default()
-            },
+        let tile = ServiceConfig {
+            workers: 1,
+            queue_capacity: 2,
+            max_batch: 1,
+            flush_interval: Duration::ZERO,
+            pipeline_depth: 1,
             ..Default::default()
         };
-        let delay = Duration::from_millis(50);
-        let cluster = ServiceCluster::new(vec![slow_pool(delay), slow_pool(delay)], config);
+        let config = ClusterConfig {
+            spill: SpillPolicy::Strict,
+            service: tile.clone(),
+            ..Default::default()
+        };
+        // Both tiles hold every multiplication at one shut gate, so the
+        // test waits on queue state, never on a sleep outlasting the
+        // scheduler.
+        let gate = Gate::new();
+        let cluster = ServiceCluster::new(vec![gated_pool(&gate), gated_pool(&gate)], config);
         // A modulus homed on tile 0.
         let p = (0..64u64)
             .map(|i| UBig::from(1_000_003u64 + 2 * i))
             .find(|p| cluster.home_tile(p) == Some(0))
             .expect("some modulus homes on tile 0");
-        // Saturate tile 0 in two phases: the batcher drains the
-        // bounded queue into the exec pipeline within microseconds, so
-        // first let the pipeline absorb its fill (executor + exec
-        // queue + batcher hand-off), then fill the queue itself. It
-        // then stays full until the executor finishes its current
-        // 50 ms multiplication — far past the shutdown below.
-        let mut warm = Vec::new();
-        for i in 0..3u64 {
-            if let Ok(t) =
-                cluster.try_submit(MulJob::new(UBig::from(i + 2), UBig::from(3u64), p.clone()))
-            {
-                warm.push(t);
-            }
-        }
-        std::thread::sleep(Duration::from_millis(10));
-        let mut refused = false;
-        for i in 0..8u64 {
-            match cluster.try_submit(MulJob::new(UBig::from(i + 20), UBig::from(3u64), p.clone())) {
-                Ok(t) => warm.push(t),
-                Err(_) => refused = true,
-            }
-        }
-        assert!(
-            refused,
-            "home tile must be saturated before the blocking submit"
-        );
-        let shared = Arc::clone(&cluster.shared);
+        let warm = saturate_gated_home(&cluster, &p, &tile);
         let job = MulJob::new(UBig::from(11u64), UBig::from(13u64), p.clone());
         let want = &(&job.a * &job.b) % &p;
         let waiter = std::thread::spawn({
             let handle = cluster.handle();
             move || handle.submit(job)
         });
-        // Give the waiter time to park on tile 0's full queue, then
-        // stop tile 0's service directly (not the cluster).
-        std::thread::sleep(Duration::from_millis(10));
-        shared.snapshot().tiles[0].service.shutdown();
+        // Stop tile 0's service directly (not the cluster). Whether the
+        // waiter has parked on the full queue yet or not, tile 0 can
+        // never take it: its queue stays full until the gate opens.
+        // The stop joins tile 0's executor, so it runs on a helper.
+        let helper = std::thread::spawn({
+            let shared = Arc::clone(&cluster.shared);
+            move || {
+                shared.snapshot().tiles[0].service.shutdown();
+            }
+        });
         let ticket = waiter
             .join()
             .unwrap()
             .expect("submit must re-route to the live tile, not report Stopped");
+        gate.open();
+        helper.join().unwrap();
         assert_eq!(ticket.wait().unwrap(), want);
+        for t in &warm {
+            assert!(t.wait().is_ok(), "the stop drained the warm backlog");
+        }
         let stats = cluster.stats();
-        assert!(
-            stats.tiles[1].service.submitted >= 1,
+        assert_eq!(
+            stats.tiles[1].service.submitted, 1,
             "re-routed job landed on the live tile"
         );
         cluster.shutdown();

@@ -58,6 +58,12 @@ pub enum CoreError {
     /// A streaming submission raced a [`crate::service::ModSramService`]
     /// shutdown: the job was not executed.
     ServiceStopped,
+    /// A streaming submission found the
+    /// [`crate::service::ModSramService`]'s admissions paused (the tile
+    /// is draining or on probation): the job was not executed, but the
+    /// tile may admit again after
+    /// [`crate::service::ModSramService::resume_admissions`].
+    ServicePaused,
     /// A routed submission raced a
     /// [`crate::cluster::ServiceCluster`] shutdown: the job was not
     /// executed on any tile.
@@ -160,6 +166,9 @@ impl fmt::Display for CoreError {
             CoreError::EmptyChunk => write!(f, "a dispatched chunk covered no items"),
             CoreError::ServiceStopped => {
                 write!(f, "the service shut down before the job could run")
+            }
+            CoreError::ServicePaused => {
+                write!(f, "the service's admissions are paused; the job did not run")
             }
             CoreError::ClusterStopped => {
                 write!(f, "the cluster shut down before the job could be routed")

@@ -41,14 +41,17 @@
 //!   with cloneable submission handles, bounded-queue backpressure,
 //!   completion tickets, and a coalescing batcher that drains the
 //!   request stream into multiplicand-major batches for the
-//!   dispatcher.
+//!   dispatcher. Its [`service::MulBackend`] trait is the one seam
+//!   batch consumers execute through: a [`service::Staged`]
+//!   dispatcher + pool, a service, or a cluster.
 //! * [`cluster`] — multi-tile scale-out: a [`cluster::ServiceCluster`]
 //!   routes jobs across N service tiles by per-modulus rendezvous
 //!   affinity, spills to the least-loaded tile on backpressure
 //!   ([`cluster::SpillPolicy`]), and routes around poisoned tiles.
 //! * [`test_util`] — deterministic fault-injection doubles
-//!   ([`test_util::FailingPrepared`], [`test_util::SlowPrepared`]) the
-//!   service/cluster test suites drive the failure paths with.
+//!   ([`test_util::FailingPrepared`], [`test_util::SlowPrepared`],
+//!   the latch-gated [`test_util::GatedPrepared`]) the service/cluster
+//!   test suites drive the failure paths with.
 //!
 //! # Examples
 //!
@@ -100,8 +103,8 @@ pub use memmap::{MemoryMap, PointAddWorkingSet};
 pub use modsram::{ModSram, ModSramConfig, PreparedModSram};
 pub use nmc::Nmc;
 pub use service::{
-    ExecBackend, ModSramService, ServiceConfig, ServiceError, ServiceStats, SubmitError,
-    SubmitHandle, Ticket, TileHealth,
+    ModSramService, MulBackend, Reservoir, ServiceConfig, ServiceError, ServiceStats, Staged,
+    SubmitError, SubmitHandle, Ticket, TileHealth,
 };
 pub use session::{ScratchSession, SessionStats, StagedPoint};
 pub use stats::{PrecomputeStats, RunStats};

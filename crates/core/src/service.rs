@@ -313,7 +313,11 @@ struct QueueInner {
 /// Fixed-size reservoir sample of `u64` observations with a
 /// deterministic xorshift replacement stream — bounded memory no matter
 /// how long the service runs, unbiased enough for p50/p99 reporting.
-struct Reservoir {
+/// The service's latency windows and the wire server's
+/// request-to-response latency share this one sampler, so percentile
+/// quality matches across every layer's artifacts.
+#[derive(Debug)]
+pub struct Reservoir {
     cap: usize,
     seen: u64,
     rng: u64,
@@ -321,7 +325,8 @@ struct Reservoir {
 }
 
 impl Reservoir {
-    fn new(cap: usize) -> Self {
+    /// An empty reservoir keeping at most `cap` samples (at least 1).
+    pub fn new(cap: usize) -> Self {
         Reservoir {
             cap: cap.max(1),
             seen: 0,
@@ -340,7 +345,10 @@ impl Reservoir {
         x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 
-    fn push(&mut self, v: u64) {
+    /// Observes one value: kept outright until the reservoir is full,
+    /// then replacing a uniformly drawn slot with probability
+    /// `cap / seen`.
+    pub fn push(&mut self, v: u64) {
         self.seen += 1;
         if self.samples.len() < self.cap {
             self.samples.push(v);
@@ -355,14 +363,14 @@ impl Reservoir {
     /// Forgets every observation (the sample and the seen-count); the
     /// replacement stream keeps its position so refilled windows stay
     /// deterministic per service lifetime.
-    fn clear(&mut self) {
+    pub fn clear(&mut self) {
         self.seen = 0;
         self.samples.clear();
     }
 
     /// Nearest-rank percentile over the sample (`q` in `[0, 1]`); 0
     /// when nothing has been observed.
-    fn percentile(&self, q: f64) -> u64 {
+    pub fn percentile(&self, q: f64) -> u64 {
         if self.samples.is_empty() {
             return 0;
         }
@@ -1383,99 +1391,95 @@ impl PreparedModMul for ServicePrepared {
     }
 }
 
-/// The two ways batch consumers execute their modular multiplications:
-/// a **one-shot** staged dispatch the caller owns end to end, or a
-/// **shared** streaming service multiple consumers feed concurrently.
+/// The one execution seam batch consumers run their modular
+/// multiplications through: a **one-shot** [`Staged`] dispatch the
+/// caller owns end to end, a **shared** [`ModSramService`] several
+/// consumers feed concurrently, or a multi-tile [`ServiceCluster`] that
+/// routes each job to its modulus's home tile.
 ///
-/// The dispatched NTT (`NttPlan::forward_via`), the `*_via` curve
-/// constructors, and `apps::ecdsa::verify_batch_via` take this, so the
-/// same verification/NTT/MSM code serves both a batch CLI tool and a
-/// mixed-tenant server.
-pub enum ExecBackend<'a> {
-    /// Stage whole batches through a caller-owned dispatcher and pool.
-    Staged {
-        /// The dispatcher executing each staged batch.
-        dispatcher: &'a Dispatcher,
-        /// Per-modulus context cache.
-        pool: &'a ContextPool,
-    },
-    /// Stream every job through a shared service queue.
-    Service(&'a ModSramService),
-    /// Stream every job through a multi-tile cluster: the router picks
-    /// each job's home tile by modulus affinity (spilling on
-    /// backpressure per the cluster's policy), so the same consumer
-    /// code scales from one macro to a rack of them.
-    Cluster(&'a ServiceCluster),
-}
-
-impl core::fmt::Debug for ExecBackend<'_> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            ExecBackend::Staged { dispatcher, .. } => {
-                write!(
-                    f,
-                    "ExecBackend::Staged {{ workers: {} }}",
-                    dispatcher.workers()
-                )
-            }
-            ExecBackend::Service(_) => write!(f, "ExecBackend::Service"),
-            ExecBackend::Cluster(cluster) => {
-                write!(f, "ExecBackend::Cluster {{ tiles: {} }}", cluster.tiles())
-            }
-        }
-    }
-}
-
-impl ExecBackend<'_> {
+/// The `*_via` curve constructors, `PedersenCommitter::new_via`,
+/// `NttPlan::{forward,inverse}_via` and `apps::ecdsa::verify_batch`
+/// take a `&dyn MulBackend`, so the same verification/NTT/MSM code
+/// serves a batch CLI tool, a mixed-tenant server and a rack of tiles.
+pub trait MulBackend: Sync {
     /// Executes a batch of jobs, returning products in job order.
     ///
     /// # Errors
     ///
     /// Propagates the first preparation/execution error; a stopped
-    /// service surfaces as [`CoreError::ServiceStopped`], a stopped
-    /// cluster as [`CoreError::ClusterStopped`].
-    pub fn mul_jobs(&self, jobs: &[MulJob]) -> Result<Vec<UBig>, CoreError> {
-        match self {
-            ExecBackend::Staged { dispatcher, pool } => {
-                dispatcher.dispatch_jobs(pool, jobs).map(|(r, _)| r)
-            }
-            ExecBackend::Service(service) => {
-                let tickets = service
-                    .handle()
-                    .submit_many(jobs.to_vec())
-                    .map_err(|_| CoreError::ServiceStopped)?;
-                tickets
-                    .iter()
-                    .map(|t| t.wait().map_err(CoreError::from))
-                    .collect()
-            }
-            ExecBackend::Cluster(cluster) => {
-                let tickets = cluster
-                    .handle()
-                    .submit_many(jobs.to_vec())
-                    .map_err(|failure| CoreError::from(failure.error))?;
-                tickets
-                    .iter()
-                    .map(|t| t.wait().map_err(CoreError::from))
-                    .collect()
-            }
-        }
-    }
+    /// service surfaces as [`CoreError::ServiceStopped`], a paused one
+    /// as [`CoreError::ServicePaused`], a stopped cluster as
+    /// [`CoreError::ClusterStopped`].
+    fn mul_jobs(&self, jobs: &[MulJob]) -> Result<Vec<UBig>, CoreError>;
 
-    /// A shareable prepared context for `p`: the pooled context on the
-    /// staged path, a [`ServicePrepared`] stream on the service path, a
-    /// cluster-routed stream on the cluster path.
+    /// A shareable prepared context for `p`: the pooled context when
+    /// staged, a [`ServicePrepared`] stream on a service, a
+    /// cluster-routed stream on a cluster.
     ///
     /// # Errors
     ///
     /// Staged: the pool's preparation error. Service/cluster: never
     /// fails here — invalid moduli surface on first use.
-    pub fn context(&self, p: &UBig) -> Result<Arc<dyn PreparedModMul>, CoreError> {
-        match self {
-            ExecBackend::Staged { pool, .. } => pool.context(p),
-            ExecBackend::Service(service) => Ok(Arc::new(service.prepared(p))),
-            ExecBackend::Cluster(cluster) => Ok(Arc::new(cluster.prepared(p))),
-        }
+    fn context(&self, p: &UBig) -> Result<Arc<dyn PreparedModMul>, CoreError>;
+}
+
+/// Stage whole batches through a caller-owned dispatcher and pool.
+#[derive(Debug)]
+pub struct Staged<'a> {
+    /// The dispatcher executing each staged batch.
+    pub dispatcher: &'a Dispatcher,
+    /// Per-modulus context cache.
+    pub pool: &'a ContextPool,
+}
+
+impl MulBackend for Staged<'_> {
+    fn mul_jobs(&self, jobs: &[MulJob]) -> Result<Vec<UBig>, CoreError> {
+        self.dispatcher
+            .dispatch_jobs(self.pool, jobs)
+            .map(|(r, _)| r)
+    }
+
+    fn context(&self, p: &UBig) -> Result<Arc<dyn PreparedModMul>, CoreError> {
+        self.pool.context(p)
+    }
+}
+
+impl MulBackend for ModSramService {
+    fn mul_jobs(&self, jobs: &[MulJob]) -> Result<Vec<UBig>, CoreError> {
+        let tickets = self
+            .handle()
+            .submit_many(jobs.to_vec())
+            .map_err(|e| match e {
+                // A paused tile may admit again; only a stop is final.
+                SubmitError::Paused => CoreError::ServicePaused,
+                // `submit_many` blocks on a full queue, never refuses.
+                SubmitError::Stopped | SubmitError::QueueFull => CoreError::ServiceStopped,
+            })?;
+        tickets
+            .iter()
+            .map(|t| t.wait().map_err(CoreError::from))
+            .collect()
+    }
+
+    fn context(&self, p: &UBig) -> Result<Arc<dyn PreparedModMul>, CoreError> {
+        Ok(Arc::new(self.prepared(p)))
+    }
+}
+
+impl MulBackend for ServiceCluster {
+    fn mul_jobs(&self, jobs: &[MulJob]) -> Result<Vec<UBig>, CoreError> {
+        let tickets = self
+            .handle()
+            .submit_many(jobs.to_vec())
+            .map_err(|failure| CoreError::from(failure.error))?;
+        tickets
+            .iter()
+            .map(|t| t.wait().map_err(CoreError::from))
+            .collect()
+    }
+
+    fn context(&self, p: &UBig) -> Result<Arc<dyn PreparedModMul>, CoreError> {
+        Ok(Arc::new(self.prepared(p)))
     }
 }
 
@@ -1699,18 +1703,35 @@ mod tests {
             .collect();
         let pool = ContextPool::for_engine_name("barrett").unwrap();
         let dispatcher = Dispatcher::new(2);
-        let staged = ExecBackend::Staged {
+        let staged = Staged {
             dispatcher: &dispatcher,
             pool: &pool,
         }
         .mul_jobs(&jobs)
         .unwrap();
         let service = ModSramService::for_engine_name("barrett", tiny_config()).unwrap();
-        let streamed = ExecBackend::Service(&service).mul_jobs(&jobs).unwrap();
+        let streamed = service.mul_jobs(&jobs).unwrap();
         assert_eq!(staged, streamed);
         for (job, got) in jobs.iter().zip(&staged) {
             assert_eq!(got, &(&(&job.a * &job.b) % &job.modulus));
         }
+    }
+
+    #[test]
+    fn mul_jobs_on_a_paused_service_reports_paused_not_stopped() {
+        // A draining or probationary tile is paused, not gone: its
+        // consumers must be able to tell the two apart and retry.
+        let service = ModSramService::for_engine_name("barrett", tiny_config()).unwrap();
+        let jobs = jobs_mod(1_000_003, 5);
+        service.pause_admissions();
+        assert_eq!(service.mul_jobs(&jobs), Err(CoreError::ServicePaused));
+        service.resume_admissions();
+        let products = service.mul_jobs(&jobs).unwrap();
+        for (job, got) in jobs.iter().zip(&products) {
+            assert_eq!(got, &(&(&job.a * &job.b) % &job.modulus));
+        }
+        service.shutdown();
+        assert_eq!(service.mul_jobs(&jobs), Err(CoreError::ServiceStopped));
     }
 
     #[test]

@@ -20,18 +20,27 @@
 //!   busy so its bounded queue fills and backpressure/spill paths
 //!   trigger on cue.
 //!
-//! Both ship pool constructors ([`failing_pool`], [`slow_pool`]) so a
-//! test can stand up a whole [`crate::service::ModSramService`] tile —
-//! or one tile of a [`crate::cluster::ServiceCluster`] — over them in
-//! one line.
+//! * [`GatedPrepared`] — a correct context that parks every
+//!   multiplication on a shared [`Gate`] until the test opens it, and
+//!   counts the calls that have entered: the race-free way to hold a
+//!   tile busy, because the test waits on state, not on a sleep
+//!   outlasting a scheduler.
+//!
+//! All ship pool constructors ([`failing_pool`], [`slow_pool`],
+//! [`gated_pool`]) so a test can stand up a whole
+//! [`crate::service::ModSramService`] tile — or one tile of a
+//! [`crate::cluster::ServiceCluster`] — over them in one line.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use modsram_bigint::UBig;
 use modsram_modmul::{ModMulError, PreparedModMul, DEFAULT_LANES, LANE_MIN_PAIRS};
 
-use crate::dispatch::ContextPool;
+use crate::cluster::ServiceCluster;
+use crate::dispatch::{ContextPool, MulJob};
+use crate::service::{ServiceConfig, Ticket};
 
 /// What a [`FailingPrepared`] does once its fuse runs out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,6 +261,130 @@ impl PreparedModMul for SlowPrepared {
     }
 }
 
+/// A latch shared by [`GatedPrepared`] contexts: closed until
+/// [`Gate::open`], counting every multiplication that reaches it.
+#[derive(Debug, Default)]
+pub struct Gate {
+    /// `(open, entered)`.
+    state: Mutex<(bool, u64)>,
+    wake: Condvar,
+}
+
+impl Gate {
+    /// A closed gate, shareable between a test and its pools.
+    pub fn new() -> Arc<Self> {
+        Arc::new(Gate::default())
+    }
+
+    /// Releases every parked multiplication and lets later ones pass.
+    pub fn open(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).0 = true;
+        self.wake.notify_all();
+    }
+
+    /// Multiplications that have reached the gate so far.
+    pub fn entered(&self) -> u64 {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).1
+    }
+
+    /// Blocks until at least `n` multiplications have reached the gate.
+    pub fn wait_entered(&self, n: u64) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        while state.1 < n {
+            state = self
+                .wake
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn pass(&self) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.1 += 1;
+        self.wake.notify_all();
+        while !state.0 {
+            state = self
+                .wake
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// A correct [`PreparedModMul`] whose every multiplication (on every
+/// batch seam) waits at its [`Gate`] until the gate opens.
+#[derive(Debug)]
+pub struct GatedPrepared {
+    p: UBig,
+    gate: Arc<Gate>,
+}
+
+impl GatedPrepared {
+    /// A context for `p` held by `gate`.
+    pub fn new(p: UBig, gate: Arc<Gate>) -> Self {
+        GatedPrepared { p, gate }
+    }
+}
+
+impl PreparedModMul for GatedPrepared {
+    fn engine_name(&self) -> &'static str {
+        "gated-test-double"
+    }
+
+    fn modulus(&self) -> &UBig {
+        &self.p
+    }
+
+    fn mod_mul(&self, a: &UBig, b: &UBig) -> Result<UBig, ModMulError> {
+        self.gate.pass();
+        Ok(&(a * b) % &self.p)
+    }
+}
+
+/// A [`ContextPool`] whose every prepared context is a
+/// [`GatedPrepared`] held by `gate`.
+pub fn gated_pool(gate: &Arc<Gate>) -> ContextPool {
+    let gate = Arc::clone(gate);
+    ContextPool::new(move |p| {
+        Ok(Box::new(GatedPrepared::new(p.clone(), Arc::clone(&gate))) as Box<dyn PreparedModMul>)
+    })
+}
+
+/// Fills `p`'s home tile of a cluster built over [`gated_pool`]s with
+/// tiles shaped like `tile` (`max_batch: 1`) to its fixed point while
+/// the gate is shut: each of the `pipeline_depth` executors holds one
+/// job, the executor hand-off `pipeline_depth` more, the batcher one it
+/// cannot hand off, and the queue its whole capacity. Nothing moves
+/// until the gate opens, so every later submission to that tile is
+/// refused (or parks). Returns the accepted tickets.
+///
+/// # Panics
+///
+/// Panics if `tile.max_batch != 1` (partial batches have no fixed
+/// count) or the tile refuses once full (a non-`Strict` spill policy).
+pub fn saturate_gated_home(
+    cluster: &ServiceCluster,
+    p: &UBig,
+    tile: &ServiceConfig,
+) -> Vec<Ticket> {
+    assert_eq!(tile.max_batch, 1, "one job per batch");
+    let fixed_point = 2 * tile.pipeline_depth + 1 + tile.queue_capacity;
+    let job = |i: usize| MulJob::new(UBig::from(i as u64 + 2), UBig::from(3u64), p.clone());
+    let mut accepted = Vec::new();
+    while accepted.len() < fixed_point {
+        match cluster.try_submit(job(accepted.len())) {
+            Ok(ticket) => accepted.push(ticket),
+            // The batcher has not drained the queue yet.
+            Err(_) => std::thread::yield_now(),
+        }
+    }
+    assert!(
+        cluster.try_submit(job(fixed_point)).is_err(),
+        "the home tile is saturated"
+    );
+    accepted
+}
+
 /// A [`ContextPool`] whose every prepared context is a
 /// [`FailingPrepared`] with the given fuse — each distinct modulus gets
 /// its own call counter.
@@ -339,6 +472,24 @@ mod tests {
             ctx.mod_mul(&UBig::from(20u64), &UBig::from(30u64)).unwrap(),
             UBig::from(600u64 % 101)
         );
+    }
+
+    #[test]
+    fn gated_prepared_holds_every_call_until_the_gate_opens() {
+        let gate = Gate::new();
+        let ctx = Arc::new(GatedPrepared::new(UBig::from(101u64), Arc::clone(&gate)));
+        let caller = std::thread::spawn({
+            let ctx = Arc::clone(&ctx);
+            move || ctx.mod_mul_batch(&pairs(3))
+        });
+        gate.wait_entered(1);
+        assert_eq!(gate.entered(), 1, "the batch parks on its first call");
+        gate.open();
+        let out = caller.join().unwrap().unwrap();
+        let p = UBig::from(101u64);
+        let expect: Vec<UBig> = pairs(3).iter().map(|(a, b)| &(a * b) % &p).collect();
+        assert_eq!(out, expect);
+        assert_eq!(gate.entered(), 3, "an open gate still counts");
     }
 
     fn pairs(n: u64) -> Vec<(UBig, UBig)> {

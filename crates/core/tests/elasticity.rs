@@ -14,7 +14,7 @@ use modsram_core::cluster::{
 };
 use modsram_core::dispatch::MulJob;
 use modsram_core::service::{ModSramService, ServiceConfig, Ticket};
-use modsram_core::test_util::slow_pool;
+use modsram_core::test_util::{gated_pool, saturate_gated_home, Gate};
 use modsram_core::CoreError;
 use proptest::prelude::*;
 
@@ -376,44 +376,29 @@ fn blocked_submit_rideses_out_a_drain_of_its_home() {
     // Public-API twin of the in-module stopped-home regression test:
     // a blocking submit parked on its full home queue must survive
     // that tile being *drained* mid-wait by re-routing to a live tile.
+    let tile = ServiceConfig {
+        workers: 1,
+        queue_capacity: 2,
+        max_batch: 1,
+        flush_interval: Duration::ZERO,
+        pipeline_depth: 1,
+        ..Default::default()
+    };
     let config = ClusterConfig {
         spill: SpillPolicy::Strict,
-        service: ServiceConfig {
-            workers: 1,
-            queue_capacity: 2,
-            max_batch: 1,
-            flush_interval: Duration::ZERO,
-            pipeline_depth: 1,
-            ..Default::default()
-        },
+        service: tile.clone(),
         probation_after: 2,
         ..Default::default()
     };
-    let delay = Duration::from_millis(50);
-    let cluster = ServiceCluster::new(vec![slow_pool(delay), slow_pool(delay)], config);
+    // Every multiplication waits at one shut gate: the home tile stays
+    // saturated until the test opens it, whatever the scheduler does.
+    let gate = Gate::new();
+    let cluster = ServiceCluster::new(vec![gated_pool(&gate), gated_pool(&gate)], config);
     let p = (0..64u64)
         .map(|i| UBig::from(1_000_003u64 + 2 * i))
         .find(|p| cluster.home_tile(p) == Some(0))
         .expect("some modulus homes on tile 0");
-    // Saturate tile 0: pipeline first (the batcher empties the queue
-    // within microseconds), then the queue itself.
-    let mut warm = Vec::new();
-    for i in 0..3u64 {
-        if let Ok(t) =
-            cluster.try_submit(MulJob::new(UBig::from(i + 2), UBig::from(3u64), p.clone()))
-        {
-            warm.push(t);
-        }
-    }
-    std::thread::sleep(Duration::from_millis(10));
-    let mut refused = false;
-    for i in 0..8u64 {
-        match cluster.try_submit(MulJob::new(UBig::from(i + 20), UBig::from(3u64), p.clone())) {
-            Ok(t) => warm.push(t),
-            Err(_) => refused = true,
-        }
-    }
-    assert!(refused, "home tile must be saturated first");
+    let warm = saturate_gated_home(&cluster, &p, &tile);
 
     let job = MulJob::new(UBig::from(11u64), UBig::from(13u64), p.clone());
     let want = oracle(&job);
@@ -421,24 +406,28 @@ fn blocked_submit_rideses_out_a_drain_of_its_home() {
         let handle = cluster.handle();
         move || handle.submit(job)
     });
-    std::thread::sleep(Duration::from_millis(10));
-    // Drain the home under the parked waiter. The drain pauses
-    // admissions (waking the waiter to re-route) and blocks until the
-    // tile's backlog delivers.
-    let report = cluster.drain_tile(0).unwrap();
-    assert_eq!(report.active_tiles, 1);
-    let ticket = waiter
-        .join()
-        .unwrap()
-        .expect("blocked submit must re-route to the live tile, not fail");
-    assert_eq!(ticket.wait().unwrap(), want);
+    // Drain the home under the waiter, parked or not yet submitted.
+    // The drain pauses admissions (waking a parked waiter to re-route)
+    // and blocks until the tile's backlog delivers, which needs the
+    // gate open, so it runs on a helper.
+    std::thread::scope(|scope| {
+        let drain = scope.spawn(|| cluster.drain_tile(0));
+        let ticket = waiter
+            .join()
+            .unwrap()
+            .expect("blocked submit must re-route to the live tile, not fail");
+        gate.open();
+        let report = drain.join().unwrap().unwrap();
+        assert_eq!(report.active_tiles, 1);
+        assert_eq!(ticket.wait().unwrap(), want);
+    });
     // The drain delivered the whole warm backlog too.
     for t in &warm {
         assert!(t.is_done(), "drain returned with a pending ticket");
     }
     let stats = cluster.stats();
-    assert!(
-        stats.tiles[1].service.submitted >= 1,
+    assert_eq!(
+        stats.tiles[1].service.submitted, 1,
         "re-route landed on tile 1"
     );
     cluster.shutdown();

@@ -5,8 +5,7 @@
 //! (FIPS 186-5).
 
 use modsram_bigint::UBig;
-use modsram_core::dispatch::ContextPool;
-use modsram_core::service::ExecBackend;
+use modsram_core::service::MulBackend;
 use modsram_core::CoreError;
 use modsram_modmul::{ModMulEngine, PreparedModMul};
 
@@ -95,27 +94,17 @@ pub fn secp256k1_with_prepared(prepared: Box<dyn PreparedModMul>) -> Curve<DynCt
     )
 }
 
-/// secp256k1 over a context drawn from (and cached in) a
-/// [`ContextPool`] — repeated construction for the same pool reuses the
-/// field-prime preparation.
-///
-/// # Errors
-///
-/// Propagates the pool's preparation error.
-pub fn secp256k1_with_pool(pool: &ContextPool) -> Result<Curve<DynCtx>, CoreError> {
-    Ok(secp256k1_with_prepared(Box::new(
-        pool.context(&UBig::from_hex(SECP256K1_P).expect("const"))?,
-    )))
-}
-
-/// As [`secp256k1_with_pool`], but over either execution backend: pooled
-/// staged contexts, or a streaming [`modsram_core::ModSramService`]
-/// (every field multiplication then rides the service queue).
+/// secp256k1 over any [`MulBackend`]: a pooled context from a
+/// [`modsram_core::Staged`] dispatcher + pool (repeated construction
+/// reuses the field-prime preparation), or a stream through a
+/// [`modsram_core::ModSramService`] or
+/// [`modsram_core::ServiceCluster`] (every field multiplication then
+/// rides the queue).
 ///
 /// # Errors
 ///
 /// Propagates the backend's context/preparation error.
-pub fn secp256k1_via(backend: &ExecBackend<'_>) -> Result<Curve<DynCtx>, CoreError> {
+pub fn secp256k1_via(backend: &dyn MulBackend) -> Result<Curve<DynCtx>, CoreError> {
     Ok(secp256k1_with_prepared(Box::new(
         backend.context(&UBig::from_hex(SECP256K1_P).expect("const"))?,
     )))
@@ -152,26 +141,12 @@ pub fn bn254_with_prepared(prepared: Box<dyn PreparedModMul>) -> Curve<DynCtx> {
     )
 }
 
-/// BN254 G1 over a context drawn from (and cached in) a
-/// [`ContextPool`].
-///
-/// # Errors
-///
-/// Propagates the pool's preparation error.
-pub fn bn254_with_pool(pool: &ContextPool) -> Result<Curve<DynCtx>, CoreError> {
-    Ok(bn254_with_prepared(Box::new(
-        pool.context(&UBig::from_dec(BN254_P).expect("const"))?,
-    )))
-}
-
-/// As [`bn254_with_pool`], but over either execution backend: pooled
-/// staged contexts, or a streaming [`modsram_core::ModSramService`]
-/// (every field multiplication then rides the service queue).
+/// BN254 G1 over any [`MulBackend`] (see [`secp256k1_via`]).
 ///
 /// # Errors
 ///
 /// Propagates the backend's context/preparation error.
-pub fn bn254_via(backend: &ExecBackend<'_>) -> Result<Curve<DynCtx>, CoreError> {
+pub fn bn254_via(backend: &dyn MulBackend) -> Result<Curve<DynCtx>, CoreError> {
     Ok(bn254_with_prepared(Box::new(
         backend.context(&UBig::from_dec(BN254_P).expect("const"))?,
     )))
@@ -226,26 +201,12 @@ pub fn p256_with_prepared(prepared: Box<dyn PreparedModMul>) -> Curve<DynCtx> {
     )
 }
 
-/// NIST P-256 over a context drawn from (and cached in) a
-/// [`ContextPool`].
-///
-/// # Errors
-///
-/// Propagates the pool's preparation error.
-pub fn p256_with_pool(pool: &ContextPool) -> Result<Curve<DynCtx>, CoreError> {
-    Ok(p256_with_prepared(Box::new(
-        pool.context(&UBig::from_hex(P256_P).expect("const"))?,
-    )))
-}
-
-/// As [`p256_with_pool`], but over either execution backend: pooled
-/// staged contexts, or a streaming [`modsram_core::ModSramService`]
-/// (every field multiplication then rides the service queue).
+/// NIST P-256 over any [`MulBackend`] (see [`secp256k1_via`]).
 ///
 /// # Errors
 ///
 /// Propagates the backend's context/preparation error.
-pub fn p256_via(backend: &ExecBackend<'_>) -> Result<Curve<DynCtx>, CoreError> {
+pub fn p256_via(backend: &dyn MulBackend) -> Result<Curve<DynCtx>, CoreError> {
     Ok(p256_with_prepared(Box::new(
         backend.context(&UBig::from_hex(P256_P).expect("const"))?,
     )))

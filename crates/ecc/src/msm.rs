@@ -149,11 +149,12 @@ fn window_sum<C: FieldCtx>(
 /// closes over a pooled `Arc<dyn PreparedModMul>`) and computes whole
 /// window sums; only the final `c`-doubling combine runs serially.
 ///
-/// `make_curve` is also how the MSM accepts either execution backend:
-/// build it from `curves::secp256k1_via`/`curves::bn254_via` over a
-/// [`modsram_core::service::ExecBackend`] and the window workers'
-/// field multiplications either hit staged pooled contexts or stream
-/// through a shared `ModSramService` alongside other tenants.
+/// `make_curve` is also how the MSM accepts any execution backend:
+/// build it with `curves::secp256k1_via`/`curves::bn254_via` over a
+/// `&dyn` [`modsram_core::service::MulBackend`] and the window
+/// workers' field multiplications hit the pooled context of a
+/// [`modsram_core::Staged`] dispatcher, or stream through a shared
+/// `ModSramService` or `ServiceCluster` alongside other tenants.
 ///
 /// # Panics
 ///
@@ -307,64 +308,14 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_msm_matches_serial() {
-        use crate::curves::{secp256k1_fast, secp256k1_with_pool};
+    fn dispatched_msm_matches_serial_on_every_backend() {
+        use crate::curves::{secp256k1_fast, secp256k1_via};
+        use modsram_core::cluster::{ClusterConfig, ServiceCluster};
         use modsram_core::dispatch::ContextPool;
+        use modsram_core::service::{ModSramService, MulBackend, ServiceConfig, Staged};
 
         let fast = secp256k1_fast();
         let mut rng = SmallRng::seed_from_u64(123);
-        let g = fast.generator();
-        let mut pts_fast = Vec::new();
-        let mut cur = g.clone();
-        for _ in 0..12 {
-            pts_fast.push(fast.to_affine(&cur));
-            cur = fast.double(&cur);
-        }
-        let scalars: Vec<UBig> = (0..12)
-            .map(|_| ubig_below(&mut rng, fast.order()))
-            .collect();
-        let (want, want_stats) = msm_with_window(&fast, &pts_fast, &scalars, 4);
-
-        // The dispatched path over pooled prepared contexts: every
-        // worker's curve shares one preparation through the pool.
-        let pool = ContextPool::for_engine_name("montgomery").unwrap();
-        let make_curve = || secp256k1_with_pool(&pool).expect("odd prime");
-        let curve = make_curve();
-        let points: Vec<Affine<UBig>> = pts_fast
-            .iter()
-            .map(|a| Affine {
-                x: fast.ctx().to_ubig(&a.x),
-                y: fast.ctx().to_ubig(&a.y),
-                infinity: a.infinity,
-            })
-            .collect();
-        for workers in [1usize, 3] {
-            let d = Dispatcher::new(workers);
-            let (got, stats) = msm_dispatched(&d, make_curve, &points, &scalars, 4);
-            let got_aff = curve.to_affine(&got);
-            let want_aff = fast.to_affine(&want);
-            assert_eq!(
-                curve.ctx().to_ubig(&got_aff.x),
-                fast.ctx().to_ubig(&want_aff.x),
-                "workers={workers}"
-            );
-            assert_eq!(
-                curve.ctx().to_ubig(&got_aff.y),
-                fast.ctx().to_ubig(&want_aff.y),
-                "workers={workers}"
-            );
-            assert_eq!(stats.windows, want_stats.windows);
-            assert_eq!(stats.bucket_adds, want_stats.bucket_adds);
-        }
-        assert_eq!(pool.len(), 1, "one prime prepared once");
-    }
-
-    #[test]
-    fn dispatched_msm_over_streaming_service_matches_serial() {
-        use crate::curves::{secp256k1_fast, secp256k1_via};
-        use modsram_core::service::{ExecBackend, ModSramService, ServiceConfig};
-
-        let fast = secp256k1_fast();
         let g = fast.generator();
         let mut pts_fast = Vec::new();
         let mut cur = g.clone();
@@ -372,14 +323,12 @@ mod tests {
             pts_fast.push(fast.to_affine(&cur));
             cur = fast.double(&cur);
         }
-        let scalars: Vec<UBig> = (1..=8u64).map(|i| UBig::from(i * 977 + 5)).collect();
-        let (want, _) = msm_with_window(&fast, &pts_fast, &scalars, 4);
+        // 64-bit scalars keep the streamed passes short: every field
+        // multiplication there is one queue round trip.
+        let bound = UBig::pow2(64);
+        let scalars: Vec<UBig> = (0..8).map(|_| ubig_below(&mut rng, &bound)).collect();
+        let (want, want_stats) = msm_with_window(&fast, &pts_fast, &scalars, 4);
         let want_aff = fast.to_affine(&want);
-
-        let service =
-            ModSramService::for_engine_name("montgomery", ServiceConfig::default()).unwrap();
-        let backend = ExecBackend::Service(&service);
-        let make_curve = || secp256k1_via(&backend).expect("service context");
         let points: Vec<Affine<UBig>> = pts_fast
             .iter()
             .map(|a| Affine {
@@ -388,30 +337,77 @@ mod tests {
                 infinity: a.infinity,
             })
             .collect();
-        let (got, _) = msm_dispatched(&Dispatcher::new(2), make_curve, &points, &scalars, 4);
-        let curve = make_curve();
-        let got_aff = curve.to_affine(&got);
-        assert_eq!(
-            curve.ctx().to_ubig(&got_aff.x),
-            fast.ctx().to_ubig(&want_aff.x)
-        );
-        assert_eq!(
-            curve.ctx().to_ubig(&got_aff.y),
-            fast.ctx().to_ubig(&want_aff.y)
-        );
+
+        // Staged over pooled prepared contexts (every worker's curve
+        // shares one preparation), then streamed through a service and
+        // routed through a cluster.
+        let pool = ContextPool::for_engine_name("montgomery").unwrap();
+        let staged_dispatcher = Dispatcher::new(2);
+        let staged = Staged {
+            dispatcher: &staged_dispatcher,
+            pool: &pool,
+        };
+        // No coalescing window: a lone dependent multiplication runs
+        // at once instead of waiting for company that never comes.
+        let service_config = ServiceConfig {
+            flush_interval: std::time::Duration::ZERO,
+            ..Default::default()
+        };
+        let service =
+            ModSramService::for_engine_name("montgomery", service_config.clone()).unwrap();
+        let cluster_config = ClusterConfig {
+            service: service_config,
+            ..Default::default()
+        };
+        let cluster = ServiceCluster::for_engine_name("montgomery", 2, cluster_config).unwrap();
+        for (name, backend) in [
+            ("staged", &staged as &dyn MulBackend),
+            ("service", &service),
+            ("cluster", &cluster),
+        ] {
+            let make_curve = || secp256k1_via(backend).expect("odd prime");
+            let curve = make_curve();
+            for workers in [1usize, 3] {
+                let d = Dispatcher::new(workers);
+                let (got, stats) = msm_dispatched(&d, make_curve, &points, &scalars, 4);
+                let got_aff = curve.to_affine(&got);
+                assert_eq!(
+                    curve.ctx().to_ubig(&got_aff.x),
+                    fast.ctx().to_ubig(&want_aff.x),
+                    "{name} workers={workers}"
+                );
+                assert_eq!(
+                    curve.ctx().to_ubig(&got_aff.y),
+                    fast.ctx().to_ubig(&want_aff.y),
+                    "{name} workers={workers}"
+                );
+                assert_eq!(stats.windows, want_stats.windows);
+                assert_eq!(stats.bucket_adds, want_stats.bucket_adds);
+            }
+        }
+        assert_eq!(pool.len(), 1, "one prime prepared once");
         let stats = service.shutdown();
         assert_eq!(stats.failed, 0);
         assert!(stats.completed > 0, "field muls streamed through the queue");
+        let stats = cluster.shutdown();
+        assert_eq!(stats.failed, 0);
+        assert!(stats.completed > 0, "field muls routed through the cluster");
+        assert_eq!(stats.affinity_hit_rate(), 1.0);
     }
 
     #[test]
     fn dispatched_msm_empty_input() {
-        use crate::curves::secp256k1_with_pool;
+        use crate::curves::secp256k1_via;
         use modsram_core::dispatch::ContextPool;
+        use modsram_core::service::Staged;
         let pool = ContextPool::for_engine_name("barrett").unwrap();
         let d = Dispatcher::new(2);
-        let (r, stats) = msm_dispatched(&d, || secp256k1_with_pool(&pool).unwrap(), &[], &[], 4);
-        let curve = secp256k1_with_pool(&pool).unwrap();
+        let staged = Staged {
+            dispatcher: &d,
+            pool: &pool,
+        };
+        let (r, stats) = msm_dispatched(&d, || secp256k1_via(&staged).unwrap(), &[], &[], 4);
+        let curve = secp256k1_via(&staged).unwrap();
         assert!(curve.is_identity(&r));
         assert_eq!(stats.bucket_adds, 0);
     }

@@ -5,13 +5,10 @@
 //! `r − 1` is divisible by `2^s` (BN254's scalar field has `s = 28`,
 //! plenty for the paper's `2¹⁵`-point transforms).
 
-use std::sync::Arc;
-
 use modsram_bigint::{mod_pow, UBig};
-use modsram_core::dispatch::{Dispatcher, MulJob};
-use modsram_core::service::ExecBackend;
+use modsram_core::dispatch::MulJob;
+use modsram_core::service::MulBackend;
 use modsram_core::CoreError;
-use modsram_modmul::PreparedModMul;
 
 use crate::field::{DynCtx, FieldCtx};
 
@@ -180,10 +177,9 @@ impl<'a, C: FieldCtx> NttPlan<'a, C> {
     }
 }
 
-/// The dispatched execution path: available when the plan's field
-/// context is engine-backed ([`DynCtx`]), whose elements are canonical
-/// `UBig` residues that a [`PreparedModMul`] shard can multiply
-/// directly.
+/// The backend execution path: available when the plan's field context
+/// is engine-backed ([`DynCtx`]), whose elements are canonical `UBig`
+/// residues any [`MulBackend`] can multiply directly.
 ///
 /// Each butterfly stage is one *layer*: all `n/2` twiddle
 /// multiplications of the stage are independent, so they are submitted
@@ -193,34 +189,11 @@ impl<'a, C: FieldCtx> NttPlan<'a, C> {
 /// wordlines rewritten only on change). The cheap adds/subs between
 /// stages stay serial on the plan's context.
 impl<'a> NttPlan<'a, DynCtx> {
-    /// In-place forward NTT with every stage's multiplications fanned
-    /// out over `shards` by `dispatcher`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard multiplication error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.len()`, `shards` is empty, or a
-    /// shard was prepared for a different modulus.
-    pub fn forward_dispatched(
-        &self,
-        data: &mut [UBig],
-        dispatcher: &Dispatcher,
-        shards: &[Arc<dyn PreparedModMul>],
-    ) -> Result<(), CoreError> {
-        self.check_shards(shards);
-        self.transform_with(data, &self.twiddles, &|pairs| {
-            dispatcher.dispatch_sharded(shards, &pairs).map(|(r, _)| r)
-        })
-    }
-
-    /// In-place forward NTT over either execution backend: each stage's
-    /// multiplications go out as one twiddle-major job batch — staged
-    /// through a dispatcher/pool, or streamed through a shared
-    /// [`modsram_core::ModSramService`] where they coalesce with
-    /// whatever other tenants are submitting.
+    /// In-place forward NTT with each stage's multiplications going out
+    /// as one twiddle-major job batch — staged through a
+    /// [`modsram_core::Staged`] dispatcher + pool, or streamed through a
+    /// shared service or cluster where they coalesce with whatever
+    /// other tenants are submitting.
     ///
     /// # Errors
     ///
@@ -232,13 +205,13 @@ impl<'a> NttPlan<'a, DynCtx> {
     pub fn forward_via(
         &self,
         data: &mut [UBig],
-        backend: &ExecBackend<'_>,
+        backend: &dyn MulBackend,
     ) -> Result<(), CoreError> {
-        self.transform_with(data, &self.twiddles, &self.backend_exec(backend))
+        self.transform_with(data, &self.twiddles, backend)
     }
 
-    /// In-place inverse NTT over either execution backend (the `1/n`
-    /// scaling is one further shared-multiplicand batch).
+    /// In-place inverse NTT over any backend (the `1/n` scaling is one
+    /// further shared-multiplicand batch).
     ///
     /// # Errors
     ///
@@ -250,86 +223,35 @@ impl<'a> NttPlan<'a, DynCtx> {
     pub fn inverse_via(
         &self,
         data: &mut [UBig],
-        backend: &ExecBackend<'_>,
+        backend: &dyn MulBackend,
     ) -> Result<(), CoreError> {
-        let exec = self.backend_exec(backend);
-        self.transform_with(data, &self.twiddles_inv, &exec)?;
-        let pairs: Vec<(UBig, UBig)> = data
-            .iter()
-            .map(|v| (v.clone(), self.n_inv.clone()))
-            .collect();
-        let scaled = exec(pairs)?;
+        self.transform_with(data, &self.twiddles_inv, backend)?;
+        let scaled = self.mul_stage(
+            backend,
+            data.iter().map(|v| (v.clone(), self.n_inv.clone())),
+        )?;
         data.clone_from_slice(&scaled);
         Ok(())
     }
 
-    /// Adapts an [`ExecBackend`] into the stage executor shape: pairs
-    /// become [`MulJob`]s over the plan's modulus.
-    fn backend_exec<'b>(
+    /// Executes one stage's pairs as one job batch over the plan's
+    /// modulus, products in pair order.
+    fn mul_stage(
         &self,
-        backend: &'b ExecBackend<'_>,
-    ) -> impl Fn(Vec<(UBig, UBig)>) -> Result<Vec<UBig>, CoreError> + 'b
-    where
-        Self: 'b,
-    {
-        let modulus = self.ctx.modulus().clone();
-        move |pairs: Vec<(UBig, UBig)>| {
-            let jobs: Vec<MulJob> = pairs
-                .into_iter()
-                .map(|(a, b)| MulJob::new(a, b, modulus.clone()))
-                .collect();
-            backend.mul_jobs(&jobs)
-        }
+        backend: &dyn MulBackend,
+        pairs: impl Iterator<Item = (UBig, UBig)>,
+    ) -> Result<Vec<UBig>, CoreError> {
+        let p = self.ctx.modulus();
+        let jobs: Vec<MulJob> = pairs.map(|(a, b)| MulJob::new(a, b, p.clone())).collect();
+        backend.mul_jobs(&jobs)
     }
 
-    /// In-place inverse NTT through the dispatcher; the final `1/n`
-    /// scaling is itself one shared-multiplicand batch.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first shard multiplication error.
-    ///
-    /// # Panics
-    ///
-    /// As [`NttPlan::forward_dispatched`].
-    pub fn inverse_dispatched(
-        &self,
-        data: &mut [UBig],
-        dispatcher: &Dispatcher,
-        shards: &[Arc<dyn PreparedModMul>],
-    ) -> Result<(), CoreError> {
-        self.check_shards(shards);
-        self.transform_with(data, &self.twiddles_inv, &|pairs| {
-            dispatcher.dispatch_sharded(shards, &pairs).map(|(r, _)| r)
-        })?;
-        let pairs: Vec<(UBig, UBig)> = data
-            .iter()
-            .map(|v| (v.clone(), self.n_inv.clone()))
-            .collect();
-        let (scaled, _) = dispatcher.dispatch_sharded(shards, &pairs)?;
-        data.clone_from_slice(&scaled);
-        Ok(())
-    }
-
-    /// Validates the sharded path's contexts against the plan modulus.
-    fn check_shards(&self, shards: &[Arc<dyn PreparedModMul>]) {
-        assert!(!shards.is_empty(), "need at least one shard");
-        for shard in shards {
-            assert_eq!(
-                shard.modulus(),
-                self.ctx.modulus(),
-                "shard prepared for a different modulus"
-            );
-        }
-    }
-
-    /// The stage-batched transform core, generic over how each stage's
-    /// pair batch is executed.
+    /// The stage-batched transform core.
     fn transform_with(
         &self,
         data: &mut [UBig],
         twiddles: &[Vec<UBig>],
-        exec: &impl Fn(Vec<(UBig, UBig)>) -> Result<Vec<UBig>, CoreError>,
+        backend: &dyn MulBackend,
     ) -> Result<(), CoreError> {
         let n = self.len();
         assert_eq!(data.len(), n, "data length must match the plan");
@@ -340,18 +262,18 @@ impl<'a> NttPlan<'a, DynCtx> {
                 data.swap(i, j);
             }
         }
-        // One dispatched batch per butterfly stage, twiddle-major so
-        // consecutive pairs share their multiplicand.
+        // One batch per butterfly stage, twiddle-major so consecutive
+        // pairs share their multiplicand.
         let ctx = self.ctx;
         for (s, table) in twiddles.iter().enumerate() {
             let len = 1usize << (s + 1);
-            let mut pairs = Vec::with_capacity(n / 2);
-            for (k, w) in table.iter().enumerate() {
-                for start in (0..n).step_by(len) {
-                    pairs.push((data[start + k + len / 2].clone(), w.clone()));
-                }
-            }
-            let products = exec(pairs)?;
+            let view = &*data;
+            let pairs = table.iter().enumerate().flat_map(move |(k, w)| {
+                (0..n)
+                    .step_by(len)
+                    .map(move |start| (view[start + k + len / 2].clone(), w.clone()))
+            });
+            let products = self.mul_stage(backend, pairs)?;
             let mut idx = 0usize;
             for k in 0..len / 2 {
                 for start in (0..n).step_by(len) {
@@ -460,11 +382,12 @@ mod tests {
 
     #[test]
     fn dispatched_transform_matches_serial() {
-        use modsram_core::dispatch::ContextPool;
+        use modsram_core::dispatch::{ContextPool, Dispatcher};
+        use modsram_core::service::Staged;
         use modsram_modmul::engine_by_name;
 
         // Plan over an engine-backed context for BN254 Fr, then run the
-        // same transform serially and through sharded dispatch.
+        // same transform serially and through staged dispatch.
         let fr = crate::curves::bn254_fr_ctx();
         let p = fr.modulus().clone();
         let dyn_ctx = crate::field::DynCtx::new(&p, engine_by_name("montgomery").unwrap());
@@ -477,24 +400,26 @@ mod tests {
         plan.forward(&mut serial);
 
         let pool = ContextPool::for_engine_name("montgomery").unwrap();
-        let shards: Vec<_> = (0..3).map(|_| pool.context(&p).unwrap()).collect();
         for workers in [1usize, 4] {
-            let d = Dispatcher::new(workers);
+            let dispatcher = Dispatcher::new(workers);
+            let staged = Staged {
+                dispatcher: &dispatcher,
+                pool: &pool,
+            };
             let mut dispatched = original.clone();
-            plan.forward_dispatched(&mut dispatched, &d, &shards)
-                .unwrap();
+            plan.forward_via(&mut dispatched, &staged).unwrap();
             assert_eq!(dispatched, serial, "workers={workers}");
-            plan.inverse_dispatched(&mut dispatched, &d, &shards)
-                .unwrap();
+            plan.inverse_via(&mut dispatched, &staged).unwrap();
             assert_eq!(dispatched, original, "workers={workers}");
         }
-        assert_eq!(pool.misses(), 1, "shards share one preparation");
+        assert_eq!(pool.misses(), 1, "every stage shares one preparation");
     }
 
     #[test]
     fn backend_generic_transform_matches_serial() {
-        use modsram_core::dispatch::ContextPool;
-        use modsram_core::service::{ModSramService, ServiceConfig};
+        use modsram_core::cluster::{ClusterConfig, ServiceCluster};
+        use modsram_core::dispatch::{ContextPool, Dispatcher};
+        use modsram_core::service::{ModSramService, ServiceConfig, Staged};
         use modsram_modmul::engine_by_name;
 
         let p = UBig::from(97u64); // 2-adicity 5, generator 5
@@ -504,64 +429,40 @@ mod tests {
         let mut serial = original.clone();
         plan.forward(&mut serial);
 
-        // Staged backend: dispatcher + pool.
         let pool = ContextPool::for_engine_name("montgomery").unwrap();
         let dispatcher = Dispatcher::new(2);
-        let staged = ExecBackend::Staged {
+        let staged = Staged {
             dispatcher: &dispatcher,
             pool: &pool,
         };
-        let mut data = original.clone();
-        plan.forward_via(&mut data, &staged).unwrap();
-        assert_eq!(data, serial);
-        plan.inverse_via(&mut data, &staged).unwrap();
-        assert_eq!(data, original);
-
-        // Streaming backend: every butterfly multiplication rides the
-        // service queue and coalesces twiddle-major.
         let service =
             ModSramService::for_engine_name("montgomery", ServiceConfig::default()).unwrap();
-        let streamed = ExecBackend::Service(&service);
-        let mut data = original.clone();
-        plan.forward_via(&mut data, &streamed).unwrap();
-        assert_eq!(data, serial);
-        plan.inverse_via(&mut data, &streamed).unwrap();
-        assert_eq!(data, original);
-        let stats = service.shutdown();
-        assert_eq!(stats.failed, 0);
-        // 4 stages × 8 muls, the same again inverse, + 16 scaling muls.
-        assert_eq!(stats.completed, 32 + 32 + 16);
-
-        // Cluster backend: the one-modulus transform rides the router
-        // unchanged — everything homes on a single tile, so the job
-        // count matches the single-service path exactly.
-        use modsram_core::cluster::{ClusterConfig, ServiceCluster};
         let cluster =
             ServiceCluster::for_engine_name("montgomery", 2, ClusterConfig::default()).unwrap();
-        let routed = ExecBackend::Cluster(&cluster);
-        let mut data = original.clone();
-        plan.forward_via(&mut data, &routed).unwrap();
-        assert_eq!(data, serial);
-        plan.inverse_via(&mut data, &routed).unwrap();
-        assert_eq!(data, original);
+        for (name, backend) in [
+            ("staged", &staged as &dyn MulBackend),
+            ("service", &service),
+            ("cluster", &cluster),
+        ] {
+            let mut data = original.clone();
+            plan.forward_via(&mut data, backend).unwrap();
+            assert_eq!(data, serial, "{name}");
+            plan.inverse_via(&mut data, backend).unwrap();
+            assert_eq!(data, original, "{name}");
+        }
+
+        // Every butterfly multiplication rode the queue: 4 stages × 8
+        // muls, the same again inverse, + 16 scaling muls.
+        let jobs = 32 + 32 + 16;
+        let stats = service.shutdown();
+        assert_eq!((stats.completed, stats.failed), (jobs, 0));
+        // The one-modulus transform homes on a single tile, so the job
+        // count matches the single-service path exactly.
         let stats = cluster.shutdown();
-        assert_eq!(stats.failed, 0);
-        assert_eq!(stats.completed, 32 + 32 + 16);
+        assert_eq!((stats.completed, stats.failed), (jobs, 0));
         assert_eq!(stats.affinity_hit_rate(), 1.0);
         let home = cluster.home_tile(&p).expect("a routable tile homes p");
-        assert_eq!(stats.tiles[home].service.completed, 32 + 32 + 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "different modulus")]
-    fn dispatched_transform_rejects_foreign_shards() {
-        use modsram_modmul::{DirectEngine, ModMulEngine};
-        let ctx = crate::field::DynCtx::new(&UBig::from(97u64), Box::new(DirectEngine::new()));
-        let plan = NttPlan::new(&ctx, 3, &UBig::from(5u64)).unwrap();
-        let shard: Arc<dyn PreparedModMul> =
-            Arc::from(DirectEngine::new().prepare(&UBig::from(101u64)).unwrap());
-        let mut data: Vec<UBig> = (0..8u64).map(UBig::from).collect();
-        let _ = plan.forward_dispatched(&mut data, &Dispatcher::new(2), &[shard]);
+        assert_eq!(stats.tiles[home].service.completed, jobs);
     }
 
     #[test]

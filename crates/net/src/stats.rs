@@ -7,65 +7,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError, RwLock};
 
+use modsram_core::Reservoir;
+
 use crate::frame::RetryReason;
-
-/// Reservoir-sampled latency percentiles (same xorshift64* scheme as
-/// the service layer, so percentile quality matches across artifacts).
-struct Reservoir {
-    cap: usize,
-    seen: u64,
-    rng: u64,
-    samples: Vec<u64>,
-}
-
-impl Reservoir {
-    fn new(cap: usize) -> Self {
-        Reservoir {
-            cap: cap.max(1),
-            seen: 0,
-            rng: 0x9E37_79B9_7F4A_7C15,
-            samples: Vec::new(),
-        }
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    }
-
-    fn push(&mut self, v: u64) {
-        self.seen += 1;
-        if self.samples.len() < self.cap {
-            self.samples.push(v);
-        } else {
-            let j = self.next_rand() % self.seen;
-            if (j as usize) < self.cap {
-                self.samples[j as usize] = v;
-            }
-        }
-    }
-
-    fn percentile(sorted: &[u64], p: f64) -> u64 {
-        if sorted.is_empty() {
-            return 0;
-        }
-        let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-        sorted[idx]
-    }
-
-    fn p50_p99(&self) -> (u64, u64) {
-        let mut sorted = self.samples.clone();
-        sorted.sort_unstable();
-        (
-            Self::percentile(&sorted, 0.50),
-            Self::percentile(&sorted, 0.99),
-        )
-    }
-}
 
 /// Mutable counters for one tenant, updated by connection threads.
 #[derive(Default)]
@@ -225,11 +169,10 @@ impl NetMeter {
     }
 
     pub(crate) fn snapshot(&self) -> NetStats {
-        let (p50, p99) = self
-            .latency
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .p50_p99();
+        let (p50, p99) = {
+            let latency = self.latency.lock().unwrap_or_else(PoisonError::into_inner);
+            (latency.percentile(0.50), latency.percentile(0.99))
+        };
         let mut retry_after: Vec<(String, u64)> = self
             .retry_by_reason
             .lock()

@@ -190,16 +190,19 @@
 //! checked against the oracle and an identical in-process closed loop
 //! (`results/wire_sweep.json`).
 //!
-//! Batch consumers — `apps::ecdsa::verify_batch_via`, the dispatched
-//! NTT stages, `msm_dispatched` over a `*_via` curve — accept an
-//! [`arch::service::ExecBackend`], so the same code runs one-shot
-//! (staged dispatcher + pool), streams through a shared single-tile
-//! service, or fans across a cluster
-//! ([`ExecBackend::Cluster`](arch::service::ExecBackend::Cluster))
-//! where heterogeneous tenants (ECDSA + Pedersen + NTT) interleave
-//! with per-modulus tile affinity. The [`SpillPolicy`] trade-offs
-//! (affinity and LUT-refill cost vs tail latency under skew) and the
-//! add/drain/probation lifecycle are documented in [`arch::cluster`].
+//! Batch consumers — `apps::ecdsa::verify_batch`,
+//! `PedersenCommitter::new_via`, `NttPlan::{forward,inverse}_via`, and
+//! `msm_dispatched` over a `*_via` curve — take one `&dyn`
+//! [`MulBackend`], implemented by exactly three types: a one-shot
+//! [`Staged`] dispatcher + pool, a shared single-tile
+//! [`ModSramService`], and a [`ServiceCluster`] where heterogeneous
+//! tenants (ECDSA + Pedersen + NTT) interleave with per-modulus tile
+//! affinity. Callers pass `&service`, `&cluster` or `&Staged { .. }`
+//! directly; a new backend plugs in without touching a consumer.
+//!
+//! The [`SpillPolicy`] trade-offs (affinity and LUT-refill cost vs
+//! tail latency under skew) and the add/drain/probation lifecycle are
+//! documented in [`arch::cluster`].
 //!
 //! # The engine layer: prepare/execute
 //!
@@ -389,7 +392,8 @@ pub use modsram_core::cluster::{
 };
 pub use modsram_core::dispatch::MulJob;
 pub use modsram_core::service::{
-    ExecBackend, ModSramService, ServiceConfig, ServiceStats, SubmitError, SubmitHandle, Ticket,
+    ModSramService, MulBackend, ServiceConfig, ServiceStats, Staged, SubmitError, SubmitHandle,
+    Ticket,
 };
 
 pub use modsram_apps as apps;

@@ -3,17 +3,17 @@
 //! `MulJob` stream all feed a single `ModSramService` concurrently —
 //! the mixed-tenant serving shape the streaming front-end exists for.
 //! The same tenants then run unchanged against a multi-tile
-//! [`ServiceCluster`] through `ExecBackend::Cluster`, and a proptest
+//! [`ServiceCluster`] through the same `MulBackend` seam, and a proptest
 //! pins streamed-via-cluster ≡ staged ≡ oracle over random tile
 //! counts, spill policies, and coalescing knobs.
 
 use std::time::Duration;
 
-use modsram::apps::ecdsa::{verify_batch_via, SigningKey, VerifyRequest};
+use modsram::apps::ecdsa::{verify_batch, SigningKey, VerifyRequest};
 use modsram::apps::PedersenCommitter;
 use modsram::arch::cluster::{ClusterConfig, ServiceCluster, SpillPolicy};
 use modsram::arch::dispatch::ContextPool;
-use modsram::arch::service::{ExecBackend, ModSramService, ServiceConfig};
+use modsram::arch::service::{ModSramService, ServiceConfig};
 use modsram::arch::{Dispatcher, MulJob, Ticket};
 use modsram::bigint::UBig;
 use modsram::ecc::curves::bn254_fr_ctx;
@@ -66,15 +66,13 @@ fn heterogeneous_tenants_interleave_on_one_service() {
         let requests = &requests;
         scope.spawn(move || {
             let fanout = Dispatcher::new(2);
-            let verdicts =
-                verify_batch_via(requests, &ExecBackend::Service(service_ref), &fanout).unwrap();
+            let verdicts = verify_batch(requests, service_ref, &fanout).unwrap();
             assert_eq!(verdicts, vec![Ok(true), Ok(true)]);
         });
 
         // Tenant 2: Pedersen commitments over BN254.
         scope.spawn(move || {
-            let backend = ExecBackend::Service(service_ref);
-            let committer = PedersenCommitter::new_via(2, b"svc-tenant", &backend).unwrap();
+            let committer = PedersenCommitter::new_via(2, b"svc-tenant", service_ref).unwrap();
             let values: Vec<UBig> = [11u64, 22].map(UBig::from).to_vec();
             let r = UBig::from(7u64);
             let commitment = committer.commit(&values, &r);
@@ -91,11 +89,10 @@ fn heterogeneous_tenants_interleave_on_one_service() {
             let plan = NttPlan::new(&dyn_ctx, 4, &UBig::from(5u64)).unwrap();
             let mut serial = ntt_input.clone();
             plan.forward(&mut serial);
-            let backend = ExecBackend::Service(service_ref);
             let mut data = ntt_input.clone();
-            plan.forward_via(&mut data, &backend).unwrap();
+            plan.forward_via(&mut data, service_ref).unwrap();
             assert_eq!(data, serial);
-            plan.inverse_via(&mut data, &backend).unwrap();
+            plan.inverse_via(&mut data, service_ref).unwrap();
             assert_eq!(&data, ntt_input);
         });
 
@@ -133,7 +130,7 @@ fn heterogeneous_tenants_interleave_on_one_service() {
 #[test]
 fn heterogeneous_tenants_interleave_on_a_cluster() {
     // The same four tenants, unchanged, against a 3-tile cluster: the
-    // `ExecBackend` seam is the whole migration. Each tenant modulus is
+    // `MulBackend` seam is the whole migration. Each tenant modulus is
     // rendezvous-homed on one tile, so per-modulus coalescing survives
     // the scale-out.
     let cluster = ServiceCluster::for_engine_name(
@@ -175,14 +172,12 @@ fn heterogeneous_tenants_interleave_on_a_cluster() {
         let requests = &requests;
         scope.spawn(move || {
             let fanout = Dispatcher::new(2);
-            let verdicts =
-                verify_batch_via(requests, &ExecBackend::Cluster(cluster_ref), &fanout).unwrap();
+            let verdicts = verify_batch(requests, cluster_ref, &fanout).unwrap();
             assert_eq!(verdicts, vec![Ok(true), Ok(true)]);
         });
 
         scope.spawn(move || {
-            let backend = ExecBackend::Cluster(cluster_ref);
-            let committer = PedersenCommitter::new_via(2, b"cluster-tenant", &backend).unwrap();
+            let committer = PedersenCommitter::new_via(2, b"cluster-tenant", cluster_ref).unwrap();
             let values: Vec<UBig> = [33u64, 44].map(UBig::from).to_vec();
             let r = UBig::from(9u64);
             let commitment = committer.commit(&values, &r);
@@ -196,11 +191,10 @@ fn heterogeneous_tenants_interleave_on_a_cluster() {
             let plan = NttPlan::new(&dyn_ctx, 4, &UBig::from(5u64)).unwrap();
             let mut serial = ntt_input.clone();
             plan.forward(&mut serial);
-            let backend = ExecBackend::Cluster(cluster_ref);
             let mut data = ntt_input.clone();
-            plan.forward_via(&mut data, &backend).unwrap();
+            plan.forward_via(&mut data, cluster_ref).unwrap();
             assert_eq!(data, serial);
-            plan.inverse_via(&mut data, &backend).unwrap();
+            plan.inverse_via(&mut data, cluster_ref).unwrap();
             assert_eq!(&data, ntt_input);
         });
 
