@@ -541,11 +541,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn verify_batch_matches_staged_on_every_backend() {
-        use modsram_core::cluster::{ClusterConfig, ServiceCluster};
-        use modsram_core::service::{ModSramService, ServiceConfig};
+    /// A service configuration with no coalescing window: each dependent
+    /// multiplication runs at once instead of waiting for company.
+    fn unbatched_service_config() -> modsram_core::service::ServiceConfig {
+        modsram_core::service::ServiceConfig {
+            workers: 4,
+            flush_interval: std::time::Duration::ZERO,
+            ..Default::default()
+        }
+    }
 
+    /// Verifies a mixed batch on the staged backend and on `backend`, and
+    /// checks both against the expected verdicts.
+    fn assert_verify_batch_matches_staged(backend: &dyn MulBackend) {
         let sk = key();
         let vk = sk.verifying_key();
         let mut requests: Vec<VerifyRequest> = (0..3u8)
@@ -582,33 +590,36 @@ mod tests {
             dispatcher: &fanout,
             pool: &pool,
         };
-        // No coalescing window: each dependent multiplication runs at
-        // once instead of waiting for company.
-        let service_config = ServiceConfig {
-            workers: 4,
-            flush_interval: std::time::Duration::ZERO,
-            ..Default::default()
-        };
-        let service =
-            ModSramService::for_engine_name("montgomery", service_config.clone()).unwrap();
-        // On the cluster, p and n home on their rendezvous tiles and
-        // every scalar/field multiplication streams through the router.
-        let cluster_config = ClusterConfig {
-            service: service_config,
-            ..Default::default()
-        };
-        let cluster = ServiceCluster::for_engine_name("montgomery", 2, cluster_config).unwrap();
-        for (name, backend) in [
-            ("staged", &staged as &dyn MulBackend),
-            ("service", &service),
-            ("cluster", &cluster),
-        ] {
+        for (name, backend) in [("staged", &staged as &dyn MulBackend), ("backend", backend)] {
             let verdicts = verify_batch(&requests, backend, &fanout).unwrap();
             assert_eq!(verdicts, want, "{name}");
         }
+    }
+
+    #[test]
+    fn verify_batch_via_service_matches_staged() {
+        use modsram_core::service::ModSramService;
+
+        let service =
+            ModSramService::for_engine_name("montgomery", unbatched_service_config()).unwrap();
+        assert_verify_batch_matches_staged(&service);
         let stats = service.shutdown();
         assert_eq!(stats.failed, 0);
         assert!(stats.completed > 0, "muls streamed through the service");
+    }
+
+    #[test]
+    fn verify_batch_via_cluster_matches_staged() {
+        use modsram_core::cluster::{ClusterConfig, ServiceCluster};
+
+        // On the cluster, p and n home on their rendezvous tiles and
+        // every scalar/field multiplication streams through the router.
+        let cluster_config = ClusterConfig {
+            service: unbatched_service_config(),
+            ..Default::default()
+        };
+        let cluster = ServiceCluster::for_engine_name("montgomery", 2, cluster_config).unwrap();
+        assert_verify_batch_matches_staged(&cluster);
         let stats = cluster.shutdown();
         assert_eq!(stats.failed, 0);
         assert!(stats.completed > 0, "muls streamed through the cluster");

@@ -230,11 +230,20 @@ mod tests {
         assert_eq!(pool.misses(), misses_before, "cached context reused");
     }
 
-    #[test]
-    fn committer_matches_fast_on_every_backend() {
-        use modsram_core::cluster::{ClusterConfig, ServiceCluster};
+    /// A service configuration with no coalescing window: each dependent
+    /// multiplication runs at once instead of waiting for company.
+    fn unbatched_service_config() -> modsram_core::service::ServiceConfig {
+        modsram_core::service::ServiceConfig {
+            flush_interval: std::time::Duration::ZERO,
+            ..Default::default()
+        }
+    }
+
+    /// Commits through the staged backend and through `backend`, and checks
+    /// both bit-exact on x and y against the fast backend.
+    fn assert_committer_matches_fast(backend: &dyn MulBackend) {
         use modsram_core::dispatch::{ContextPool, Dispatcher};
-        use modsram_core::service::{ModSramService, ServiceConfig, Staged};
+        use modsram_core::service::Staged;
 
         let pool = ContextPool::for_engine_name("montgomery").unwrap();
         let dispatcher = Dispatcher::new(2);
@@ -242,29 +251,11 @@ mod tests {
             dispatcher: &dispatcher,
             pool: &pool,
         };
-        // No coalescing window: each dependent multiplication runs at
-        // once instead of waiting for company.
-        let service_config = ServiceConfig {
-            flush_interval: std::time::Duration::ZERO,
-            ..Default::default()
-        };
-        let service = ModSramService::for_engine_name("montgomery", service_config.clone())
-            .expect("registered engine");
-        let cluster_config = ClusterConfig {
-            service: service_config,
-            ..Default::default()
-        };
-        let cluster = ServiceCluster::for_engine_name("montgomery", 2, cluster_config)
-            .expect("registered engine");
         let fast = PedersenCommitter::new(2, b"modsram-backend");
         let values: Vec<UBig> = [4u64, 8].map(UBig::from).to_vec();
         let r = UBig::from(2024u64);
         let fast_aff = fast.curve().to_affine(&fast.commit(&values, &r));
-        for (name, backend) in [
-            ("staged", &staged as &dyn MulBackend),
-            ("service", &service),
-            ("cluster", &cluster),
-        ] {
+        for (name, backend) in [("staged", &staged as &dyn MulBackend), ("backend", backend)] {
             let via = PedersenCommitter::new_via(2, b"modsram-backend", backend).unwrap();
             let via_aff = via.curve().to_affine(&via.commit(&values, &r));
             assert_eq!(
@@ -279,9 +270,31 @@ mod tests {
             );
             assert!(via.open(&via.commit(&values, &r), &values, &r), "{name}");
         }
+    }
+
+    #[test]
+    fn service_backed_committer_matches_fast() {
+        use modsram_core::service::ModSramService;
+
+        let service = ModSramService::for_engine_name("montgomery", unbatched_service_config())
+            .expect("registered engine");
+        assert_committer_matches_fast(&service);
         let stats = service.shutdown();
         assert_eq!(stats.failed, 0);
         assert!(stats.completed > 0);
+    }
+
+    #[test]
+    fn cluster_backed_committer_matches_fast() {
+        use modsram_core::cluster::{ClusterConfig, ServiceCluster};
+
+        let cluster_config = ClusterConfig {
+            service: unbatched_service_config(),
+            ..Default::default()
+        };
+        let cluster = ServiceCluster::for_engine_name("montgomery", 2, cluster_config)
+            .expect("registered engine");
+        assert_committer_matches_fast(&cluster);
         let stats = cluster.shutdown();
         assert_eq!(stats.failed, 0);
         assert!(stats.completed > 0);
