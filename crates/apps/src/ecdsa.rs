@@ -365,6 +365,7 @@ fn to_be32(v: &UBig) -> [u8; 32] {
 mod tests {
     use super::*;
     use modsram_core::service::Staged;
+    use modsram_core::test_util::unbatched_service_config;
 
     fn key() -> SigningKey {
         SigningKey::new(
@@ -538,16 +539,6 @@ mod tests {
         let verdicts = verify_batch(&requests, &staged, &dispatcher).unwrap();
         for (req, verdict) in requests.iter().zip(&verdicts) {
             assert_eq!(*verdict, vk.verify(&req.msg, &req.sig));
-        }
-    }
-
-    /// A service configuration with no coalescing window: each dependent
-    /// multiplication runs at once instead of waiting for company.
-    fn unbatched_service_config() -> modsram_core::service::ServiceConfig {
-        modsram_core::service::ServiceConfig {
-            workers: 4,
-            flush_interval: std::time::Duration::ZERO,
-            ..Default::default()
         }
     }
 

@@ -135,6 +135,7 @@ impl<C: FieldCtx> PedersenCommitter<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use modsram_core::test_util::unbatched_service_config;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -228,15 +229,6 @@ mod tests {
         let misses_before = pool.misses();
         let _again = PedersenCommitter::new_via(2, b"modsram-pool", &staged).unwrap();
         assert_eq!(pool.misses(), misses_before, "cached context reused");
-    }
-
-    /// A service configuration with no coalescing window: each dependent
-    /// multiplication runs at once instead of waiting for company.
-    fn unbatched_service_config() -> modsram_core::service::ServiceConfig {
-        modsram_core::service::ServiceConfig {
-            flush_interval: std::time::Duration::ZERO,
-            ..Default::default()
-        }
     }
 
     /// Commits through the staged backend and through `backend`, and checks

@@ -33,12 +33,12 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use modsram_bigint::UBig;
 use modsram_modmul::{ModMulError, PreparedModMul, DEFAULT_LANES, LANE_MIN_PAIRS};
 
-use crate::cluster::ServiceCluster;
+use crate::cluster::{ClusterSubmitError, ServiceCluster};
 use crate::dispatch::{ContextPool, MulJob};
 use crate::service::{ServiceConfig, Ticket};
 
@@ -350,6 +350,20 @@ pub fn gated_pool(gate: &Arc<Gate>) -> ContextPool {
     })
 }
 
+/// The default [`ServiceConfig`] with no coalescing window: each
+/// dependent multiplication a consumer streams through a service runs at
+/// once instead of waiting `flush_interval` for company that never comes.
+pub fn unbatched_service_config() -> ServiceConfig {
+    ServiceConfig {
+        flush_interval: Duration::ZERO,
+        ..Default::default()
+    }
+}
+
+/// How long [`saturate_gated_home`] waits for a gate-held tile to take
+/// one more job before it declares the fixed point unreachable.
+pub const SATURATE_STALL_LIMIT: Duration = Duration::from_secs(30);
+
 /// Fills `p`'s home tile of a cluster built over [`gated_pool`]s with
 /// tiles shaped like `tile` (`max_batch: 1`) to its fixed point while
 /// the gate is shut: each of the `pipeline_depth` executors holds one
@@ -361,7 +375,10 @@ pub fn gated_pool(gate: &Arc<Gate>) -> ContextPool {
 /// # Panics
 ///
 /// Panics if `tile.max_batch != 1` (partial batches have no fixed
-/// count) or the tile refuses once full (a non-`Strict` spill policy).
+/// count), if the cluster refuses for any reason but saturation, if the
+/// tile accepts nothing for [`SATURATE_STALL_LIMIT`] before reaching the
+/// fixed point (the count over-estimates what the tile holds), or if it
+/// still accepts once full (a non-`Strict` spill policy).
 pub fn saturate_gated_home(
     cluster: &ServiceCluster,
     p: &UBig,
@@ -371,15 +388,33 @@ pub fn saturate_gated_home(
     let fixed_point = 2 * tile.pipeline_depth + 1 + tile.queue_capacity;
     let job = |i: usize| MulJob::new(UBig::from(i as u64 + 2), UBig::from(3u64), p.clone());
     let mut accepted = Vec::new();
+    let mut last_accept = Instant::now();
     while accepted.len() < fixed_point {
         match cluster.try_submit(job(accepted.len())) {
-            Ok(ticket) => accepted.push(ticket),
+            Ok(ticket) => {
+                accepted.push(ticket);
+                last_accept = Instant::now();
+            }
             // The batcher has not drained the queue yet.
-            Err(_) => std::thread::yield_now(),
+            Err(ClusterSubmitError::AllTilesSaturated { .. }) => {
+                assert!(
+                    last_accept.elapsed() < SATURATE_STALL_LIMIT,
+                    "home tile stalled at {} of {fixed_point} jobs",
+                    accepted.len()
+                );
+                std::thread::yield_now();
+            }
+            Err(e) => panic!(
+                "home tile refused after {} of {fixed_point} jobs: {e}",
+                accepted.len()
+            ),
         }
     }
     assert!(
-        cluster.try_submit(job(fixed_point)).is_err(),
+        matches!(
+            cluster.try_submit(job(fixed_point)),
+            Err(ClusterSubmitError::AllTilesSaturated { .. })
+        ),
         "the home tile is saturated"
     );
     accepted

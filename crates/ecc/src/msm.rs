@@ -308,25 +308,25 @@ mod tests {
     }
 
     #[test]
-    fn dispatched_msm_matches_serial_on_every_backend() {
+    fn dispatched_msm_matches_serial() {
         use crate::curves::{secp256k1_fast, secp256k1_via};
         use modsram_core::cluster::{ClusterConfig, ServiceCluster};
         use modsram_core::dispatch::ContextPool;
-        use modsram_core::service::{ModSramService, MulBackend, ServiceConfig, Staged};
+        use modsram_core::service::{ModSramService, MulBackend, Staged};
+        use modsram_core::test_util::unbatched_service_config;
 
         let fast = secp256k1_fast();
         let mut rng = SmallRng::seed_from_u64(123);
         let g = fast.generator();
         let mut pts_fast = Vec::new();
         let mut cur = g.clone();
-        for _ in 0..8 {
+        for _ in 0..12 {
             pts_fast.push(fast.to_affine(&cur));
             cur = fast.double(&cur);
         }
-        // 64-bit scalars keep the streamed passes short: every field
-        // multiplication there is one queue round trip.
-        let bound = UBig::pow2(64);
-        let scalars: Vec<UBig> = (0..8).map(|_| ubig_below(&mut rng, &bound)).collect();
+        let scalars: Vec<UBig> = (0..12)
+            .map(|_| ubig_below(&mut rng, fast.order()))
+            .collect();
         let (want, want_stats) = msm_with_window(&fast, &pts_fast, &scalars, 4);
         let want_aff = fast.to_affine(&want);
         let points: Vec<Affine<UBig>> = pts_fast
@@ -347,16 +347,10 @@ mod tests {
             dispatcher: &staged_dispatcher,
             pool: &pool,
         };
-        // No coalescing window: a lone dependent multiplication runs
-        // at once instead of waiting for company that never comes.
-        let service_config = ServiceConfig {
-            flush_interval: std::time::Duration::ZERO,
-            ..Default::default()
-        };
         let service =
-            ModSramService::for_engine_name("montgomery", service_config.clone()).unwrap();
+            ModSramService::for_engine_name("montgomery", unbatched_service_config()).unwrap();
         let cluster_config = ClusterConfig {
-            service: service_config,
+            service: unbatched_service_config(),
             ..Default::default()
         };
         let cluster = ServiceCluster::for_engine_name("montgomery", 2, cluster_config).unwrap();
