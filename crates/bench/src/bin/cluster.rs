@@ -20,9 +20,11 @@
 //! The headline column is the **modelled speedup**: the ratio of
 //! 1-tile to N-tile modelled makespan (busiest tile's device-cycle
 //! occupancy), the multi-macro throughput a rack of independent
-//! ModSRAM tiles achieves. Like `bin/shard`'s lane speedup it is
-//! deterministic on any host; the wall column only tracks it when the
-//! host has a core per lane. Acceptance: ≥ 1.8× at 2 tiles, ≥ 3× at 4
+//! ModSRAM tiles achieves. It is deterministic on any host; the wall
+//! column only tracks it when the host has a core per lane. The lane
+//! speedup inside one tile is the perfbench ladder's
+//! `dispatch.busy_speedup`, and streamed cluster throughput is its
+//! cluster rung. Acceptance: ≥ 1.8× at 2 tiles, ≥ 3× at 4
 //! tiles on r4csa-lut, with affinity hit rate ≥ 90% at moderate load.
 
 use modsram_bench::{

@@ -1,12 +1,12 @@
 //! The lane-vectorization hot-path sweep: forced scalar vs forced laned
 //! batch throughput for every SoA-capable engine at 64/128/256/2048
-//! bits, plus end-to-end streamed throughput on a 4-tile cluster now
-//! running the laned kernels (`results/hotpath_sweep.json`).
+//! bits (`results/hotpath_sweep.json`). End-to-end streamed throughput
+//! over the laned kernels is the perfbench ladder's cluster rung.
 //!
 //! ```sh
 //! cargo run --release --bin hotpath
-//! # CI-sized run:
-//! cargo run --release --bin hotpath -- --pairs 512 --stream-jobs 512
+//! # Smaller run:
+//! cargo run --release --bin hotpath -- --pairs 512
 //! ```
 //!
 //! Acceptance: the laned path wins ≥ 1.3× over the scalar path at 256
@@ -14,19 +14,13 @@
 //! timed pass, so a reported speedup is never bought with a wrong
 //! result.
 
-use modsram_bench::{
-    hotpath_streamed, hotpath_sweep, print_table, write_json_artifact, HOTPATH_ENGINES,
-};
+use modsram_bench::{hotpath_sweep, print_table, write_json_artifact};
 
 struct Args {
     bits: Vec<usize>,
     /// Pair-count override; 0 keeps the per-bitwidth defaults.
     pairs: usize,
     reps: usize,
-    stream_bits: usize,
-    stream_jobs: usize,
-    tiles: usize,
-    submitters: usize,
     seed: u64,
 }
 
@@ -36,10 +30,6 @@ impl Default for Args {
             bits: vec![64, 128, 256, 2048],
             pairs: 0,
             reps: 3,
-            stream_bits: 256,
-            stream_jobs: 2048,
-            tiles: 4,
-            submitters: 4,
             seed: 0x407_9A7,
         }
     }
@@ -70,10 +60,6 @@ fn parse_args() -> Args {
             }
             "--pairs" => args.pairs = value().parse().expect("integer"),
             "--reps" => args.reps = value().parse().expect("integer"),
-            "--stream-bits" => args.stream_bits = value().parse().expect("integer"),
-            "--stream-jobs" => args.stream_jobs = value().parse().expect("integer"),
-            "--tiles" => args.tiles = value().parse().expect("integer"),
-            "--submitters" => args.submitters = value().parse().expect("integer"),
             "--seed" => args.seed = value().parse().expect("integer"),
             other => panic!("unknown flag '{other}'"),
         }
@@ -125,37 +111,6 @@ fn main() {
         &table,
     );
 
-    let streamed: Vec<_> = HOTPATH_ENGINES
-        .iter()
-        .map(|&engine| {
-            hotpath_streamed(
-                engine,
-                args.stream_bits,
-                args.stream_jobs,
-                args.tiles,
-                args.submitters,
-                args.seed ^ 0x51,
-            )
-        })
-        .collect();
-    let stream_table: Vec<Vec<String>> = streamed
-        .iter()
-        .map(|r| {
-            vec![
-                r.engine.to_string(),
-                r.bits.to_string(),
-                r.jobs.to_string(),
-                r.tiles.to_string(),
-                format!("{:.0}", r.jobs_per_s),
-            ]
-        })
-        .collect();
-    print_table(
-        "End-to-end: streamed cluster throughput over the laned kernels",
-        &["engine", "bits", "jobs", "tiles", "jobs/s"],
-        &stream_table,
-    );
-
     let artifact = serde_json::json!({
         "sweep": rows.iter().map(|r| serde_json::json!({
             "engine": r.engine,
@@ -165,14 +120,6 @@ fn main() {
             "scalar_ns": r.scalar_ns,
             "laned_ns": r.laned_ns,
             "speedup": r.speedup,
-        })).collect::<Vec<_>>(),
-        "streamed": streamed.iter().map(|r| serde_json::json!({
-            "engine": r.engine,
-            "bits": r.bits,
-            "jobs": r.jobs,
-            "tiles": r.tiles,
-            "submitters": r.submitters,
-            "jobs_per_s": r.jobs_per_s,
         })).collect::<Vec<_>>(),
     });
     let path = write_json_artifact("hotpath_sweep", &artifact);

@@ -1,27 +1,21 @@
-//! The sharding sweep: batch throughput vs worker/bank count for the
-//! dispatcher over a prepared engine backend, plus the cycle-accurate
-//! banked-device speedup — the companion of the batch sweep (`bin
-//! batch`) for the multi-bank serving architecture.
+//! The banked-device sweep: the cycle-accurate `BankedModSram`
+//! makespan, speedup and energy vs bank count for one batch — the
+//! multi-bank serving architecture in the device-cycle domain.
 //!
 //! ```sh
 //! cargo run --release --bin shard
 //! # CI-sized run:
-//! cargo run --release --bin shard -- --pairs 1024 --device-pairs 24 --workers 1,2,4
+//! cargo run --release --bin shard -- --device-pairs 32 --banks 1,2,4
 //! ```
 //!
-//! The headline column is the **modelled** speedup (total per-lane busy
-//! time over the busiest lane, from the deterministic static-assignment
-//! pass): it is what an 8-macro tile achieves with one physical lane
-//! per worker. Wall clock is reported alongside and only tracks it when
-//! the host actually has that many idle cores.
+//! Every column is modelled, so the table is deterministic on any
+//! host. The host-side lane speedup of the dispatcher (total per-lane
+//! busy time over the busiest lane) is the perfbench ladder's
+//! `dispatch.busy_speedup`.
 
-use modsram_bench::{banked_shard_sweep, print_table, shard_sweep, write_json_artifact};
+use modsram_bench::{banked_device_sweep, print_table, write_json_artifact};
 
 struct Args {
-    engine: String,
-    bits: usize,
-    pairs: usize,
-    workers: Vec<usize>,
     device_bits: usize,
     device_pairs: usize,
     banks: Vec<usize>,
@@ -30,21 +24,11 @@ struct Args {
 impl Default for Args {
     fn default() -> Self {
         Args {
-            engine: "montgomery".to_string(),
-            bits: 256,
-            pairs: 4096,
-            workers: vec![1, 2, 4, 8],
             device_bits: 32,
             device_pairs: 64,
             banks: vec![1, 2, 4, 8],
         }
     }
-}
-
-fn parse_list(v: &str) -> Vec<usize> {
-    v.split(',')
-        .map(|s| s.trim().parse().expect("comma-separated integers"))
-        .collect()
 }
 
 fn parse_args() -> Args {
@@ -53,13 +37,14 @@ fn parse_args() -> Args {
     while let Some(flag) = it.next() {
         let mut value = || it.next().expect("flag needs a value");
         match flag.as_str() {
-            "--engine" => args.engine = value(),
-            "--bits" => args.bits = value().parse().expect("integer"),
-            "--pairs" => args.pairs = value().parse().expect("integer"),
-            "--workers" => args.workers = parse_list(&value()),
             "--device-bits" => args.device_bits = value().parse().expect("integer"),
             "--device-pairs" => args.device_pairs = value().parse().expect("integer"),
-            "--banks" => args.banks = parse_list(&value()),
+            "--banks" => {
+                args.banks = value()
+                    .split(',')
+                    .map(|s| s.trim().parse().expect("comma-separated integers"))
+                    .collect()
+            }
             other => panic!("unknown flag '{other}'"),
         }
     }
@@ -69,35 +54,7 @@ fn parse_args() -> Args {
 fn main() {
     let args = parse_args();
 
-    let engine_rows = shard_sweep(&args.engine, args.bits, args.pairs, &args.workers, 0x5A4D);
-    let table: Vec<Vec<String>> = engine_rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workers.to_string(),
-                format!("{:.0}", r.wall_ns_per_mul),
-                format!("{:.2}x", r.wall_speedup),
-                format!("{:.2}x", r.modelled_speedup),
-                r.steals.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!(
-            "Sharding sweep: {} at {} bits ({} pairs)",
-            args.engine, args.bits, args.pairs
-        ),
-        &[
-            "workers",
-            "wall ns/mul",
-            "wall speedup",
-            "modelled speedup",
-            "steals",
-        ],
-        &table,
-    );
-
-    let device_rows = banked_shard_sweep(args.device_bits, args.device_pairs, &args.banks, 0xD15);
+    let device_rows = banked_device_sweep(args.device_bits, args.device_pairs, &args.banks, 0xD15);
     let table: Vec<Vec<String>> = device_rows
         .iter()
         .map(|r| {
@@ -119,16 +76,6 @@ fn main() {
     );
 
     let artifact = serde_json::json!({
-        "engine_sweep": engine_rows.iter().map(|r| serde_json::json!({
-            "engine": r.engine.clone(),
-            "bits": r.bits,
-            "pairs": r.pairs,
-            "workers": r.workers,
-            "wall_ns_per_mul": r.wall_ns_per_mul,
-            "wall_speedup": r.wall_speedup,
-            "modelled_speedup": r.modelled_speedup,
-            "steals": r.steals,
-        })).collect::<Vec<_>>(),
         "banked_device_sweep": device_rows.iter().map(|r| serde_json::json!({
             "banks": r.banks,
             "bits": r.bits,
@@ -140,11 +87,4 @@ fn main() {
     });
     let path = write_json_artifact("shard_sweep", &artifact);
     println!("\nartifact: {path}");
-
-    if let (Some(first), Some(last)) = (engine_rows.first(), engine_rows.last()) {
-        println!(
-            "\n{} workers vs {}: {:.2}x modelled, {:.2}x wall",
-            last.workers, first.workers, last.modelled_speedup, last.wall_speedup
-        );
-    }
 }

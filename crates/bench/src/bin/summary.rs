@@ -8,7 +8,7 @@
 //! cargo run --release --bin summary
 //! # CI: fail unless every expected artifact is present.
 //! cargo run --release --bin summary -- \
-//!   --require shard_sweep,serve_sweep,hotpath_sweep,cluster_sweep,elasticity_sweep,autotune_sweep,wire_sweep,weighted_sweep,analyzer_report
+//!   --require shard_sweep,hotpath_sweep,cluster_sweep,elasticity_sweep,autotune_sweep,wire_sweep,weighted_sweep,analyzer_report
 //! ```
 //!
 //! Artifacts that are absent are skipped (and listed as skipped), so
@@ -72,39 +72,15 @@ fn summarize(name: &str, v: &Value) -> (Value, String) {
             )
         }
         "shard_sweep" => {
-            let engines = rows(v, "engine_sweep");
-            let last = engines.last();
-            let workers = last.map_or(0, |r| count(r, "workers"));
-            let wall = last.map_or(f64::NAN, |r| num(r, "wall_speedup"));
-            let modelled = last.map_or(f64::NAN, |r| num(r, "modelled_speedup"));
             let banked_best = rows(v, "banked_device_sweep")
                 .iter()
                 .map(|r| num(r, "speedup"))
                 .fold(f64::NAN, f64::max);
             (
                 serde_json::json!({
-                    "workers": workers,
-                    "wall_speedup": wall,
-                    "modelled_speedup": modelled,
                     "banked_device_best_speedup": banked_best,
                 }),
-                format!(
-                    "{workers} workers: {wall:.2}x wall / {modelled:.2}x modelled; banked best {banked_best:.2}x"
-                ),
-            )
-        }
-        "serve_sweep" => {
-            let t = v.get("throughput").cloned().unwrap_or(Value::Null);
-            let ratio = num(&t, "streamed_vs_staged");
-            let per_s = num(&t, "streamed_jobs_per_s");
-            (
-                serde_json::json!({
-                    "streamed_jobs_per_s": per_s,
-                    "streamed_vs_staged": ratio,
-                    "wall_p99_ns": num(&t, "wall_p99_ns"),
-                    "open_loop_points": rows(v, "open_loop_sweep").len(),
-                }),
-                format!("{per_s:.0} jobs/s streamed, {ratio:.2}x vs staged"),
+                format!("banked best {banked_best:.2}x"),
             )
         }
         "cluster_sweep" => {
@@ -227,28 +203,6 @@ fn summarize(name: &str, v: &Value) -> (Value, String) {
                 ),
             )
         }
-        "batch_throughput" => {
-            let all = v.as_array().unwrap_or(&[]);
-            let best = all
-                .iter()
-                .max_by(|a, b| num(a, "speedup").total_cmp(&num(b, "speedup")));
-            let engine = best
-                .and_then(|r| r.get("engine").and_then(Value::as_str))
-                .unwrap_or("-")
-                .to_string();
-            let speedup = best.map_or(f64::NAN, |r| num(r, "speedup"));
-            (
-                serde_json::json!({
-                    "rows": all.len(),
-                    "best_batch_speedup": speedup,
-                    "best_batch_engine": engine.as_str(),
-                }),
-                format!(
-                    "best batch speedup {speedup:.2}x ({engine}), {} rows",
-                    all.len()
-                ),
-            )
-        }
         "analyzer_report" => {
             let denied = count(v, "denied");
             let allowed = count(v, "allowed");
@@ -286,14 +240,12 @@ fn summarize(name: &str, v: &Value) -> (Value, String) {
 
 const ARTIFACTS: &[&str] = &[
     "shard_sweep",
-    "serve_sweep",
     "hotpath_sweep",
     "cluster_sweep",
     "elasticity_sweep",
     "autotune_sweep",
     "wire_sweep",
     "weighted_sweep",
-    "batch_throughput",
     "analyzer_report",
 ];
 

@@ -11,11 +11,11 @@ use modsram_core::cluster::{
     home_tile_for, weighted_home_tile_for, ClusterConfig, ClusterHandle, ServiceCluster,
     SpillPolicy,
 };
-use modsram_core::dispatch::{ContextPool, Dispatcher, MulJob, StealPolicy};
-use modsram_core::service::{ModSramService, ServiceConfig, ServiceStats, Ticket};
+use modsram_core::dispatch::{ContextPool, Dispatcher, MulJob};
+use modsram_core::service::{ModSramService, ServiceConfig, Ticket};
 use modsram_core::test_util::slow_pool;
 use modsram_core::{BankedModSram, ModSram, ModSramConfig, RunStats};
-use modsram_modmul::{all_engines, engine_by_name, CycleModel, LutOverflow, R4CsaLutEngine};
+use modsram_modmul::{engine_by_name, CycleModel, LutOverflow, R4CsaLutEngine};
 use modsram_net::{
     NetBackend, NetStats, TenantLimits, TenantRegistry, WireClient, WireConfig, WireResponse,
     WireServer,
@@ -178,86 +178,6 @@ pub fn lut_usage(samples: u64, seed: u64) -> LutUsage {
     }
 }
 
-/// One engine's row in the batch-throughput sweep: wall-clock per
-/// multiplication in the three execution modes, plus the amortisation
-/// speedup the prepare/execute split buys.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchThroughputRow {
-    /// Engine name from the registry.
-    pub engine: &'static str,
-    /// Operand bitwidth.
-    pub bits: usize,
-    /// Pairs multiplied per mode.
-    pub pairs: usize,
-    /// Legacy per-call mode (`mod_mul(&mut self, a, b, p)`): the engine
-    /// re-checks (and on a miss rebuilds) its modulus cache every call.
-    pub per_call_ns: f64,
-    /// Prepared mode, one `mod_mul(&self, a, b)` per pair.
-    pub prepared_ns: f64,
-    /// Prepared batch mode, one `mod_mul_batch` for the stream.
-    pub batch_ns: f64,
-    /// `per_call_ns / batch_ns` — the amortised-precompute win.
-    pub speedup: f64,
-}
-
-/// Runs the batch-throughput sweep at `bits` over `pairs` random
-/// operand pairs (all engines in the registry; all three modes produce
-/// identical results, which is asserted).
-///
-/// # Panics
-///
-/// Panics if any mode disagrees with any other — that would be an
-/// engine bug, not a measurement artifact.
-pub fn batch_throughput(bits: usize, pairs: usize, seed: u64) -> Vec<BatchThroughputRow> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let p = match bits {
-        64 => UBig::from(0xffff_ffff_ffff_ffc5u64),
-        256 => UBig::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
-            .expect("const"),
-        _ => &UBig::pow2(bits) - &UBig::from(1u64), // odd, full-width
-    };
-    let operands: Vec<(UBig, UBig)> = (0..pairs)
-        .map(|_| (ubig_below(&mut rng, &p), ubig_below(&mut rng, &p)))
-        .collect();
-
-    all_engines()
-        .into_iter()
-        .map(|mut engine| {
-            let start = Instant::now();
-            let legacy: Vec<UBig> = operands
-                .iter()
-                .map(|(a, b)| engine.mod_mul(a, b, &p).expect("odd modulus"))
-                .collect();
-            let per_call_ns = start.elapsed().as_nanos() as f64 / pairs as f64;
-
-            let prep = engine.prepare(&p).expect("odd modulus");
-            let start = Instant::now();
-            let prepared: Vec<UBig> = operands
-                .iter()
-                .map(|(a, b)| prep.mod_mul(a, b).expect("prepared"))
-                .collect();
-            let prepared_ns = start.elapsed().as_nanos() as f64 / pairs as f64;
-
-            let start = Instant::now();
-            let batch = prep.mod_mul_batch(&operands).expect("prepared");
-            let batch_ns = start.elapsed().as_nanos() as f64 / pairs as f64;
-
-            assert_eq!(legacy, prepared, "{}: prepared diverged", engine.name());
-            assert_eq!(legacy, batch, "{}: batch diverged", engine.name());
-
-            BatchThroughputRow {
-                engine: engine.name(),
-                bits,
-                pairs,
-                per_call_ns,
-                prepared_ns,
-                batch_ns,
-                speedup: per_call_ns / batch_ns,
-            }
-        })
-        .collect()
-}
-
 /// One engine × bitwidth point of the lane-vectorization sweep behind
 /// `results/hotpath_sweep.json`: the forced scalar batch path against
 /// the forced laned batch path on identical operands.
@@ -350,111 +270,9 @@ pub fn hotpath_sweep(
     rows
 }
 
-/// One end-to-end point of the hot-path sweep: streamed throughput of a
-/// multi-tile cluster whose tiles now execute the laned batch kernels.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HotpathStreamRow {
-    /// Engine name from the registry.
-    pub engine: &'static str,
-    /// Operand bitwidth.
-    pub bits: usize,
-    /// Jobs streamed per pass.
-    pub jobs: usize,
-    /// Cluster tiles.
-    pub tiles: usize,
-    /// Concurrent submitter threads.
-    pub submitters: usize,
-    /// Streamed throughput, jobs per second (best of three).
-    pub jobs_per_s: f64,
-}
-
-/// Streams `jobs` random jobs (multiplicand runs of 8) through a
-/// `tiles`-tile [`ServiceCluster`] on `engine` and reports the best
-/// closed-loop throughput of three passes. Every ticket is checked
-/// against the big-integer oracle.
-pub fn hotpath_streamed(
-    engine: &'static str,
-    bits: usize,
-    jobs: usize,
-    tiles: usize,
-    submitters: usize,
-    seed: u64,
-) -> HotpathStreamRow {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let p = sweep_modulus(bits);
-    let job_list: Vec<MulJob> = {
-        let mut out = Vec::with_capacity(jobs);
-        let mut b = ubig_below(&mut rng, &p);
-        for i in 0..jobs {
-            if i % 8 == 0 {
-                b = ubig_below(&mut rng, &p);
-            }
-            out.push(MulJob::new(ubig_below(&mut rng, &p), b.clone(), p.clone()));
-        }
-        out
-    };
-    let oracle: Vec<UBig> = job_list
-        .iter()
-        .map(|j| &(&j.a * &j.b) % &j.modulus)
-        .collect();
-
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let cluster = ServiceCluster::for_engine_name(
-            engine,
-            tiles,
-            ClusterConfig {
-                service: ServiceConfig {
-                    workers: 2,
-                    queue_capacity: 8192,
-                    max_batch: 256,
-                    flush_interval: Duration::from_micros(50),
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-        .unwrap_or_else(|_| panic!("unknown engine '{engine}'"));
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for s in 0..submitters {
-                let handle = cluster.handle();
-                let job_list = &job_list;
-                let oracle = &oracle;
-                scope.spawn(move || {
-                    let mine: Vec<usize> = (0..job_list.len())
-                        .filter(|i| i % submitters == s)
-                        .collect();
-                    let tickets: Vec<Ticket> = mine
-                        .iter()
-                        .map(|&i| handle.submit(job_list[i].clone()).expect("running"))
-                        .collect();
-                    for (&i, ticket) in mine.iter().zip(&tickets) {
-                        assert_eq!(
-                            ticket.wait().expect("valid modulus"),
-                            oracle[i],
-                            "streamed job {i} diverged"
-                        );
-                    }
-                });
-            }
-        });
-        best = best.min(start.elapsed().as_secs_f64());
-        cluster.shutdown();
-    }
-    HotpathStreamRow {
-        engine,
-        bits,
-        jobs,
-        tiles,
-        submitters,
-        jobs_per_s: jobs as f64 / best,
-    }
-}
-
-/// Picks the sweep modulus for a bitwidth (shared by the batch and
-/// shard sweeps): the named 64/256-bit primes, else a full-width odd
-/// value.
+/// Picks the sweep modulus for a bitwidth (shared by the hot-path and
+/// banked-device sweeps): the named 64/256-bit primes, else a
+/// full-width odd value.
 fn sweep_modulus(bits: usize) -> UBig {
     match bits {
         64 => UBig::from(0xffff_ffff_ffff_ffc5u64),
@@ -462,104 +280,6 @@ fn sweep_modulus(bits: usize) -> UBig {
             .expect("const"),
         _ => &UBig::pow2(bits) - &UBig::from(1u64),
     }
-}
-
-/// One worker-count point of the engine sharding sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSweepRow {
-    /// Engine name from the registry.
-    pub engine: String,
-    /// Operand bitwidth.
-    pub bits: usize,
-    /// Pairs dispatched per measurement.
-    pub pairs: usize,
-    /// Dispatcher workers.
-    pub workers: usize,
-    /// Host wall-clock per multiplication (work-stealing pass,
-    /// best of three) — tracks the modelled speedup only when the host
-    /// has at least `workers` idle cores.
-    pub wall_ns_per_mul: f64,
-    /// Wall-clock speedup vs the sweep's 1-worker row (or its first
-    /// row, when 1 worker was not swept).
-    pub wall_speedup: f64,
-    /// Modelled lane speedup (static-assignment pass): total per-worker
-    /// busy time over the busiest worker — what a tile with one
-    /// physical lane per worker achieves, host core count aside.
-    pub modelled_speedup: f64,
-    /// Chunks executed away from their seeded worker during the
-    /// work-stealing pass.
-    pub steals: u64,
-}
-
-/// Runs the engine sharding sweep: one shared prepared context, the
-/// batch dispatched across 1..n workers. Each worker count runs a
-/// work-stealing pass (wall clock, steals) and a static-assignment
-/// pass (deterministic modelled lane speedup), best of three each.
-///
-/// # Panics
-///
-/// Panics on an unknown engine name, on a modulus the engine rejects,
-/// or if any dispatched batch diverges from the direct oracle.
-pub fn shard_sweep(
-    engine: &str,
-    bits: usize,
-    pairs: usize,
-    workers_list: &[usize],
-    seed: u64,
-) -> Vec<ShardSweepRow> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let p = sweep_modulus(bits);
-    let operands: Vec<(UBig, UBig)> = (0..pairs)
-        .map(|_| (ubig_below(&mut rng, &p), ubig_below(&mut rng, &p)))
-        .collect();
-    let ctx = engine_by_name(engine)
-        .unwrap_or_else(|| panic!("unknown engine '{engine}'"))
-        .prepare(&p)
-        .expect("engine accepts the sweep modulus");
-    let oracle: Vec<UBig> = operands.iter().map(|(a, b)| &(a * b) % &p).collect();
-
-    let mut rows = Vec::new();
-    for &workers in workers_list {
-        let mut best_wall = f64::INFINITY;
-        let mut steals = 0u64;
-        for _ in 0..3 {
-            let d = Dispatcher::new(workers);
-            let (results, stats) = d.dispatch(ctx.as_ref(), &operands).expect("prepared");
-            assert_eq!(results, oracle, "{engine}: dispatch diverged");
-            let wall = stats.elapsed_ns as f64 / pairs as f64;
-            if wall < best_wall {
-                best_wall = wall;
-                steals = stats.steals;
-            }
-        }
-        let mut modelled_speedup = 0.0f64;
-        for _ in 0..3 {
-            let d = Dispatcher::new(workers).policy(StealPolicy::Static);
-            let (results, stats) = d.dispatch(ctx.as_ref(), &operands).expect("prepared");
-            assert_eq!(results, oracle, "{engine}: static dispatch diverged");
-            modelled_speedup = modelled_speedup.max(stats.busy_speedup());
-        }
-        rows.push(ShardSweepRow {
-            engine: engine.to_string(),
-            bits,
-            pairs,
-            workers,
-            wall_ns_per_mul: best_wall,
-            wall_speedup: 1.0, // filled in below once the baseline row is known
-            modelled_speedup,
-            steals,
-        });
-    }
-    let wall_baseline = rows
-        .iter()
-        .find(|r| r.workers == 1)
-        .or(rows.first())
-        .map(|r| r.wall_ns_per_mul)
-        .unwrap_or(f64::NAN);
-    for row in &mut rows {
-        row.wall_speedup = wall_baseline / row.wall_ns_per_mul;
-    }
-    rows
 }
 
 /// One bank-count point of the cycle-accurate device sweep.
@@ -586,7 +306,7 @@ pub struct BankSweepRow {
 /// # Panics
 ///
 /// Panics if a tile rejects the batch or diverges from the oracle.
-pub fn banked_shard_sweep(
+pub fn banked_device_sweep(
     bits: usize,
     pairs: usize,
     banks_list: &[usize],
@@ -620,267 +340,6 @@ pub fn banked_shard_sweep(
         .collect()
 }
 
-/// The closed-loop streamed-vs-staged comparison: the same job batch
-/// executed once through `Dispatcher::dispatch_jobs` (staged) and once
-/// streamed through a `ModSramService` by `submitters` concurrent
-/// threads.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeThroughputRow {
-    /// Engine name from the registry.
-    pub engine: String,
-    /// Operand bitwidth.
-    pub bits: usize,
-    /// Jobs executed per mode.
-    pub jobs: usize,
-    /// Dispatcher/service workers.
-    pub workers: usize,
-    /// Concurrent submitter threads on the streamed path.
-    pub submitters: usize,
-    /// Staged throughput, jobs per second (best of three).
-    pub staged_jobs_per_s: f64,
-    /// Streamed throughput, jobs per second (best of three).
-    pub streamed_jobs_per_s: f64,
-    /// `streamed / staged` — the acceptance headline.
-    pub streamed_vs_staged: f64,
-    /// Final service statistics of the best streamed pass.
-    pub service: ServiceStats,
-}
-
-/// Runs the closed-loop comparison at `bits` over `jobs` random jobs.
-///
-/// Multiplicands repeat in runs of 8 (an MSM-window-like reuse
-/// pattern), so the coalescing batcher has real locality to preserve.
-///
-/// # Panics
-///
-/// Panics on an unknown engine, or if either path diverges from the
-/// big-integer oracle.
-pub fn serve_throughput(
-    engine: &str,
-    bits: usize,
-    jobs: usize,
-    workers: usize,
-    submitters: usize,
-    seed: u64,
-) -> ServeThroughputRow {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let p = sweep_modulus(bits);
-    let job_list: Vec<MulJob> = {
-        let mut out = Vec::with_capacity(jobs);
-        let mut b = ubig_below(&mut rng, &p);
-        for i in 0..jobs {
-            if i % 8 == 0 {
-                b = ubig_below(&mut rng, &p);
-            }
-            out.push(MulJob::new(ubig_below(&mut rng, &p), b.clone(), p.clone()));
-        }
-        out
-    };
-    let oracle: Vec<UBig> = job_list
-        .iter()
-        .map(|j| &(&j.a * &j.b) % &j.modulus)
-        .collect();
-
-    // Staged reference: whole batch, one dispatch call.
-    let pool =
-        ContextPool::for_engine_name(engine).unwrap_or_else(|| panic!("unknown engine '{engine}'"));
-    let dispatcher = Dispatcher::new(workers);
-    let mut staged_best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let (results, _) = dispatcher.dispatch_jobs(&pool, &job_list).expect("valid");
-        let elapsed = start.elapsed().as_secs_f64();
-        assert_eq!(results, oracle, "{engine}: staged dispatch diverged");
-        staged_best = staged_best.min(elapsed);
-    }
-
-    // Streamed: `submitters` threads submit interleaved slices and wait
-    // for their own tickets.
-    let mut streamed_best = f64::INFINITY;
-    let mut service_stats = None;
-    for _ in 0..3 {
-        let service = ModSramService::for_engine_name(
-            engine,
-            ServiceConfig {
-                workers,
-                queue_capacity: 16384,
-                max_batch: 4096,
-                flush_interval: Duration::from_micros(50),
-                ..Default::default()
-            },
-        )
-        .expect("engine validated above");
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..submitters {
-                let handle = service.handle();
-                let job_list = &job_list;
-                let oracle = &oracle;
-                scope.spawn(move || {
-                    let mine: Vec<usize> = (0..job_list.len())
-                        .filter(|i| i % submitters == t)
-                        .collect();
-                    let tickets: Vec<Ticket> = mine
-                        .iter()
-                        .map(|&i| handle.submit(job_list[i].clone()).expect("running"))
-                        .collect();
-                    for (&i, ticket) in mine.iter().zip(&tickets) {
-                        assert_eq!(
-                            ticket.wait().expect("valid modulus"),
-                            oracle[i],
-                            "streamed job {i} diverged"
-                        );
-                    }
-                });
-            }
-        });
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed < streamed_best {
-            streamed_best = elapsed;
-            service_stats = Some(service.shutdown());
-        }
-    }
-
-    let staged_jobs_per_s = jobs as f64 / staged_best;
-    let streamed_jobs_per_s = jobs as f64 / streamed_best;
-    ServeThroughputRow {
-        engine: engine.to_string(),
-        bits,
-        jobs,
-        workers,
-        submitters,
-        staged_jobs_per_s,
-        streamed_jobs_per_s,
-        streamed_vs_staged: streamed_jobs_per_s / staged_jobs_per_s,
-        service: service_stats.expect("three passes ran"),
-    }
-}
-
-/// One arrival-rate point of the open-loop latency sweep.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeSweepRow {
-    /// Offered arrival rate, jobs per second (0 = as fast as possible).
-    pub arrival_per_s: f64,
-    /// Jobs offered across all submitters.
-    pub offered: u64,
-    /// Jobs accepted by the bounded queue.
-    pub accepted: u64,
-    /// Jobs shed with `QueueFull`.
-    pub rejected: u64,
-    /// Achieved completion rate, jobs per second.
-    pub achieved_per_s: f64,
-    /// Final service statistics (p50/p99 wall + modelled latency,
-    /// coalesce shape).
-    pub service: ServiceStats,
-}
-
-/// Runs the open-loop sweep: for each rate, `submitters` threads offer
-/// `jobs_per_rate` jobs total at that aggregate rate via `try_submit`
-/// (shedding on `QueueFull`), then drain. A fresh service per rate
-/// point keeps the latency percentiles rate-specific.
-///
-/// # Panics
-///
-/// Panics on an unknown engine or a diverged result.
-pub fn serve_sweep(
-    engine: &str,
-    bits: usize,
-    jobs_per_rate: usize,
-    workers: usize,
-    submitters: usize,
-    rates: &[f64],
-    seed: u64,
-) -> Vec<ServeSweepRow> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let p = sweep_modulus(bits);
-    let job_list: Vec<MulJob> = (0..jobs_per_rate)
-        .map(|_| {
-            MulJob::new(
-                ubig_below(&mut rng, &p),
-                ubig_below(&mut rng, &p),
-                p.clone(),
-            )
-        })
-        .collect();
-    let oracle: Vec<UBig> = job_list
-        .iter()
-        .map(|j| &(&j.a * &j.b) % &j.modulus)
-        .collect();
-
-    rates
-        .iter()
-        .map(|&rate| {
-            let service = ModSramService::for_engine_name(
-                engine,
-                ServiceConfig {
-                    workers,
-                    queue_capacity: 2048,
-                    max_batch: 512,
-                    flush_interval: Duration::from_micros(100),
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|_| panic!("unknown engine '{engine}'"));
-            let accepted = std::sync::atomic::AtomicU64::new(0);
-            let start = Instant::now();
-            std::thread::scope(|scope| {
-                for t in 0..submitters {
-                    let handle = service.handle();
-                    let job_list = &job_list;
-                    let oracle = &oracle;
-                    let accepted = &accepted;
-                    scope.spawn(move || {
-                        let mine: Vec<usize> = (0..job_list.len())
-                            .filter(|i| i % submitters == t)
-                            .collect();
-                        // Per-submitter inter-arrival gap for the
-                        // aggregate offered rate.
-                        let gap = if rate > 0.0 {
-                            Duration::from_secs_f64(submitters as f64 / rate)
-                        } else {
-                            Duration::ZERO
-                        };
-                        let mut next = Instant::now();
-                        let mut tickets: Vec<(usize, Ticket)> = Vec::new();
-                        for &i in &mine {
-                            if !gap.is_zero() {
-                                let now = Instant::now();
-                                if next > now {
-                                    std::thread::sleep(next - now);
-                                }
-                                next += gap;
-                            }
-                            if let Ok(t) = handle.try_submit(job_list[i].clone()) {
-                                tickets.push((i, t));
-                            }
-                        }
-                        accepted
-                            .fetch_add(tickets.len() as u64, std::sync::atomic::Ordering::Relaxed);
-                        for (i, ticket) in tickets {
-                            assert_eq!(
-                                ticket.wait().expect("valid modulus"),
-                                oracle[i],
-                                "open-loop job {i} diverged"
-                            );
-                        }
-                    });
-                }
-            });
-            let elapsed = start.elapsed().as_secs_f64();
-            let stats = service.shutdown();
-            let accepted = accepted.into_inner();
-            ServeSweepRow {
-                arrival_per_s: rate,
-                offered: job_list.len() as u64,
-                accepted,
-                rejected: stats.rejected,
-                achieved_per_s: accepted as f64 / elapsed,
-                service: stats,
-            }
-        })
-        .collect()
-}
-
 /// One `(tiles, policy)` point of the multi-tile cluster sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSweepRow {
@@ -900,8 +359,9 @@ pub struct ClusterSweepRow {
     pub modelled_makespan_cycles: u64,
     /// Modelled closed-loop throughput speedup vs the same policy's
     /// smallest swept tile count (normally 1): `makespan₁ /
-    /// makespanₙ` — the headline that is deterministic on any host,
-    /// like `bin/shard`'s lane speedup.
+    /// makespanₙ` — the headline that is deterministic on any host.
+    /// The per-worker lane speedup inside one tile is the perfbench
+    /// ladder's `dispatch.busy_speedup`.
     pub modelled_speedup: f64,
     /// Fraction of accepted jobs that landed on their home tile.
     pub affinity_hit_rate: f64,
@@ -3084,105 +2544,11 @@ mod tests {
     }
 
     #[test]
-    fn batch_throughput_modes_agree_and_cover_all_engines() {
-        // Small sweep: correctness of the three modes is asserted inside
-        // batch_throughput; here we check coverage and sane timings.
-        let rows = batch_throughput(64, 8, 7);
-        assert_eq!(rows.len(), 8);
-        for row in &rows {
-            assert!(row.per_call_ns > 0.0 && row.batch_ns > 0.0, "{:?}", row);
-        }
-    }
-
-    #[test]
-    fn montgomery_and_barrett_batch_beats_per_call_at_256_bits() {
-        // The acceptance check of the prepare/execute refactor: with the
-        // per-modulus precompute amortised, batch mode wins over the
-        // legacy per-call path for the reduce-after-multiply family.
-        // Wall-clock on a shared CI runner is noisy, so take the best
-        // of three sweeps per engine and keep the margin generous — the
-        // real effect (fewer REDC passes, no per-call cache clone) is
-        // ~2.7x for Montgomery and ~1.3x for Barrett in release mode.
-        let mut best = [("montgomery", 0.0f64), ("barrett", 0.0f64)];
-        for attempt in 0..3u64 {
-            let rows = batch_throughput(256, 96, 11 + attempt);
-            for (name, best_speedup) in &mut best {
-                let row = rows.iter().find(|r| r.engine == *name).expect("registered");
-                *best_speedup = best_speedup.max(row.speedup);
-            }
-        }
-        for (name, speedup) in best {
-            assert!(
-                speedup > 1.02,
-                "{name}: best batch-vs-per-call speedup over 3 sweeps was {speedup:.3}x"
-            );
-        }
-    }
-
-    #[test]
-    fn shard_sweep_small_run() {
-        let rows = shard_sweep("montgomery", 64, 32, &[1, 2], 5);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].workers, 1);
-        assert!((rows[0].wall_speedup - 1.0).abs() < 1e-9);
-        assert!(rows[0].modelled_speedup >= 0.99);
-        for row in &rows {
-            assert!(row.wall_ns_per_mul > 0.0, "{row:?}");
-        }
-    }
-
-    #[test]
-    fn shard_sweep_modelled_speedup_scales_with_workers() {
-        // The acceptance shape of the sharding refactor, in miniature:
-        // the static-assignment lane model must put roughly equal work
-        // on each worker, so the modelled speedup tracks the worker
-        // count even on a single-core host. The full 8-worker, 256-bit
-        // sweep is bin/shard's job.
-        let rows = shard_sweep("montgomery", 256, 96, &[1, 4], 9);
-        let at4 = rows.iter().find(|r| r.workers == 4).expect("swept");
-        assert!(
-            at4.modelled_speedup > 2.0,
-            "modelled speedup at 4 workers was {:.2}",
-            at4.modelled_speedup
-        );
-    }
-
-    #[test]
     fn banked_sweep_speedup_tracks_banks() {
-        let rows = banked_shard_sweep(32, 16, &[1, 4], 13);
+        let rows = banked_device_sweep(32, 16, &[1, 4], 13);
         assert_eq!(rows.len(), 2);
         assert!(rows[1].speedup > 3.0, "speedup {:.2}", rows[1].speedup);
         assert!(rows[1].makespan_cycles < rows[0].makespan_cycles);
-    }
-
-    #[test]
-    fn serve_throughput_small_run() {
-        let row = serve_throughput("montgomery", 64, 64, 2, 2, 3);
-        assert_eq!(row.jobs, 64);
-        assert!(row.staged_jobs_per_s > 0.0);
-        assert!(row.streamed_jobs_per_s > 0.0);
-        assert!(row.streamed_vs_staged > 0.0);
-        assert_eq!(row.service.completed, 64);
-        assert_eq!(row.service.failed, 0);
-        assert!(row.service.wall_p99_ns >= row.service.wall_p50_ns);
-    }
-
-    #[test]
-    fn serve_sweep_small_run() {
-        // One paced point and one flat-out point; correctness of every
-        // accepted job is asserted inside the sweep.
-        let rows = serve_sweep("barrett", 64, 48, 2, 2, &[2000.0, 0.0], 5);
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            assert_eq!(row.offered, 48);
-            assert!(row.accepted > 0);
-            assert_eq!(
-                row.accepted + row.rejected,
-                row.service.submitted + row.rejected
-            );
-            assert!(row.achieved_per_s > 0.0);
-            assert!(row.service.modelled_p99_cycles >= row.service.modelled_p50_cycles);
-        }
     }
 
     #[test]

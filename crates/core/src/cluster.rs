@@ -2263,7 +2263,7 @@ mod tests {
     #[test]
     fn submit_many_mid_batch_stop_returns_the_accepted_prefix() {
         // Regression (ISSUE 5 satellite 2): a bulk submission that
-        // blocks on a slow tile's capacity while the cluster shuts
+        // blocks on a held tile's capacity while the cluster shuts
         // down must hand back the tickets it already queued — those
         // jobs still execute, and dropping their handles would strand
         // the waiter.
@@ -2279,7 +2279,11 @@ mod tests {
             },
             ..Default::default()
         };
-        let cluster = ServiceCluster::new(vec![slow_pool(Duration::from_millis(20))], config);
+        // Every multiplication parks at one shut gate, so the tile
+        // holds the jobs it accepted and the bulk call blocks on its
+        // tiny queue however the scheduler runs the threads.
+        let gate = Gate::new();
+        let cluster = ServiceCluster::new(vec![gated_pool(&gate)], config);
         let p = UBig::from(1_000_003u64);
         let jobs: Vec<MulJob> = (0..16u64)
             .map(|i| MulJob::new(UBig::from(i + 2), UBig::from(i + 3), p.clone()))
@@ -2289,12 +2293,18 @@ mod tests {
             let handle = cluster.handle();
             move || handle.submit_many(jobs)
         });
-        // Let the bulk call queue a couple of jobs and block on the
-        // tiny queue, then pull the plug.
-        std::thread::sleep(Duration::from_millis(15));
-        cluster.shutdown();
-        let failure = bulk
-            .join()
+        // Once the first job executes the bulk call has queued work;
+        // then pull the plug. Shutdown joins the executor parked at the
+        // gate, so it runs on a helper until the gate opens.
+        gate.wait_entered(1);
+        let bulk_result = std::thread::scope(|scope| {
+            let stopper = scope.spawn(|| cluster.shutdown());
+            let bulk_result = bulk.join();
+            gate.open();
+            stopper.join().unwrap();
+            bulk_result
+        });
+        let failure = bulk_result
             .unwrap()
             .expect_err("shutdown mid-batch fails the bulk call");
         assert_eq!(failure.error, ClusterSubmitError::Stopped);

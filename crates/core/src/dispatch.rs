@@ -1021,4 +1021,40 @@ mod tests {
         };
         assert!((stats.busy_speedup() - 2.0).abs() < 1e-9);
     }
+
+    #[test]
+    fn static_busy_speedup_scales_with_workers() {
+        // The static-assignment lane model must put roughly equal work
+        // on each worker, so the modelled speedup tracks the worker
+        // count even on a single-core host. Best of three passes.
+        use modsram_bigint::ubig_below;
+        use rand::{rngs::SmallRng, SeedableRng};
+        let p = UBig::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
+            .unwrap();
+        let mut rng = SmallRng::seed_from_u64(9);
+        let pairs: Vec<(UBig, UBig)> = (0..96)
+            .map(|_| (ubig_below(&mut rng, &p), ubig_below(&mut rng, &p)))
+            .collect();
+        let oracle: Vec<UBig> = pairs.iter().map(|(a, b)| &(a * b) % &p).collect();
+        let ctx = modsram_modmul::engine_by_name("montgomery")
+            .unwrap()
+            .prepare(&p)
+            .unwrap();
+        let best_speedup = |workers: usize| {
+            (0..3)
+                .map(|_| {
+                    let d = Dispatcher::new(workers).policy(StealPolicy::Static);
+                    let (results, stats) = d.dispatch(ctx.as_ref(), &pairs).unwrap();
+                    assert_eq!(results, oracle, "{workers} workers diverged");
+                    stats.busy_speedup()
+                })
+                .fold(0.0f64, f64::max)
+        };
+        assert!(
+            (best_speedup(1) - 1.0).abs() < 1e-9,
+            "one lane is its own critical path"
+        );
+        let at4 = best_speedup(4);
+        assert!(at4 > 2.0, "modelled speedup at 4 workers was {at4:.2}");
+    }
 }
