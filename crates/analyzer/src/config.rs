@@ -106,6 +106,10 @@ pub struct Config {
     pub condvar_receivers: Vec<&'static str>,
     /// Path prefixes the `relaxed_atomic` rule scans.
     pub atomic_scope: Vec<&'static str>,
+    /// Path prefixes the `no_sleep` rule scans.
+    pub sleep_scope: Vec<&'static str>,
+    /// Files under [`Config::sleep_scope`] the `no_sleep` rule skips.
+    pub sleep_exempt: Vec<&'static str>,
     pub data_gating_atomics: Vec<AtomicSpec>,
     pub drift: Option<DriftSpec>,
 }
@@ -236,6 +240,9 @@ impl Config {
             ],
             condvar_receivers: vec!["ready", "not_empty", "not_full", "wake"],
             atomic_scope: vec!["crates/core/src/", "crates/net/src/", "crates/modmul/src/"],
+            sleep_scope: vec!["crates/core/src/", "crates/net/src/"],
+            // The slow-tile fault doubles sleep by design.
+            sleep_exempt: vec!["crates/core/src/test_util.rs"],
             data_gating_atomics: vec![
                 AtomicSpec {
                     field: "stopped",

@@ -7,7 +7,7 @@ use crate::lexer::Comment;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// Rule identifier (`no_panic`, `lock_order`, `relaxed_atomic`,
-    /// `drift`, `allow_syntax`).
+    /// `no_sleep`, `drift`, `allow_syntax`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,

@@ -20,6 +20,7 @@
 //! | `no_panic` | no `unwrap`/`expect`/panic-macros (and, where declared, no indexing) in hot-path modules |
 //! | `lock_order` | lock acquisitions respect the declared hierarchy; no lock held across `wait*` |
 //! | `relaxed_atomic` | no `Ordering::Relaxed` on manifest-declared data-gating atomics |
+//! | `no_sleep` | no `thread::sleep` in the core and net crates' non-test code |
 //! | `drift` | engine registry ↔ tests/docs, sweep artifacts ↔ CI/summary, error variants constructed & matched |
 //! | `allow_syntax` | every suppression is well-formed, reasoned, and actually used |
 //!
@@ -61,6 +62,7 @@ pub const RULE_IDS: &[&str] = &[
     rules::no_panic::RULE,
     rules::lock_order::RULE,
     rules::atomics::RULE,
+    rules::no_sleep::RULE,
     rules::drift::RULE,
     "allow_syntax",
 ];
@@ -92,6 +94,11 @@ pub fn analyze_files(files: &FileSet, cfg: &Config) -> Vec<Finding> {
         rules::lock_order::check(path, &lexed, cfg, &allows, &mut findings);
         if cfg.atomic_scope.iter().any(|p| path.starts_with(p)) {
             rules::atomics::check(path, &lexed, cfg, &allows, &mut findings);
+        }
+        if cfg.sleep_scope.iter().any(|p| path.starts_with(p))
+            && !cfg.sleep_exempt.contains(&path.as_str())
+        {
+            rules::no_sleep::check(path, &lexed, &allows, &mut findings);
         }
         report_unused_allows(path, &allows, &mut findings);
     }

@@ -12,6 +12,7 @@ pub mod atomics;
 pub mod drift;
 pub mod lock_order;
 pub mod no_panic;
+pub mod no_sleep;
 
 use crate::lexer::{Token, TokenKind};
 
@@ -50,8 +51,9 @@ pub fn skip_balanced(tokens: &[Token], open_idx: usize) -> usize {
 }
 
 /// Token-index ranges covered by `#[cfg(test)]` / `#[test]` items.
-/// The no-panic, lock-order, and atomics rules skip these: tests are
-/// exactly where `unwrap()` on a known-good value is idiomatic.
+/// The no-panic, lock-order, atomics, and no-sleep rules skip these:
+/// tests are exactly where `unwrap()` on a known-good value is
+/// idiomatic.
 pub fn test_regions(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut regions = Vec::new();
     let mut i = 0usize;

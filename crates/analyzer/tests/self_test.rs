@@ -144,6 +144,31 @@ fn relaxed_atomic_clean_twins_pass() {
     assert!(denied_rules(&clean, &rules_config()).is_empty());
 }
 
+// ---- no_sleep ---------------------------------------------------------
+
+#[test]
+fn no_sleep_catches_seeded_sleep_in_serving_code() {
+    let seeded = [(
+        "crates/net/src/server.rs",
+        "fn f() { std::thread::sleep(Duration::from_millis(2)); }",
+    )];
+    assert!(denied_rules(&seeded, &rules_config()).contains(&"no_sleep"));
+}
+
+#[test]
+fn no_sleep_ignores_tests_test_util_and_other_crates() {
+    let sleep = "fn f() { std::thread::sleep(Duration::from_millis(2)); }";
+    let files = [
+        (
+            "crates/net/src/tenant.rs",
+            "#[cfg(test)]\nmod tests { fn t() { std::thread::sleep(d); } }",
+        ),
+        ("crates/core/src/test_util.rs", sleep),
+        ("crates/bench/src/lib.rs", sleep),
+    ];
+    assert!(denied_rules(&files, &rules_config()).is_empty());
+}
+
 // ---- allow machinery (allow_syntax) -----------------------------------
 
 #[test]

@@ -22,6 +22,10 @@
 //! deliberately propagates to the reader rather than growing an
 //! unbounded frame queue.
 //!
+//! The acceptor blocks in `accept`, so a connecting client waits on
+//! no timer. A drain wakes it with one loopback connect; the acceptor
+//! sees the drain flag, drops that stream unmetered and exits.
+//!
 //! Graceful drain ([`WireServer::shutdown`]): the acceptor stops
 //! (listener refused), readers refuse new submissions with
 //! [`RetryReason::Draining`], completers deliver every accepted
@@ -30,7 +34,7 @@
 
 use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -239,7 +243,8 @@ pub struct WireServer {
 
 impl WireServer {
     /// Binds `addr` (use port 0 for an ephemeral loopback port) and
-    /// starts the acceptor.
+    /// starts the acceptor, which blocks in `accept` until a client or
+    /// the drain's wake connection arrives.
     ///
     /// # Errors
     ///
@@ -252,7 +257,6 @@ impl WireServer {
     ) -> io::Result<WireServer> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shared = Arc::new(ServerShared {
             backend,
             registry,
@@ -294,10 +298,13 @@ impl WireServer {
         self.shared.draining.load(Ordering::Acquire)
     }
 
-    /// Graceful drain: refuse the listener, refuse new submissions
-    /// with [`RetryReason::Draining`], deliver every accepted
-    /// in-flight response, close every connection, and return the
-    /// final metering snapshot.
+    /// Graceful drain: wake the blocked acceptor with one loopback
+    /// connect and refuse the listener, refuse new submissions with
+    /// [`RetryReason::Draining`], deliver every accepted in-flight
+    /// response, close every connection, and return the final
+    /// metering snapshot. Neither the wake connection nor a client
+    /// that connects mid-drain is counted in
+    /// [`NetStats::connections_accepted`].
     pub fn shutdown(mut self) -> NetStats {
         self.drain();
         self.shared.meter.snapshot()
@@ -310,11 +317,17 @@ impl WireServer {
         self.stopped = true;
         self.shared.draining.store(true, Ordering::Release);
         if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
+            // Unblock the acceptor's `accept` so it sees the flag. If
+            // the wake cannot connect, the acceptor is left to exit at
+            // its next accept rather than hang the shutdown on a join.
+            if TcpStream::connect_timeout(&wake_addr(self.local_addr), WAKE_TIMEOUT).is_ok() {
+                let _ = acceptor.join();
+            }
         }
         // Connection threads join their own completer and writer, so
         // draining the vector drains the whole runtime. New handles
-        // can't appear: the acceptor is already gone.
+        // can't appear: the acceptor is gone, or (after a failed wake)
+        // meters nothing it accepts from here on.
         let handles: Vec<JoinHandle<()>> =
             std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
         for handle in handles {
@@ -327,6 +340,22 @@ impl Drop for WireServer {
     fn drop(&mut self) {
         self.drain();
     }
+}
+
+/// Bound on the drain's wake connect; loopback answers in microseconds.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Where the drain's wake connection goes: the bound address, with an
+/// unspecified IP (`0.0.0.0` / `::`) rewritten to the same family's
+/// loopback address.
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
 }
 
 fn accept_loop(
@@ -342,6 +371,12 @@ fn accept_loop(
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
+                if shared.draining.load(Ordering::Acquire) {
+                    // The drain's wake connection, or a client that
+                    // arrived mid-drain: close it unmetered, so
+                    // connections_accepted == connections_closed.
+                    return;
+                }
                 shared.meter.connection_accepted();
                 let conn_shared = Arc::clone(&shared);
                 let spawned = std::thread::Builder::new()
@@ -358,9 +393,7 @@ fn accept_loop(
                     Err(_) => shared.meter.connection_closed(),
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // analyzer: allow(no_sleep, accept errors such as EMFILE repeat at once; back off)
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }

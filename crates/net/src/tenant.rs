@@ -122,6 +122,12 @@ impl TenantCell {
     /// releasing an `AcqRel` increment is exact, unlike refunding a
     /// token into a bucket a concurrent refill may have topped up.
     pub fn begin_job(&self) -> Result<(), TenantRefusal> {
+        self.begin_job_at(Instant::now())
+    }
+
+    /// [`TenantCell::begin_job`] with the bucket refilled up to `now`,
+    /// so tests can advance the clock instead of sleeping.
+    pub(crate) fn begin_job_at(&self, now: Instant) -> Result<(), TenantRefusal> {
         // The CAS loop (rather than optimistic fetch_add + rollback)
         // means `inflight` can never transiently exceed the cap:
         // a reader always sees `inflight() <= max_inflight`, and a
@@ -145,7 +151,6 @@ impl TenantCell {
         }
         if self.limits.rate_per_sec > 0.0 {
             let mut bucket = self.bucket.lock().unwrap_or_else(PoisonError::into_inner);
-            let now = Instant::now();
             let elapsed = now.duration_since(bucket.last_refill).as_secs_f64();
             bucket.tokens = (bucket.tokens + elapsed * self.limits.rate_per_sec)
                 .min(self.limits.burst.max(1) as f64);
@@ -294,9 +299,10 @@ mod tests {
                 burst: 2,
             },
         );
-        cell.begin_job().unwrap();
-        cell.begin_job().unwrap();
-        let refusal = cell.begin_job().unwrap_err();
+        let now = Instant::now();
+        cell.begin_job_at(now).unwrap();
+        cell.begin_job_at(now).unwrap();
+        let refusal = cell.begin_job_at(now).unwrap_err();
         let TenantRefusal::RateLimited { retry_after } = refusal else {
             panic!("expected rate refusal, got {refusal:?}");
         };
@@ -304,8 +310,7 @@ mod tests {
         assert!(retry_after <= Duration::from_millis(250));
         // Tokens accrue with time: after a full token's worth of wait
         // the tenant is admitted again.
-        std::thread::sleep(Duration::from_millis(220));
-        cell.begin_job().unwrap();
+        cell.begin_job_at(now + Duration::from_millis(220)).unwrap();
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! runs by name.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use modsram_bigint::UBig;
 use modsram_core::cluster::{ClusterConfig, ServiceCluster, SpillPolicy};
@@ -24,6 +24,59 @@ fn registry_with(name: &str, key: u64, limits: TenantLimits) -> Arc<TenantRegist
     let registry = Arc::new(TenantRegistry::new());
     registry.register(name, key, limits);
     registry
+}
+
+/// How long a test waits without progress before it fails instead of
+/// hanging.
+const STALL_LIMIT: Duration = Duration::from_secs(30);
+
+/// Spins until the server has accepted `jobs` jobs, failing after
+/// [`STALL_LIMIT`] without a new acceptance.
+fn wait_for_accepted(server: &WireServer, jobs: u64) {
+    let (mut seen, mut last_progress) = (0, Instant::now());
+    while seen < jobs {
+        let accepted = server.stats().accepted;
+        if accepted > seen {
+            (seen, last_progress) = (accepted, Instant::now());
+        }
+        assert!(
+            last_progress.elapsed() < STALL_LIMIT,
+            "traffic stalled at {seen} of {jobs} accepted jobs"
+        );
+        std::thread::yield_now();
+    }
+}
+
+/// The acceptor blocks in `accept`; the drain wakes it with one
+/// loopback connect, rewritten from the unspecified bind address. The
+/// wake connection is not metered, and the listener is gone once
+/// `shutdown` returns.
+#[test]
+fn shutdown_wakes_the_blocked_acceptor_on_an_unspecified_address() {
+    let cluster = ServiceCluster::for_engine_name("barrett", 1, ClusterConfig::default()).unwrap();
+    let server = WireServer::bind(
+        "0.0.0.0:0",
+        NetBackend::Cluster(cluster.handle()),
+        registry_with("idle", 1, TenantLimits::default()),
+        WireConfig::default(),
+    )
+    .unwrap();
+    let port = server.local_addr().port();
+
+    let (done, stats) = mpsc::channel();
+    let stopper = std::thread::spawn(move || done.send(server.shutdown()).unwrap());
+    let stats = stats
+        .recv_timeout(STALL_LIMIT)
+        .expect("shutdown of an idle server hung on its acceptor");
+    stopper.join().unwrap();
+
+    assert_eq!(stats.connections_accepted, 0, "the wake was metered");
+    assert_eq!(stats.connections_closed, 0);
+    assert!(
+        WireClient::connect(("127.0.0.1", port), "idle", 1).is_err(),
+        "the listener outlived the shutdown"
+    );
+    cluster.shutdown();
 }
 
 #[test]
@@ -390,7 +443,7 @@ fn multi_client_drain_on_shutdown_delivers_every_accepted_response() {
     }
 
     // Let traffic flow, then drain mid-stream.
-    std::thread::sleep(Duration::from_millis(150));
+    wait_for_accepted(&server, 256);
     stop.store(true, Ordering::Release);
     let stats = server.shutdown();
     let mut client_delivered = 0u64;

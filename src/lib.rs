@@ -356,7 +356,7 @@
 //! cargo run -p modsram_analyzer --release -- --deny
 //! ```
 //!
-//! Four rule families run over a hand-rolled lexer (no external parser
+//! Five rule families run over a hand-rolled lexer (no external parser
 //! dependencies, so the step works offline):
 //!
 //! * **`no_panic`** — no `unwrap`/`expect`/panic macros (and, in the
@@ -371,6 +371,9 @@
 //! * **`relaxed_atomic`** — `Ordering::Relaxed` on a manifest-declared
 //!   data-gating atomic (`stopped`, `draining`, `replicas_active`, …)
 //!   is a finding; plain counters stay relaxed.
+//! * **`no_sleep`** — no `thread::sleep` in the core and net crates'
+//!   non-test code: a serving path blocks on the event it waits for,
+//!   not on a timer.
 //! * **`drift`** — the engine registry matches the cross-engine tests
 //!   and these docs, every sweep artifact a bench binary writes is
 //!   uploaded and `--require`d in CI, and every `CoreError` variant is
