@@ -137,7 +137,7 @@ impl Config {
                     path: "crates/core/src/cluster.rs",
                     ban_indexing: false,
                 },
-                // The service executor/batcher and the wire
+                // The service executors and the wire
                 // reader/completer additionally ban indexing: these
                 // paths juggle caller-controlled queue positions, where
                 // an off-by-one is reachable from the network.
@@ -240,7 +240,15 @@ impl Config {
             ],
             condvar_receivers: vec!["ready", "not_empty", "not_full", "wake"],
             atomic_scope: vec!["crates/core/src/", "crates/net/src/", "crates/modmul/src/"],
-            sleep_scope: vec!["crates/core/src/", "crates/net/src/"],
+            // Tests are in scope too: a test that sleeps is betting
+            // that a timer outlasts the scheduler.
+            sleep_scope: vec![
+                "crates/core/src/",
+                "crates/net/src/",
+                "crates/core/tests/",
+                "crates/net/tests/",
+                "tests/",
+            ],
             // The slow-tile fault doubles sleep by design.
             sleep_exempt: vec!["crates/core/src/test_util.rs"],
             data_gating_atomics: vec![

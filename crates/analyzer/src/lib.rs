@@ -20,7 +20,7 @@
 //! | `no_panic` | no `unwrap`/`expect`/panic-macros (and, where declared, no indexing) in hot-path modules |
 //! | `lock_order` | lock acquisitions respect the declared hierarchy; no lock held across `wait*` |
 //! | `relaxed_atomic` | no `Ordering::Relaxed` on manifest-declared data-gating atomics |
-//! | `no_sleep` | no `thread::sleep` in the core and net crates' non-test code |
+//! | `no_sleep` | no `thread::sleep` in the core and net crates, their tests, or the workspace tests |
 //! | `drift` | engine registry ↔ tests/docs, sweep artifacts ↔ CI/summary, error variants constructed & matched |
 //! | `allow_syntax` | every suppression is well-formed, reasoned, and actually used |
 //!

@@ -156,15 +156,34 @@ fn no_sleep_catches_seeded_sleep_in_serving_code() {
 }
 
 #[test]
+fn no_sleep_catches_seeded_sleep_in_test_code() {
+    let sleep = "fn f() { std::thread::sleep(Duration::from_millis(2)); }";
+    for path in [
+        "crates/core/tests/cluster.rs",
+        "crates/net/tests/loopback.rs",
+        "tests/service_streaming.rs",
+    ] {
+        assert!(
+            denied_rules(&[(path, sleep)], &rules_config()).contains(&"no_sleep"),
+            "{path}"
+        );
+    }
+    let in_module = [(
+        "crates/net/src/tenant.rs",
+        "#[cfg(test)]\nmod tests { fn t() { std::thread::sleep(d); } }",
+    )];
+    assert!(denied_rules(&in_module, &rules_config()).contains(&"no_sleep"));
+}
+
+#[test]
 fn no_sleep_ignores_tests_test_util_and_other_crates() {
+    // Out of scope: the slow-tile doubles in `test_util.rs`, and other
+    // crates' code and tests.
     let sleep = "fn f() { std::thread::sleep(Duration::from_millis(2)); }";
     let files = [
-        (
-            "crates/net/src/tenant.rs",
-            "#[cfg(test)]\nmod tests { fn t() { std::thread::sleep(d); } }",
-        ),
         ("crates/core/src/test_util.rs", sleep),
         ("crates/bench/src/lib.rs", sleep),
+        ("crates/modmul/tests/batch_timing.rs", sleep),
     ];
     assert!(denied_rules(&files, &rules_config()).is_empty());
 }

@@ -365,7 +365,6 @@ fn to_be32(v: &UBig) -> [u8; 32] {
 mod tests {
     use super::*;
     use modsram_core::service::Staged;
-    use modsram_core::test_util::unbatched_service_config;
 
     fn key() -> SigningKey {
         SigningKey::new(
@@ -589,10 +588,10 @@ mod tests {
 
     #[test]
     fn verify_batch_via_service_matches_staged() {
-        use modsram_core::service::ModSramService;
+        use modsram_core::service::{ModSramService, ServiceConfig};
 
         let service =
-            ModSramService::for_engine_name("montgomery", unbatched_service_config()).unwrap();
+            ModSramService::for_engine_name("montgomery", ServiceConfig::default()).unwrap();
         assert_verify_batch_matches_staged(&service);
         let stats = service.shutdown();
         assert_eq!(stats.failed, 0);
@@ -605,11 +604,8 @@ mod tests {
 
         // On the cluster, p and n home on their rendezvous tiles and
         // every scalar/field multiplication streams through the router.
-        let cluster_config = ClusterConfig {
-            service: unbatched_service_config(),
-            ..Default::default()
-        };
-        let cluster = ServiceCluster::for_engine_name("montgomery", 2, cluster_config).unwrap();
+        let cluster =
+            ServiceCluster::for_engine_name("montgomery", 2, ClusterConfig::default()).unwrap();
         assert_verify_batch_matches_staged(&cluster);
         let stats = cluster.shutdown();
         assert_eq!(stats.failed, 0);

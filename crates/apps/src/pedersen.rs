@@ -135,7 +135,6 @@ impl<C: FieldCtx> PedersenCommitter<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use modsram_core::test_util::unbatched_service_config;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
 
@@ -266,9 +265,9 @@ mod tests {
 
     #[test]
     fn service_backed_committer_matches_fast() {
-        use modsram_core::service::ModSramService;
+        use modsram_core::service::{ModSramService, ServiceConfig};
 
-        let service = ModSramService::for_engine_name("montgomery", unbatched_service_config())
+        let service = ModSramService::for_engine_name("montgomery", ServiceConfig::default())
             .expect("registered engine");
         assert_committer_matches_fast(&service);
         let stats = service.shutdown();
@@ -280,11 +279,7 @@ mod tests {
     fn cluster_backed_committer_matches_fast() {
         use modsram_core::cluster::{ClusterConfig, ServiceCluster};
 
-        let cluster_config = ClusterConfig {
-            service: unbatched_service_config(),
-            ..Default::default()
-        };
-        let cluster = ServiceCluster::for_engine_name("montgomery", 2, cluster_config)
+        let cluster = ServiceCluster::for_engine_name("montgomery", 2, ClusterConfig::default())
             .expect("registered engine");
         assert_committer_matches_fast(&cluster);
         let stats = cluster.shutdown();

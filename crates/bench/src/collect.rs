@@ -205,7 +205,7 @@ pub const HOTPATH_ENGINES: [&str; 4] = ["montgomery", "barrett", "r4csa-lut", "c
 
 /// Runs the scalar-vs-laned sweep at each bitwidth over `pairs` operand
 /// pairs with multiplicand reuse runs of 8 (so the R4CSA run detection
-/// sees the same locality the coalescing batcher produces). Each mode is
+/// sees the same locality the service's batch sort produces). Each mode is
 /// timed best-of-`reps`; both modes are asserted identical to the
 /// big-integer oracle every pass.
 ///
@@ -564,7 +564,6 @@ pub fn cluster_sweep(spec: &ClusterSweepSpec) -> Vec<ClusterSweepRow> {
                         workers: workers_per_tile,
                         queue_capacity: 8192,
                         max_batch: 256,
-                        flush_interval: Duration::from_micros(50),
                         // One batch at a time per tile keeps the
                         // modelled occupancy additive (a physical tile
                         // has `workers` lanes, not `workers × depth`).
@@ -703,7 +702,6 @@ pub fn cluster_spill_probe(offered: u64, policies: &[String]) -> Vec<SpillProbeR
                         workers: 1,
                         queue_capacity: 4,
                         max_batch: 1,
-                        flush_interval: Duration::ZERO,
                         pipeline_depth: 1,
                         ..Default::default()
                     },
@@ -848,7 +846,6 @@ pub fn elasticity_sweep(spec: &ElasticitySweepSpec) -> Vec<ElasticityPhaseRow> {
         workers: workers_per_tile,
         queue_capacity: 8192,
         max_batch: 256,
-        flush_interval: Duration::from_micros(50),
         // One batch at a time per tile keeps the modelled occupancy
         // additive (a physical tile has `workers` lanes).
         pipeline_depth: 1,
@@ -1136,7 +1133,7 @@ fn measure_row(
 /// `(bit_width, parity)` modulus in `bits_list` × {odd, even}; each
 /// row then times the chosen engine against the always-`r4csa-lut`
 /// and always-`montgomery` pinned baselines on one shared operand
-/// batch (multiplicand reuse runs of 8, like the coalescing batcher
+/// batch (multiplicand reuse runs of 8, like the service's batch sort
 /// produces). Every calibration pass inside the tuner and every timed
 /// pass here is checked against the big-integer oracle.
 ///
@@ -1495,7 +1492,6 @@ fn wire_cluster(spec: &WireSweepSpec, tiles: usize, spill: SpillPolicy) -> Servi
                 workers: spec.workers_per_tile,
                 queue_capacity: 8192,
                 max_batch: 256,
-                flush_interval: Duration::from_micros(50),
                 ..Default::default()
             },
             ..Default::default()
@@ -1769,7 +1765,6 @@ fn wire_saturation_probe(spec: &WireSweepSpec) -> WireSaturationProbe {
                 workers: 1,
                 queue_capacity: 4,
                 max_batch: 4,
-                flush_interval: Duration::from_micros(50),
                 ..Default::default()
             },
             ..Default::default()
@@ -2046,7 +2041,6 @@ fn weighted_fleet_run(
                 workers: 2,
                 queue_capacity: 8192,
                 max_batch: 256,
-                flush_interval: Duration::from_micros(50),
                 pipeline_depth: 1,
                 ..Default::default()
             },
@@ -2139,7 +2133,6 @@ fn hot_modulus_run(rounds: usize, burst: u64, replicate_after: u64) -> (u64, f64
                 workers: 1,
                 queue_capacity: 4,
                 max_batch: 1,
-                flush_interval: Duration::ZERO,
                 pipeline_depth: 1,
                 ..Default::default()
             },
@@ -2198,7 +2191,6 @@ fn live_reweigh_soak(spec: &WeightedSweepSpec, rng: &mut SmallRng) -> LiveReweig
                 workers: 2,
                 queue_capacity: 1024,
                 max_batch: 64,
-                flush_interval: Duration::from_micros(100),
                 ..Default::default()
             },
             probation_after: 2,

@@ -713,8 +713,9 @@ fn prepare_named(name: &str, p: &UBig) -> Result<Box<dyn PreparedModMul>, ModMul
 /// The deterministic calibration batch for `p`: operands are seeded
 /// from the modulus limbs (same modulus → same batch, no RNG state),
 /// reduced mod `p`, with multiplicand-reuse runs of 8 mirroring the
-/// coalesced traffic the batcher produces — so LUT-refill-sensitive
-/// engines are measured on representative traffic.
+/// coalesced traffic of the service's batches — so
+/// LUT-refill-sensitive engines are measured on representative
+/// traffic.
 pub fn calibration_pairs(p: &UBig, count: usize) -> Vec<(UBig, UBig)> {
     let mut seed = 0x9e37_79b9_7f4a_7c15u64 ^ (p.bit_len() as u64);
     for &limb in p.limbs() {

@@ -24,11 +24,10 @@
 //! A tile serves **staged** batches: the caller already holds every
 //! pair. To keep a tile saturated from callers that produce work one
 //! request at a time, put a [`crate::service::ModSramService`] in
-//! front — its coalescing batcher merges the submission stream into
-//! multiplicand-major batches (bounded by
-//! [`crate::service::ServiceConfig::max_batch`] and flushed at latest
-//! every [`crate::service::ServiceConfig::flush_interval`]) before
-//! handing them to the same dispatcher machinery used here.
+//! front — each free executor takes whatever has queued up (at most
+//! [`crate::service::ServiceConfig::max_batch`] jobs), sorts it into a
+//! multiplicand-major batch, and hands it to the same dispatcher
+//! machinery used here.
 //!
 //! # Examples
 //!

@@ -11,7 +11,7 @@
 //! *home* is the highest-scoring routable tile. Two properties follow:
 //!
 //! * **Coalescing survives sharding.** All traffic for one modulus
-//!   lands on one tile, so that tile's batcher still sees long
+//!   lands on one tile, so that tile's executors still take long
 //!   modulus-major, multiplicand-major runs and the paper's Table 1b
 //!   LUT reuse keeps amortising. Hashing jobs round-robin instead
 //!   would shred exactly the locality the architecture is built on.
@@ -135,8 +135,8 @@
 //!   first. Tail latency under skew improves — work flows to idle
 //!   macros — but each spilled modulus is *prepared again* on the
 //!   spill tile (a context-pool miss: Montgomery constants, Barrett
-//!   µ, or a full Table 1b LUT fill) and the spill tile's batcher
-//!   coalesces a foreign modulus it will likely never see again, so
+//!   µ, or a full Table 1b LUT fill) and the spill tile's executors
+//!   coalesce a foreign modulus it will likely never see again, so
 //!   its resident tenants lose some multiplicand-run length. Spilling
 //!   buys throughput under overload by diluting the very locality
 //!   affinity routing exists to protect — which is why `max_hops`
@@ -148,7 +148,11 @@
 //! against a fresh membership view instead of failing — the cluster
 //! only reports [`ClusterSubmitError::Stopped`] when no routable tile
 //! remains. Non-blocking [`ClusterHandle::try_submit`] refuses
-//! instead.
+//! instead. [`ClusterHandle::try_submit_many`] admits a whole batch
+//! without blocking: each home tile's share lands under one queue
+//! lock, so an idle executor takes it as one batch, and only the share
+//! a tile refuses (plus any replicated modulus) takes `try_submit`'s
+//! per-job spill path.
 //!
 //! # Fault containment
 //!
@@ -1040,9 +1044,90 @@ impl ClusterShared {
         }
     }
 
+    /// Routes `jobs`, each tagged with its index in the caller's batch,
+    /// to their home tiles under `m` (each distinct modulus once) and
+    /// queues every tile's share under a single lock: waiting for room
+    /// when `block` is set, refusing the rest of the share otherwise.
+    /// Accepted tickets land in `slots`. Returns the jobs left over, in
+    /// batch order: those a tile refused, those with no routable tile,
+    /// and, when not blocking, every job of a replicated modulus, which
+    /// belongs on the per-job replica path. (Blocking bulk submission
+    /// trusts affinity: spilling inside a batch would interleave two
+    /// tiles' completions for one caller.)
+    fn enqueue_by_home(
+        &self,
+        m: &Membership,
+        jobs: Vec<(usize, MulJob)>,
+        block: bool,
+        slots: &mut [Option<Ticket>],
+    ) -> Vec<(usize, MulJob)> {
+        let mut routes: HashMap<u64, Option<(usize, usize)>> = HashMap::new();
+        let mut per_tile: Vec<Vec<(usize, usize, MulJob)>> =
+            (0..m.tiles.len()).map(|_| Vec::new()).collect();
+        let mut rest = Vec::new();
+        for (idx, job) in jobs {
+            let key = modulus_key(&job.modulus);
+            let route = *routes.entry(key).or_insert_with(|| {
+                if !block && self.replica_candidates(m, key).is_some() {
+                    None
+                } else {
+                    self.route(m, key)
+                }
+            });
+            match route {
+                Some((home, natural)) => per_tile[home].push((idx, natural, job)),
+                None => rest.push((idx, job)),
+            }
+        }
+        for (tile, share) in per_tile.into_iter().enumerate() {
+            if share.is_empty() {
+                continue;
+            }
+            let (meta, tile_jobs): (Vec<(usize, usize)>, Vec<MulJob>) = share
+                .into_iter()
+                .map(|(idx, natural, job)| ((idx, natural), job))
+                .unzip();
+            let (tickets, refused) = m.tiles[tile]
+                .service
+                .handle()
+                .enqueue_many(tile_jobs, block);
+            let accepted = tickets.len();
+            for (&(idx, natural), ticket) in meta.iter().zip(tickets) {
+                self.record(m, tile, natural, None);
+                slots[idx] = Some(ticket);
+            }
+            if let Some((_, refused)) = refused {
+                rest.extend(meta[accepted..].iter().map(|&(idx, _)| idx).zip(refused));
+            }
+        }
+        rest.sort_unstable_by_key(|&(idx, _)| idx);
+        rest
+    }
+
+    fn try_submit_many(&self, jobs: Vec<MulJob>) -> Vec<Result<Ticket, ClusterSubmitError>> {
+        // A batch of one gains nothing from bulk admission, and the
+        // per-job path reports a stopped cluster.
+        if jobs.len() == 1 || self.stopped.load(Ordering::Acquire) {
+            return jobs
+                .into_iter()
+                .map(|job| self.submit_inner(job, false))
+                .collect();
+        }
+        let mut slots: Vec<Option<Ticket>> = (0..jobs.len()).map(|_| None).collect();
+        let jobs = jobs.into_iter().enumerate().collect();
+        let rest = self.enqueue_by_home(&self.snapshot(), jobs, false, &mut slots);
+        let mut outcomes: Vec<Result<Ticket, ClusterSubmitError>> = slots
+            .into_iter()
+            .map(|t| t.ok_or(ClusterSubmitError::Stopped))
+            .collect();
+        for (idx, job) in rest {
+            outcomes[idx] = self.submit_inner(job, false);
+        }
+        outcomes
+    }
+
     fn submit_many(&self, jobs: Vec<MulJob>) -> Result<Vec<Ticket>, BulkSubmitFailure> {
-        let total = jobs.len();
-        let mut slots: Vec<Option<Ticket>> = (0..total).map(|_| None).collect();
+        let mut slots: Vec<Option<Ticket>> = (0..jobs.len()).map(|_| None).collect();
         let mut pending: Vec<(usize, MulJob)> = jobs.into_iter().enumerate().collect();
         let fail = |slots: Vec<Option<Ticket>>, error: ClusterSubmitError| BulkSubmitFailure {
             error,
@@ -1058,51 +1143,13 @@ impl ClusterShared {
                 return Err(fail(slots, ClusterSubmitError::Stopped));
             }
             let m = self.snapshot();
-            // Route every pending job to its home tile under this
-            // snapshot (bulk submission trusts affinity — spilling
-            // inside a batch would interleave two tiles' completions
-            // for one caller), then forward each tile's share under a
-            // single queue acquisition.
-            let mut per_tile: Vec<Vec<(usize, usize, MulJob)>> =
-                (0..m.tiles.len()).map(|_| Vec::new()).collect();
-            for (idx, job) in pending.drain(..) {
-                let Some((home, natural)) = self.route(&m, modulus_key(&job.modulus)) else {
-                    return Err(fail(slots, ClusterSubmitError::Stopped));
-                };
-                per_tile[home].push((idx, natural, job));
-            }
-            let mut progressed = false;
-            for (tile, share) in per_tile.into_iter().enumerate() {
-                if share.is_empty() {
-                    continue;
-                }
-                // The tile may stop mid-share; keep the originals so
-                // the unqueued remainder can re-route next round
-                // instead of being dropped with its waiters stranded.
-                let tile_jobs: Vec<MulJob> = share.iter().map(|(_, _, job)| job.clone()).collect();
-                let (tickets, err) = m.tiles[tile]
-                    .service
-                    .handle()
-                    .submit_many_partial(tile_jobs);
-                let accepted = tickets.len();
-                for ((idx, natural, _), ticket) in share.iter().take(accepted).zip(tickets) {
-                    self.record(&m, tile, *natural, None);
-                    slots[*idx] = Some(ticket);
-                    progressed = true;
-                }
-                if err.is_some() {
-                    pending.extend(
-                        share
-                            .into_iter()
-                            .skip(accepted)
-                            .map(|(idx, _, job)| (idx, job)),
-                    );
-                }
-            }
-            if pending.is_empty() {
-                break;
-            }
-            if progressed {
+            // A tile may stop mid-share, and a modulus may find no
+            // routable tile; what was not queued re-routes next round
+            // against a fresh snapshot instead of being dropped with its
+            // waiters stranded.
+            let before = pending.len();
+            pending = self.enqueue_by_home(&m, pending, true, &mut slots);
+            if pending.len() < before {
                 stalled_rounds = 0;
             } else {
                 stalled_rounds += 1;
@@ -1177,6 +1224,24 @@ impl ClusterHandle {
     /// still execute and drain).
     pub fn submit_many(&self, jobs: Vec<MulJob>) -> Result<Vec<Ticket>, BulkSubmitFailure> {
         self.shared.submit_many(jobs)
+    }
+
+    /// Submits a whole batch without blocking and returns one outcome
+    /// per job, in job order. Each home tile's share is queued under a
+    /// single lock with a single wake-up, so an idle tile takes it as
+    /// one batch. The share a tile refuses, and every job of a
+    /// replicated hot modulus, goes through
+    /// [`ClusterHandle::try_submit`]'s per-job path: replica routing,
+    /// then spilling as the [`SpillPolicy`] allows. Each refused offer
+    /// counts in that tile's [`ServiceStats::rejected`], so a job the
+    /// home refuses in bulk and again on the per-job path counts twice
+    /// there.
+    ///
+    /// # Errors
+    ///
+    /// Per job, as [`ClusterHandle::try_submit`].
+    pub fn try_submit_many(&self, jobs: Vec<MulJob>) -> Vec<Result<Ticket, ClusterSubmitError>> {
+        self.shared.try_submit_many(jobs)
     }
 }
 
@@ -1970,7 +2035,6 @@ mod tests {
                 workers: 2,
                 queue_capacity: 64,
                 max_batch: 8,
-                flush_interval: Duration::from_micros(50),
                 ..Default::default()
             },
             ..Default::default()
@@ -2173,6 +2237,118 @@ mod tests {
     }
 
     #[test]
+    fn try_submit_many_returns_outcomes_in_job_order() {
+        let cluster = ServiceCluster::for_engine_name("barrett", 3, small_config()).unwrap();
+        let jobs: Vec<MulJob> = (0..30u64)
+            .map(|i| {
+                let p = UBig::from([97u64, 101, 65537][(i % 3) as usize]);
+                MulJob::new(UBig::from(i + 2), UBig::from(i + 5), p)
+            })
+            .collect();
+        let outcomes = cluster.handle().try_submit_many(jobs.clone());
+        assert_eq!(outcomes.len(), jobs.len());
+        for (job, outcome) in jobs.iter().zip(&outcomes) {
+            let ticket = outcome.as_ref().expect("idle tiles take every share");
+            assert_eq!(ticket.wait().unwrap(), &(&job.a * &job.b) % &job.modulus);
+        }
+        let stats = cluster.shutdown();
+        assert_eq!(stats.submitted, 30);
+        assert_eq!(stats.affinity_hit_rate(), 1.0);
+        assert_eq!(stats.spilled, 0);
+    }
+
+    #[test]
+    fn try_submit_many_sends_replicated_moduli_through_the_per_job_path() {
+        let config = ClusterConfig {
+            replicate_after: 1,
+            ..small_config()
+        };
+        let cluster = ServiceCluster::for_engine_name("barrett", 2, config).unwrap();
+        // Homed on tile 1: with both replicas idle, the per-job path
+        // ranks tile 0 first (equal headroom, lower index), where a
+        // home-tile share would have stayed on tile 1.
+        let p = (0..64u64)
+            .map(|i| UBig::from(1_000_003u64 + 2 * i))
+            .find(|p| cluster.home_tile(p) == Some(1))
+            .expect("some modulus homes on tile 1");
+        cluster.shared.note_saturation(modulus_key(&p), &p);
+        assert_eq!(cluster.probe_tiles().promoted, vec![p.clone()]);
+        let jobs: Vec<MulJob> = (0..4u64)
+            .map(|i| MulJob::new(UBig::from(i + 2), UBig::from(i + 3), p.clone()))
+            .collect();
+        for (job, outcome) in jobs
+            .iter()
+            .zip(cluster.handle().try_submit_many(jobs.clone()))
+        {
+            assert_eq!(outcome.unwrap().wait().unwrap(), &(&job.a * &job.b) % &p);
+        }
+        let stats = cluster.shutdown();
+        assert!(stats.replica_routed >= 1, "the first job lands on tile 0");
+        assert_eq!(stats.spilled, 0, "replica landings are not spills");
+        assert_eq!(stats.affinity_hit_rate(), 1.0);
+    }
+
+    #[test]
+    fn try_submit_many_spills_the_refused_remainder_as_the_policy_says() {
+        let tile = ServiceConfig {
+            workers: 1,
+            queue_capacity: 2,
+            max_batch: 1,
+            pipeline_depth: 1,
+            ..Default::default()
+        };
+        for spill in [SpillPolicy::Spill { max_hops: 1 }, SpillPolicy::Strict] {
+            let gate = Gate::new();
+            let config = ClusterConfig {
+                spill,
+                service: tile.clone(),
+                ..Default::default()
+            };
+            let cluster = ServiceCluster::new(vec![gated_pool(&gate), gated_pool(&gate)], config);
+            let p = (0..64u64)
+                .map(|i| UBig::from(1_000_003u64 + 2 * i))
+                .find(|p| cluster.home_tile(p) == Some(0))
+                .expect("some modulus homes on tile 0");
+            let jobs: Vec<MulJob> = (0..5u64)
+                .map(|i| MulJob::new(UBig::from(i + 2), UBig::from(i + 3), p.clone()))
+                .collect();
+            // The home's executor holds job 0 at the gate, leaving room
+            // for exactly two queued jobs: the batch's first two.
+            let held = cluster.try_submit(jobs[0].clone()).unwrap();
+            gate.wait_entered(1);
+            let outcomes = cluster.handle().try_submit_many(jobs[1..].to_vec());
+            assert!(outcomes[0].is_ok() && outcomes[1].is_ok(), "{spill:?}");
+            let stats = cluster.stats();
+            assert_eq!(stats.tiles[0].service.submitted, 3, "{spill:?}");
+            match spill {
+                SpillPolicy::Spill { .. } => {
+                    assert!(outcomes[2..].iter().all(Result::is_ok));
+                    assert_eq!(stats.spilled, 2);
+                    assert_eq!(stats.tiles[1].spilled_in, 2);
+                }
+                SpillPolicy::Strict => {
+                    for outcome in &outcomes[2..] {
+                        assert_eq!(
+                            outcome.as_ref().err(),
+                            Some(&ClusterSubmitError::AllTilesSaturated { tried: 1 })
+                        );
+                    }
+                    assert_eq!(stats.saturated_rejections, 2);
+                    assert_eq!(stats.tiles[1].service.submitted, 0);
+                }
+            }
+            gate.open();
+            let tickets = std::iter::once(Ok(held)).chain(outcomes);
+            for (job, outcome) in jobs.iter().zip(tickets) {
+                if let Ok(ticket) = outcome {
+                    assert_eq!(ticket.wait().unwrap(), &(&job.a * &job.b) % &p);
+                }
+            }
+            cluster.shutdown();
+        }
+    }
+
+    #[test]
     fn stopped_cluster_refuses_submissions() {
         let cluster = ServiceCluster::for_engine_name("barrett", 2, small_config()).unwrap();
         cluster.shutdown();
@@ -2184,6 +2360,12 @@ mod tests {
         assert_eq!(
             cluster.try_submit(job.clone()).err(),
             Some(ClusterSubmitError::Stopped)
+        );
+        assert_eq!(
+            cluster.handle().try_submit_many(vec![job.clone()])[0]
+                .as_ref()
+                .err(),
+            Some(&ClusterSubmitError::Stopped)
         );
         let bulk = cluster.handle().submit_many(vec![job]).unwrap_err();
         assert_eq!(bulk.error, ClusterSubmitError::Stopped);
@@ -2207,7 +2389,6 @@ mod tests {
             workers: 1,
             queue_capacity: 2,
             max_batch: 1,
-            flush_interval: Duration::ZERO,
             pipeline_depth: 1,
             ..Default::default()
         };
@@ -2274,7 +2455,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 2,
                 max_batch: 1,
-                flush_interval: Duration::ZERO,
                 pipeline_depth: 1,
                 ..Default::default()
             },
@@ -2421,7 +2601,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 16,
                 max_batch: 1,
-                flush_interval: Duration::ZERO,
                 pipeline_depth: 1,
                 ..Default::default()
             },
@@ -2556,7 +2735,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 2,
                 max_batch: 1,
-                flush_interval: Duration::ZERO,
                 pipeline_depth: 1,
                 ..Default::default()
             },

@@ -11,7 +11,8 @@
 //!   same-length run sharing one — the reason plain round-robin
 //!   assignment is no longer within one job of optimal).
 //! * [`Dispatcher`] — real `std::thread::scope` workers over the
-//!   chunked queue. Chunks are seeded onto per-worker deques by
+//!   chunked queue (worker 0 is the calling thread, so a one-worker
+//!   dispatch spawns nothing). Chunks are seeded onto per-worker deques by
 //!   **least-loaded** greedy assignment over the cost estimates; under
 //!   [`StealPolicy::WorkStealing`] an idle worker then steals from the
 //!   *back* of the most recently seeded victim ranges (owners drain
@@ -32,11 +33,9 @@
 //! materialise a whole batch and dispatch it in one call. The
 //! **streaming** half lives in [`crate::service`]: a
 //! [`crate::service::ModSramService`] owns a bounded submission queue
-//! and a coalescing batcher whose knobs
-//! ([`crate::service::ServiceConfig::max_batch`],
-//! [`crate::service::ServiceConfig::flush_interval`]) control how many
-//! queued jobs are merged into each multiplicand-major batch handed to
-//! this dispatcher.
+//! whose executors each take whatever has queued up, at most
+//! [`crate::service::ServiceConfig::max_batch`] jobs, as one
+//! multiplicand-major batch handed to this dispatcher.
 //!
 //! # Examples
 //!
@@ -538,7 +537,9 @@ impl Dispatcher {
     /// The generic work-stealing core: executes pre-planned `chunks`,
     /// giving each worker its own state from `init` (built on the
     /// worker thread, so it need not be `Send`), and stitches the
-    /// per-chunk result vectors back together in input order.
+    /// per-chunk result vectors back together in input order. Worker 0
+    /// runs on the calling thread and only the other `workers − 1`
+    /// are spawned, so a one-worker dispatch spawns no thread.
     ///
     /// `work` must return exactly `chunk.len()` results on success.
     ///
@@ -585,95 +586,86 @@ impl Dispatcher {
         let worker_busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
         let started = Instant::now();
 
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let assignments = &assignments;
-                let chunks = &chunks;
-                let claimed = &claimed;
-                let abort = &abort;
-                let first_error = &first_error;
-                let parts = &parts;
-                let steals = &steals;
-                let worker_items = &worker_items;
-                let worker_busy = &worker_busy;
-                let init = &init;
-                let work = &work;
-                let policy = self.policy;
-                scope.spawn(move || {
-                    let mut state = init(w);
-                    let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-                    let mut items = 0u64;
-                    let mut busy = 0u64;
-                    let mut execute = |id: usize, state: &mut S| {
-                        let chunk = &chunks[id];
-                        let t0 = Instant::now();
-                        let outcome = work(state, chunk);
-                        busy += t0.elapsed().as_nanos() as u64;
-                        match outcome {
-                            Ok(results) => {
-                                assert_eq!(
-                                    results.len(),
-                                    chunk.len(),
-                                    "work returned a wrong-sized chunk result"
-                                );
-                                items += results.len() as u64;
-                                local.push((id, results));
-                            }
-                            Err(e) => {
-                                // A poisoned error slot means another
-                                // worker panicked; recover the slot —
-                                // the abort flag still wins the race.
-                                let mut slot =
-                                    first_error.lock().unwrap_or_else(PoisonError::into_inner);
-                                slot.get_or_insert(e);
-                                abort.store(true, Ordering::Release);
-                            }
-                        }
-                    };
-                    // Own queue, front to back: preserves the seeded
-                    // multiplicand-run locality.
-                    for &id in &assignments[w] {
-                        if abort.load(Ordering::Acquire) {
-                            break;
-                        }
-                        if !claimed[id].swap(true, Ordering::AcqRel) {
-                            execute(id, &mut state);
-                        }
+        let policy = self.policy;
+        let run_worker = |w: usize| {
+            let mut state = init(w);
+            let mut local: Vec<(usize, Vec<R>)> = Vec::new();
+            let mut items = 0u64;
+            let mut busy = 0u64;
+            let mut execute = |id: usize, state: &mut S| {
+                let chunk = &chunks[id];
+                let t0 = Instant::now();
+                let outcome = work(state, chunk);
+                busy += t0.elapsed().as_nanos() as u64;
+                match outcome {
+                    Ok(results) => {
+                        assert_eq!(
+                            results.len(),
+                            chunk.len(),
+                            "work returned a wrong-sized chunk result"
+                        );
+                        items += results.len() as u64;
+                        local.push((id, results));
                     }
-                    // Steal from victims, back to front, until a full
-                    // sweep finds nothing unclaimed.
-                    if policy == StealPolicy::WorkStealing {
-                        loop {
+                    Err(e) => {
+                        // A poisoned error slot means another worker
+                        // panicked; recover the slot — the abort flag
+                        // still wins the race.
+                        let mut slot = first_error.lock().unwrap_or_else(PoisonError::into_inner);
+                        slot.get_or_insert(e);
+                        abort.store(true, Ordering::Release);
+                    }
+                }
+            };
+            // Own queue, front to back: preserves the seeded
+            // multiplicand-run locality.
+            for &id in &assignments[w] {
+                if abort.load(Ordering::Acquire) {
+                    break;
+                }
+                if !claimed[id].swap(true, Ordering::AcqRel) {
+                    execute(id, &mut state);
+                }
+            }
+            // Steal from victims, back to front, until a full sweep
+            // finds nothing unclaimed.
+            if policy == StealPolicy::WorkStealing {
+                loop {
+                    if abort.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let mut found = false;
+                    for offset in 1..workers {
+                        let victim = (w + offset) % workers;
+                        for &id in assignments[victim].iter().rev() {
                             if abort.load(Ordering::Acquire) {
                                 break;
                             }
-                            let mut found = false;
-                            for offset in 1..workers {
-                                let victim = (w + offset) % workers;
-                                for &id in assignments[victim].iter().rev() {
-                                    if abort.load(Ordering::Acquire) {
-                                        break;
-                                    }
-                                    if !claimed[id].swap(true, Ordering::AcqRel) {
-                                        steals.fetch_add(1, Ordering::Relaxed);
-                                        found = true;
-                                        execute(id, &mut state);
-                                    }
-                                }
-                            }
-                            if !found {
-                                break;
+                            if !claimed[id].swap(true, Ordering::AcqRel) {
+                                steals.fetch_add(1, Ordering::Relaxed);
+                                found = true;
+                                execute(id, &mut state);
                             }
                         }
                     }
-                    parts
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .append(&mut local);
-                    worker_items[w].store(items, Ordering::Relaxed);
-                    worker_busy[w].store(busy, Ordering::Relaxed);
-                });
+                    if !found {
+                        break;
+                    }
+                }
             }
+            parts
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .append(&mut local);
+            worker_items[w].store(items, Ordering::Relaxed);
+            worker_busy[w].store(busy, Ordering::Relaxed);
+        };
+        std::thread::scope(|scope| {
+            for w in 1..workers {
+                let run_worker = &run_worker;
+                scope.spawn(move || run_worker(w));
+            }
+            run_worker(0);
         });
 
         stats.elapsed_ns = started.elapsed().as_nanos() as u64;
@@ -904,6 +896,53 @@ mod tests {
             }
             assert_eq!(stats.items, 37);
             assert_eq!(stats.per_worker_items.iter().sum::<u64>(), 37);
+        }
+    }
+
+    #[test]
+    fn worker_zero_runs_on_the_calling_thread() {
+        use std::collections::HashSet;
+        use std::thread::{self, ThreadId};
+        let p = UBig::from(1_000_003u64);
+        let ctx = DirectEngine::new().prepare(&p).unwrap();
+        let pairs: Vec<(UBig, UBig)> = (0..40u64)
+            .map(|i| (UBig::from(i * 7 + 1), UBig::from(i * 13 + 2)))
+            .collect();
+        let per_call: Vec<UBig> = pairs
+            .iter()
+            .map(|(a, b)| ctx.mod_mul(a, b).unwrap())
+            .collect();
+        let caller = thread::current().id();
+        for workers in [1usize, 4] {
+            // Each worker's state records the thread it was built on;
+            // every `work` call records the thread it ran on.
+            let inits: Mutex<Vec<(usize, ThreadId)>> = Mutex::new(Vec::new());
+            let ran: Mutex<HashSet<ThreadId>> = Mutex::new(HashSet::new());
+            let (results, stats) = Dispatcher::new(workers)
+                .run_chunks(
+                    plan_mul_chunks(&pairs, 1),
+                    |w| inits.lock().unwrap().push((w, thread::current().id())),
+                    |(), chunk| {
+                        ran.lock().unwrap().insert(thread::current().id());
+                        ctx.mod_mul_batch(&pairs[chunk.range.clone()])
+                    },
+                )
+                .unwrap();
+            assert_eq!(results, per_call, "{workers} workers");
+            assert_eq!(stats.items, 40);
+            let inits = inits.into_inner().unwrap();
+            let threads: HashSet<ThreadId> = inits.iter().map(|&(_, t)| t).collect();
+            assert_eq!(inits.len(), workers, "one state per worker");
+            assert_eq!(threads.len(), workers, "one thread per worker");
+            assert!(
+                inits.contains(&(0, caller)),
+                "worker 0 is the calling thread"
+            );
+            let ran = ran.into_inner().unwrap();
+            assert!(ran.is_subset(&threads), "work ran only on worker threads");
+            if workers == 1 {
+                assert_eq!(ran, HashSet::from([caller]), "one lane spawns nothing");
+            }
         }
     }
 

@@ -39,11 +39,11 @@
 //!   race) the way a JIT picks a code path.
 //! * [`service`] — the streaming front-end: a [`service::ModSramService`]
 //!   with cloneable submission handles, bounded-queue backpressure,
-//!   completion tickets, and a coalescing batcher that drains the
-//!   request stream into multiplicand-major batches for the
-//!   dispatcher. Its [`service::MulBackend`] trait is the one seam
-//!   batch consumers execute through: a [`service::Staged`]
-//!   dispatcher + pool, a service, or a cluster.
+//!   completion tickets, and executors that each take whatever has
+//!   queued up as one multiplicand-major batch for the dispatcher.
+//!   Its [`service::MulBackend`] trait is the one seam batch
+//!   consumers execute through: a [`service::Staged`] dispatcher +
+//!   pool, a service, or a cluster.
 //! * [`cluster`] — multi-tile scale-out: a [`cluster::ServiceCluster`]
 //!   routes jobs across N service tiles by per-modulus rendezvous
 //!   affinity, spills to the least-loaded tile on backpressure

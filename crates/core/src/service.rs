@@ -17,16 +17,25 @@
 //!   ([`ServiceConfig::queue_capacity`]). `submit` blocks until space
 //!   frees; [`SubmitHandle::try_submit`] refuses immediately with
 //!   [`SubmitError::QueueFull`] so open-loop producers can shed load.
-//! * **A coalescing batcher** — a dedicated thread drains the queue
-//!   into batches of at most [`ServiceConfig::max_batch`] jobs,
-//!   waiting at most [`ServiceConfig::flush_interval`] for stragglers,
-//!   sorts each batch **multiplicand-major** (modulus-major, then by
-//!   `b`) so the paper's Table 1b reuse survives interleaved tenants,
-//!   and executes it through the existing [`Dispatcher`] over a shared
+//! * **Natural batching** — the [`ServiceConfig::pipeline_depth`]
+//!   executor threads pull straight from the queue: whenever one is
+//!   free it takes every queued job, at most
+//!   [`ServiceConfig::max_batch`], as its batch. No timer waits for
+//!   stragglers; jobs pile up while every executor is busy, and that
+//!   is when batching saves LUT refills. On an idle multi-lane tile the
+//!   executor first yields its core until the queue stops growing, so
+//!   a submitter streaming single jobs finishes its run before the
+//!   batch is taken and fills the lanes. A bulk submission
+//!   ([`SubmitHandle::submit_many`], [`SubmitHandle::try_submit_many`],
+//!   a wire `SubmitBatch` frame) lands under one lock, so an idle
+//!   executor takes it whole. Each batch is sorted
+//!   **multiplicand-major** (modulus-major, then by `b`) so the
+//!   paper's Table 1b reuse survives interleaved tenants, and executes
+//!   through the existing [`Dispatcher`] over a shared
 //!   [`ContextPool`]. Results are routed back to tickets in
 //!   submission order regardless of the coalesced execution order.
 //!
-//! [`ModSramService::shutdown`] closes the queue, lets the batcher
+//! [`ModSramService::shutdown`] closes the queue, lets the executors
 //! drain every in-flight ticket, and returns the final
 //! [`ServiceStats`] (queue depth, coalesce sizes, and p50/p99 latency
 //! in both wall-clock nanoseconds and modelled device cycles).
@@ -79,24 +88,18 @@ pub struct ServiceConfig {
     /// Bound on queued-but-not-yet-drained jobs: `submit` blocks and
     /// `try_submit` returns [`SubmitError::QueueFull`] beyond it.
     pub queue_capacity: usize,
-    /// Coalescing size trigger: a batch is dispatched as soon as this
-    /// many jobs have been drained.
+    /// Most jobs one executor takes from the queue as one batch.
     pub max_batch: usize,
-    /// Coalescing time trigger: after the first job of a batch is
-    /// drained, the batcher waits at most this long for more before
-    /// flushing a short batch. `Duration::ZERO` flushes immediately
-    /// with whatever the queue held.
-    pub flush_interval: Duration,
     /// Optional dispatcher chunk-size override (defaults to the
     /// dispatcher's automatic sizing).
     pub chunk_size: Option<usize>,
     /// Steal policy for batch execution.
     pub policy: StealPolicy,
-    /// Executor threads pipelining coalesced batches: while one batch
-    /// executes, the next is already being sorted and planned. `1`
-    /// serialises batches (deterministic batch order; lowest thread
-    /// count); the default of 2 overlaps bookkeeping with execution,
-    /// which closed-loop throughput needs to track staged dispatch.
+    /// Executor threads, each pulling its own batch from the queue:
+    /// while one batch executes, the next free executor takes whatever
+    /// has queued up. `1` serialises batches (deterministic batch
+    /// order; lowest thread count); the default of 2 overlaps one
+    /// batch's sorting and delivery with the other's execution.
     pub pipeline_depth: usize,
 }
 
@@ -106,7 +109,6 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_capacity: 1024,
             max_batch: 512,
-            flush_interval: Duration::from_micros(100),
             chunk_size: None,
             policy: StealPolicy::WorkStealing,
             pipeline_depth: 2,
@@ -308,6 +310,9 @@ struct QueueInner {
     /// refused with [`SubmitError::Paused`] while queued jobs keep
     /// draining. Unlike `closed`, this is reversible.
     paused: bool,
+    /// The newest queued job was submitted alone, so more of its stream
+    /// may follow (see [`settle`]); a bulk submission is a batch already.
+    streamed: bool,
 }
 
 /// Fixed-size reservoir sample of `u64` observations with a
@@ -381,8 +386,8 @@ impl Reservoir {
     }
 }
 
-/// Counters and latency reservoirs shared by handles, the batcher, and
-/// stats readers.
+/// Counters and latency reservoirs shared by handles, the executors,
+/// and stats readers.
 ///
 /// Two lifetimes coexist here: the plain counters (`submitted`,
 /// `completed`, `batches`, …) accumulate forever, while the
@@ -446,7 +451,7 @@ impl StatsCell {
 }
 
 /// Queue + stats shared between the service, its handles, and the
-/// batcher thread.
+/// executor threads.
 struct Shared {
     inner: Mutex<QueueInner>,
     not_empty: Condvar,
@@ -458,67 +463,6 @@ struct Shared {
 impl Shared {
     fn lock_inner(&self) -> MutexGuard<'_, QueueInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// The bounded hand-off between the batcher and the executor pool:
-/// coalesced batches queue here so sorting/planning/dispatching of
-/// batch `N+1` overlaps the execution of batch `N`.
-struct ExecQueue {
-    inner: Mutex<(VecDeque<Vec<Queued>>, bool)>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl ExecQueue {
-    fn new(capacity: usize) -> Self {
-        ExecQueue {
-            inner: Mutex::new((VecDeque::new(), false)),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enqueues a batch, blocking while the pipeline is full.
-    fn push(&self, batch: Vec<Queued>) {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        while inner.0.len() >= self.capacity && !inner.1 {
-            inner = self
-                .not_full
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        inner.0.push_back(batch);
-        drop(inner);
-        self.not_empty.notify_one();
-    }
-
-    /// Dequeues the next batch; `None` once closed and drained.
-    fn pop(&self) -> Option<Vec<Queued>> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(batch) = inner.0.pop_front() {
-                drop(inner);
-                self.not_full.notify_one();
-                return Some(batch);
-            }
-            if inner.1 {
-                return None;
-            }
-            inner = self
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Marks the pipeline closed; executors drain what remains.
-    fn close(&self) {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).1 = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
@@ -540,17 +484,6 @@ impl core::fmt::Debug for SubmitHandle {
 }
 
 impl SubmitHandle {
-    fn enqueue(&self, job: MulJob, inner: &mut QueueInner) -> Ticket {
-        let state = TicketState::new();
-        inner.jobs.push_back(Queued {
-            job,
-            ticket: Arc::clone(&state),
-            submitted: Instant::now(),
-        });
-        self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        Ticket { state }
-    }
-
     /// Submits one job, blocking while the queue is at capacity.
     ///
     /// # Errors
@@ -559,27 +492,7 @@ impl SubmitHandle {
     /// [`SubmitError::Paused`] while admissions are paused (returned
     /// without blocking, even if the pause lands mid-wait).
     pub fn submit(&self, job: MulJob) -> Result<Ticket, SubmitError> {
-        let mut inner = self.shared.lock_inner();
-        loop {
-            if inner.closed {
-                return Err(SubmitError::Stopped);
-            }
-            if inner.paused {
-                return Err(SubmitError::Paused);
-            }
-            if inner.jobs.len() < self.shared.capacity {
-                break;
-            }
-            inner = self
-                .shared
-                .not_full
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        let ticket = self.enqueue(job, &mut inner);
-        drop(inner);
-        self.shared.not_empty.notify_one();
-        Ok(ticket)
+        self.submit_one(job, true)
     }
 
     /// Submits one job without blocking.
@@ -591,22 +504,15 @@ impl SubmitHandle {
     /// [`SubmitError::Stopped`] after shutdown, [`SubmitError::Paused`]
     /// while admissions are paused.
     pub fn try_submit(&self, job: MulJob) -> Result<Ticket, SubmitError> {
-        let mut inner = self.shared.lock_inner();
-        if inner.closed {
-            return Err(SubmitError::Stopped);
-        }
-        if inner.paused {
-            return Err(SubmitError::Paused);
-        }
-        if inner.jobs.len() >= self.shared.capacity {
-            drop(inner);
-            self.shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(SubmitError::QueueFull);
-        }
-        let ticket = self.enqueue(job, &mut inner);
-        drop(inner);
-        self.shared.not_empty.notify_one();
-        Ok(ticket)
+        self.submit_one(job, false)
+    }
+
+    fn submit_one(&self, job: MulJob, block: bool) -> Result<Ticket, SubmitError> {
+        let (mut tickets, refused) = self.enqueue_many(vec![job], block);
+        // No ticket means the job was refused, so `refused` holds why.
+        tickets
+            .pop()
+            .ok_or_else(|| refused.map_or(SubmitError::Stopped, |(e, _)| e))
     }
 
     /// Submits a whole slice of jobs under one queue acquisition —
@@ -636,39 +542,89 @@ impl SubmitHandle {
     /// pauses admissions mid-batch, returns the tickets of the
     /// **accepted prefix** alongside the error instead of dropping
     /// them. The accepted jobs still execute and drain; the remainder
-    /// was never queued. This is the primitive a cluster router uses so
-    /// a tile stopping mid-batch cannot strand waiters whose jobs will
-    /// still run.
+    /// was never queued. The cluster router's bulk path queues each
+    /// tile's share the same way, so a tile stopping mid-batch cannot
+    /// strand waiters whose jobs will still run.
     pub fn submit_many_partial(&self, jobs: Vec<MulJob>) -> (Vec<Ticket>, Option<SubmitError>) {
+        let (tickets, refused) = self.enqueue_many(jobs, true);
+        (tickets, refused.map(|(e, _)| e))
+    }
+
+    /// Non-blocking bulk submission: queues the longest prefix of
+    /// `jobs` the queue has room for, under one lock acquisition and
+    /// with one executor wake-up, so an idle executor takes the prefix
+    /// as one batch. Returns the prefix's tickets and, when a suffix
+    /// was refused, why plus the refused jobs in order. A suffix
+    /// refused with [`SubmitError::QueueFull`] counts in
+    /// [`ServiceStats::rejected`], one per job, as if each had been
+    /// offered to [`SubmitHandle::try_submit`].
+    pub fn try_submit_many(
+        &self,
+        jobs: Vec<MulJob>,
+    ) -> (Vec<Ticket>, Option<(SubmitError, Vec<MulJob>)>) {
+        self.enqueue_many(jobs, false)
+    }
+
+    /// Queues `jobs` in order under one lock acquisition. At capacity
+    /// it waits for room when `block` is set and refuses the rest
+    /// otherwise; a stop or pause refuses the rest either way. Returns
+    /// the accepted prefix's tickets and, if anything was refused, why
+    /// plus the refused suffix in order.
+    pub(crate) fn enqueue_many(
+        &self,
+        jobs: Vec<MulJob>,
+        block: bool,
+    ) -> (Vec<Ticket>, Option<(SubmitError, Vec<MulJob>)>) {
+        let streamed = jobs.len() == 1;
+        let mut jobs = VecDeque::from(jobs);
         let mut tickets = Vec::with_capacity(jobs.len());
         let mut inner = self.shared.lock_inner();
-        for job in jobs {
-            loop {
-                if inner.closed {
-                    drop(inner);
-                    self.shared.not_empty.notify_one();
-                    return (tickets, Some(SubmitError::Stopped));
+        let refusal = loop {
+            if jobs.is_empty() {
+                break None;
+            }
+            if inner.closed {
+                break Some(SubmitError::Stopped);
+            }
+            if inner.paused {
+                break Some(SubmitError::Paused);
+            }
+            if inner.jobs.len() >= self.shared.capacity {
+                if !block {
+                    break Some(SubmitError::QueueFull);
                 }
-                if inner.paused {
-                    drop(inner);
-                    self.shared.not_empty.notify_one();
-                    return (tickets, Some(SubmitError::Paused));
-                }
-                if inner.jobs.len() < self.shared.capacity {
-                    break;
-                }
+                // Let an executor drain what this call queued so far.
                 self.shared.not_empty.notify_one();
                 inner = self
                     .shared
                     .not_full
                     .wait(inner)
                     .unwrap_or_else(PoisonError::into_inner);
+                continue;
             }
-            tickets.push(self.enqueue(job, &mut inner));
-        }
+            if let Some(job) = jobs.pop_front() {
+                let state = TicketState::new();
+                inner.jobs.push_back(Queued {
+                    job,
+                    ticket: Arc::clone(&state),
+                    submitted: Instant::now(),
+                });
+                inner.streamed = streamed;
+                self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
+                tickets.push(Ticket { state });
+            }
+        };
         drop(inner);
-        self.shared.not_empty.notify_one();
-        (tickets, None)
+        if !tickets.is_empty() {
+            self.shared.not_empty.notify_one();
+        }
+        if refusal == Some(SubmitError::QueueFull) {
+            self.shared
+                .stats
+                .rejected
+                .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        }
+        (tickets, refusal.map(|e| (e, Vec::from(jobs))))
     }
 
     /// Jobs currently queued (excludes the batch being executed).
@@ -831,9 +787,9 @@ impl ModSramService {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Spawn`] when the OS cannot start an executor or
-    /// batcher thread; every thread spawned before the failure is shut
-    /// down cleanly before returning.
+    /// [`CoreError::Spawn`] when the OS cannot start an executor
+    /// thread; every thread spawned before the failure is shut down
+    /// cleanly before returning.
     pub fn try_with_shared_pool(
         pool: Arc<ContextPool>,
         config: ServiceConfig,
@@ -847,29 +803,28 @@ impl ModSramService {
                 jobs: VecDeque::new(),
                 closed: false,
                 paused: false,
+                streamed: false,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: config.queue_capacity,
             stats: StatsCell::new(),
         });
-        let exec_queue = Arc::new(ExecQueue::new(config.pipeline_depth));
-        let mut threads = Vec::with_capacity(1 + config.pipeline_depth);
+        let mut threads = Vec::with_capacity(config.pipeline_depth);
         for e in 0..config.pipeline_depth {
-            let shared = Arc::clone(&shared);
-            let pool = Arc::clone(&pool);
-            let config = config.clone();
-            let thread_queue = Arc::clone(&exec_queue);
+            let (thread_shared, thread_pool) = (Arc::clone(&shared), Arc::clone(&pool));
+            let thread_config = config.clone();
             let spawned = std::thread::Builder::new()
                 .name(format!("modsram-exec-{e}"))
-                .spawn(move || executor_loop(shared, pool, config, thread_queue));
+                .spawn(move || executor_loop(thread_shared, thread_pool, thread_config));
             match spawned {
                 Ok(handle) => threads.push(handle),
                 Err(_) => {
-                    // Unwind the partial construction: closing the exec
-                    // queue wakes and retires the executors spawned so
-                    // far, so no thread outlives the failed ctor.
-                    exec_queue.close();
+                    // Unwind the partial construction: closing the
+                    // queue retires the executors spawned so far, so no
+                    // thread outlives the failed ctor.
+                    shared.lock_inner().closed = true;
+                    shared.not_empty.notify_all();
                     for t in threads {
                         let _ = t.join();
                     }
@@ -877,24 +832,6 @@ impl ModSramService {
                         what: "executor thread",
                     });
                 }
-            }
-        }
-        let thread_shared = Arc::clone(&shared);
-        let thread_config = config.clone();
-        let exec_handoff = Arc::clone(&exec_queue);
-        let batcher = std::thread::Builder::new()
-            .name("modsram-batcher".into())
-            .spawn(move || batcher_loop(thread_shared, thread_config, exec_handoff));
-        match batcher {
-            Ok(handle) => threads.insert(0, handle),
-            Err(_) => {
-                exec_queue.close();
-                for t in threads {
-                    let _ = t.join();
-                }
-                return Err(CoreError::Spawn {
-                    what: "batcher thread",
-                });
             }
         }
         Ok(ModSramService {
@@ -1112,8 +1049,8 @@ impl ModSramService {
     }
 
     /// Gracefully stops the service: refuses new submissions, lets the
-    /// batcher drain and complete every queued ticket, joins the
-    /// batcher thread, and returns the final statistics. Idempotent.
+    /// executors drain and complete every queued ticket, joins them,
+    /// and returns the final statistics. Idempotent.
     pub fn shutdown(&self) -> ServiceStats {
         {
             let mut inner = self.shared.lock_inner();
@@ -1121,10 +1058,8 @@ impl ModSramService {
         }
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
-        // The batcher drains the submission queue, forwards the final
-        // batches, and closes the executor pipeline; executors finish
-        // whatever is in flight before exiting — so joining in order
-        // completes every accepted ticket.
+        // Executors keep taking batches until the closed queue is
+        // empty, so joining them completes every accepted ticket.
         let threads =
             std::mem::take(&mut *self.threads.lock().unwrap_or_else(PoisonError::into_inner));
         for handle in threads {
@@ -1140,86 +1075,91 @@ impl Drop for ModSramService {
     }
 }
 
-/// Drains queued jobs into `batch` until it holds `max_batch` or the
-/// queue runs dry.
-fn drain_into(inner: &mut QueueInner, batch: &mut Vec<Queued>, max_batch: usize) {
-    while batch.len() < max_batch {
-        match inner.jobs.pop_front() {
-            Some(q) => batch.push(q),
-            None => break,
-        }
-    }
-}
+/// Looks in a row that must find no new job before an idle multi-lane
+/// executor takes its batch (see [`settle`]).
+const SETTLE_LOOKS: u32 = 32;
 
-/// The batcher thread: wait → coalesce → forward, until the queue is
-/// both closed and empty; then close the executor pipeline.
-fn batcher_loop(shared: Arc<Shared>, config: ServiceConfig, exec_queue: Arc<ExecQueue>) {
+/// Blocks until jobs are queued, then takes up to `max_batch` of them
+/// as one batch; `None` once the queue is closed and empty. A
+/// multi-lane executor (`settles`) that had to wait lets the queue
+/// [`settle`] first, since a short batch leaves lanes idle for a whole
+/// batch; a one-lane executor, or one that finds jobs piled up while
+/// it was busy, takes them at once.
+fn next_batch(shared: &Shared, max_batch: usize, settles: bool) -> Option<Vec<Queued>> {
+    let mut inner = shared.lock_inner();
+    let mut idle = false;
     loop {
-        let mut batch: Vec<Queued> = Vec::new();
-        {
-            let mut inner = shared.lock_inner();
-            while inner.jobs.is_empty() && !inner.closed {
-                inner = shared
-                    .not_empty
-                    .wait(inner)
-                    .unwrap_or_else(PoisonError::into_inner);
+        while inner.jobs.is_empty() {
+            if inner.closed {
+                return None;
             }
-            if inner.jobs.is_empty() && inner.closed {
-                drop(inner);
-                exec_queue.close();
-                return;
-            }
-            drain_into(&mut inner, &mut batch, config.max_batch);
-            // Coalescing window: give stragglers up to `flush_interval`
-            // to join this batch, unless it is already full or the
-            // service is draining for shutdown.
-            if batch.len() < config.max_batch && !inner.closed && !config.flush_interval.is_zero() {
-                let deadline = Instant::now() + config.flush_interval;
-                while batch.len() < config.max_batch && !inner.closed {
-                    if !inner.jobs.is_empty() {
-                        drain_into(&mut inner, &mut batch, config.max_batch);
-                        continue;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, timeout) = shared
-                        .not_empty
-                        .wait_timeout(inner, deadline - now)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    inner = guard;
-                    if timeout.timed_out() && inner.jobs.is_empty() {
-                        break;
-                    }
-                }
-                drain_into(&mut inner, &mut batch, config.max_batch);
-            }
+            idle = true;
+            inner = shared
+                .not_empty
+                .wait(inner)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        // Capacity freed: wake every blocked submitter.
-        shared.not_full.notify_all();
-        exec_queue.push(batch);
+        if !(idle && settles) {
+            break;
+        }
+        // Another executor may take the jobs meanwhile; then wait again.
+        idle = false;
+        inner = settle(shared, inner, max_batch);
     }
+    let take = inner.jobs.len().min(max_batch);
+    let batch: Vec<Queued> = inner.jobs.drain(..take).collect();
+    let more = !inner.jobs.is_empty();
+    drop(inner);
+    // Capacity freed: wake every blocked submitter, and hand what is
+    // left over to another idle executor.
+    shared.not_full.notify_all();
+    if more {
+        shared.not_empty.notify_one();
+    }
+    Some(batch)
 }
 
-/// An executor thread: sorts, plans, dispatches, and delivers batches
-/// handed over by the batcher, until the pipeline closes and drains.
+/// Lets the queue of an idle multi-lane tile settle before its
+/// executor takes a batch. The wake-up on an idle tile often preempts
+/// the very submitter that queued the first job, mid-stream. So while
+/// the newest job was submitted alone, the executor yields its core
+/// until [`SETTLE_LOOKS`] looks in a row find no new job, the queue
+/// holds a full batch, or it empties; streamed single jobs then reach
+/// the executor together instead of one by one. No timer: a lone job
+/// costs `SETTLE_LOOKS` yields, and a bulk submission none. Each yield
+/// may hand the core to another runnable thread for its time slice,
+/// which is why one-lane tiles, with no idle lanes to fill, skip this.
+fn settle<'a>(
+    shared: &'a Shared,
+    mut inner: MutexGuard<'a, QueueInner>,
+    max_batch: usize,
+) -> MutexGuard<'a, QueueInner> {
+    let (mut seen, mut quiet) = (inner.jobs.len(), 0);
+    while inner.streamed && quiet < SETTLE_LOOKS && !inner.closed && (1..max_batch).contains(&seen)
+    {
+        drop(inner);
+        std::thread::yield_now();
+        inner = shared.lock_inner();
+        let queued = inner.jobs.len();
+        quiet = if queued > seen { 0 } else { quiet + 1 };
+        seen = queued;
+    }
+    inner
+}
+
+/// An executor thread: takes, sorts, plans, dispatches, and delivers
+/// batches until the queue is closed and empty.
 ///
 /// Execution runs under an unwind guard: if anything in the dispatch
 /// path panics, the batch's undelivered tickets fail with
 /// [`ServiceError::Stopped`] instead of hanging their waiters, and the
 /// executor keeps serving later batches.
-fn executor_loop(
-    shared: Arc<Shared>,
-    pool: Arc<ContextPool>,
-    config: ServiceConfig,
-    exec_queue: Arc<ExecQueue>,
-) {
+fn executor_loop(shared: Arc<Shared>, pool: Arc<ContextPool>, config: ServiceConfig) {
     let mut dispatcher = Dispatcher::new(config.workers).policy(config.policy);
     if let Some(chunk) = config.chunk_size {
         dispatcher = dispatcher.chunk_size(chunk);
     }
-    while let Some(batch) = exec_queue.pop() {
+    while let Some(batch) = next_batch(&shared, config.max_batch, config.workers > 1) {
         let tickets: Vec<Arc<TicketState>> = batch.iter().map(|q| Arc::clone(&q.ticket)).collect();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute_batch(&shared, &pool, &dispatcher, &config, batch);
@@ -1244,7 +1184,7 @@ fn executor_loop(
 /// equal `(modulus, b)` map to equal keys, so sorting by the key
 /// produces the contiguous shared-multiplicand runs the LUT engines
 /// amortise — without O(n log n) big-integer comparisons on the
-/// batcher's critical path. (A hash collision merely places two
+/// executor's critical path. (A hash collision merely places two
 /// unrelated runs next to each other; the chunk planner still splits
 /// at real modulus boundaries, so correctness never depends on the
 /// key.)
@@ -1311,17 +1251,24 @@ fn execute_batch(
             .collect(),
     };
 
+    // Record the samples first and drop both reservoir guards, so
+    // neither `stats()` nor the other executor waits on a whole batch
+    // of deliveries.
     let done = Instant::now();
-    let mut wall = stats.wall_ns.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut cycles = stats.cycles.lock().unwrap_or_else(PoisonError::into_inner);
+    {
+        let mut wall = stats.wall_ns.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut cycles = stats.cycles.lock().unwrap_or_else(PoisonError::into_inner);
+        for (_, submitted) in &meta {
+            wall.push(done.saturating_duration_since(*submitted).as_nanos() as u64);
+            cycles.push(makespan_cycles);
+        }
+    }
     let (mut ok, mut errs) = (0u64, 0u64);
-    for ((ticket, submitted), outcome) in meta.into_iter().zip(outcomes) {
+    for ((ticket, _), outcome) in meta.into_iter().zip(outcomes) {
         match &outcome {
             Ok(_) => ok += 1,
             Err(_) => errs += 1,
         }
-        wall.push(done.saturating_duration_since(submitted).as_nanos() as u64);
-        cycles.push(makespan_cycles);
         ticket.complete(outcome);
     }
     stats.completed.fetch_add(ok, Ordering::Relaxed);
@@ -1498,7 +1445,6 @@ mod tests {
             workers: 2,
             queue_capacity: 64,
             max_batch: 8,
-            flush_interval: Duration::from_micros(50),
             ..Default::default()
         }
     }
@@ -1534,7 +1480,7 @@ mod tests {
             assert_eq!(ticket.wait().unwrap(), &(&job.a * &job.b) % &job.modulus);
         }
         // Bulk submission larger than the queue capacity still drains
-        // (the call blocks per slot, the batcher frees space).
+        // (the call blocks per slot, the executors free space).
         let big = jobs_mod(97, 200);
         let tickets = service.handle().submit_many(big.clone()).unwrap();
         for (job, ticket) in big.iter().zip(&tickets) {
@@ -1547,6 +1493,42 @@ mod tests {
             service.handle().submit_many(jobs_mod(97, 2)).err(),
             Some(SubmitError::Stopped)
         );
+    }
+
+    #[test]
+    fn try_submit_many_queues_the_prefix_that_fits() {
+        use crate::test_util::{gated_pool, Gate};
+        let gate = Gate::new();
+        let config = ServiceConfig {
+            workers: 1,
+            queue_capacity: 3,
+            pipeline_depth: 1,
+            ..Default::default()
+        };
+        let service = ModSramService::new(gated_pool(&gate), config);
+        let jobs = jobs_mod(97, 6);
+        // The executor holds job 0 at the gate: three slots stay free.
+        let held = service.submit(jobs[0].clone()).unwrap();
+        gate.wait_entered(1);
+        let handle = service.handle();
+        let (tickets, refused) = handle.try_submit_many(jobs[1..].to_vec());
+        assert_eq!(tickets.len(), 3);
+        assert_eq!(refused, Some((SubmitError::QueueFull, jobs[4..].to_vec())));
+        assert_eq!(service.stats().rejected, 2, "one per refused job");
+        service.pause_admissions();
+        let (none, paused) = handle.try_submit_many(jobs[4..].to_vec());
+        assert!(none.is_empty());
+        assert_eq!(paused, Some((SubmitError::Paused, jobs[4..].to_vec())));
+        gate.open();
+        for (job, ticket) in jobs.iter().zip(std::iter::once(&held).chain(&tickets)) {
+            assert_eq!(ticket.wait().unwrap(), &(&job.a * &job.b) % &job.modulus);
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.completed, 4);
+        assert_eq!(stats.batches, 2, "the queued prefix ran as one batch");
+        let (none, stopped) = handle.try_submit_many(jobs_mod(97, 1));
+        assert!(none.is_empty());
+        assert_eq!(stopped.map(|(e, _)| e), Some(SubmitError::Stopped));
     }
 
     #[test]
@@ -1608,9 +1590,9 @@ mod tests {
         assert_eq!(ticket.wait_deadline(Instant::now()), None);
         assert!(!ticket.is_done(), "timing out must not consume the ticket");
         // Late delivery still redeems: the same ticket can be waited on
-        // again after any number of timeouts.
+        // again after any number of timeouts, whether the delivery lands
+        // before or during that wait.
         let deliverer = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
             state.complete(Ok(UBig::from(9u64)));
         });
         assert_eq!(

@@ -350,25 +350,15 @@ pub fn gated_pool(gate: &Arc<Gate>) -> ContextPool {
     })
 }
 
-/// The default [`ServiceConfig`] with no coalescing window: each
-/// dependent multiplication a consumer streams through a service runs at
-/// once instead of waiting `flush_interval` for company that never comes.
-pub fn unbatched_service_config() -> ServiceConfig {
-    ServiceConfig {
-        flush_interval: Duration::ZERO,
-        ..Default::default()
-    }
-}
-
 /// How long [`saturate_gated_home`] waits for a gate-held tile to take
-/// one more job before it declares the fixed point unreachable.
+/// one more job before it declares the fixed point unreachable, and
+/// [`wait_for_submitted`] waits for one more accepted submission.
 pub const SATURATE_STALL_LIMIT: Duration = Duration::from_secs(30);
 
 /// Fills `p`'s home tile of a cluster built over [`gated_pool`]s with
 /// tiles shaped like `tile` (`max_batch: 1`) to its fixed point while
-/// the gate is shut: each of the `pipeline_depth` executors holds one
-/// job, the executor hand-off `pipeline_depth` more, the batcher one it
-/// cannot hand off, and the queue its whole capacity. Nothing moves
+/// the gate is shut: each of the `pipeline_depth` executors holds the
+/// one job it took, and the queue its whole capacity. Nothing moves
 /// until the gate opens, so every later submission to that tile is
 /// refused (or parks). Returns the accepted tickets.
 ///
@@ -385,7 +375,7 @@ pub fn saturate_gated_home(
     tile: &ServiceConfig,
 ) -> Vec<Ticket> {
     assert_eq!(tile.max_batch, 1, "one job per batch");
-    let fixed_point = 2 * tile.pipeline_depth + 1 + tile.queue_capacity;
+    let fixed_point = tile.pipeline_depth + tile.queue_capacity;
     let job = |i: usize| MulJob::new(UBig::from(i as u64 + 2), UBig::from(3u64), p.clone());
     let mut accepted = Vec::new();
     let mut last_accept = Instant::now();
@@ -395,7 +385,7 @@ pub fn saturate_gated_home(
                 accepted.push(ticket);
                 last_accept = Instant::now();
             }
-            // The batcher has not drained the queue yet.
+            // An executor has not taken its job from the queue yet.
             Err(ClusterSubmitError::AllTilesSaturated { .. }) => {
                 assert!(
                     last_accept.elapsed() < SATURATE_STALL_LIMIT,
@@ -418,6 +408,29 @@ pub fn saturate_gated_home(
         "the home tile is saturated"
     );
     accepted
+}
+
+/// Spins until `cluster` has accepted more than `jobs` submissions, so
+/// a soak acts on a stream with real in-flight depth instead of after a
+/// guessed sleep.
+///
+/// # Panics
+///
+/// Panics if the accepted count stops growing for
+/// [`SATURATE_STALL_LIMIT`] before it passes `jobs`.
+pub fn wait_for_submitted(cluster: &ServiceCluster, jobs: u64) {
+    let (mut seen, mut last_progress) = (0, Instant::now());
+    while seen <= jobs {
+        let submitted = cluster.stats().submitted;
+        if submitted > seen {
+            (seen, last_progress) = (submitted, Instant::now());
+        }
+        assert!(
+            last_progress.elapsed() < SATURATE_STALL_LIMIT,
+            "submissions stalled at {seen} of {jobs}"
+        );
+        std::thread::yield_now();
+    }
 }
 
 /// A [`ContextPool`] whose every prepared context is a

@@ -13,7 +13,7 @@ use modsram_core::cluster::{
 };
 use modsram_core::dispatch::{ContextPool, MulJob};
 use modsram_core::service::{ServiceConfig, ServiceError, Ticket};
-use modsram_core::test_util::{failing_pool, slow_pool, FailureMode};
+use modsram_core::test_util::{failing_pool, slow_pool, wait_for_submitted, FailureMode};
 
 fn oracle(job: &MulJob) -> UBig {
     &(&job.a * &job.b) % &job.modulus
@@ -49,7 +49,6 @@ fn tiny_tile_config() -> ServiceConfig {
         workers: 1,
         queue_capacity: 16,
         max_batch: 2,
-        flush_interval: Duration::ZERO,
         pipeline_depth: 1,
         ..Default::default()
     }
@@ -171,7 +170,6 @@ fn backpressure_spills_to_least_loaded_tile_and_strict_saturates() {
         workers: 1,
         queue_capacity: 2,
         max_batch: 1,
-        flush_interval: Duration::ZERO,
         pipeline_depth: 1,
         ..Default::default()
     };
@@ -264,7 +262,6 @@ fn soak_shutdown_mid_stream_drains_every_ticket_exactly_once() {
                 workers: 2,
                 queue_capacity: 128,
                 max_batch: 16,
-                flush_interval: Duration::from_micros(100),
                 ..Default::default()
             },
             poison_after: 3,
@@ -300,10 +297,11 @@ fn soak_shutdown_mid_stream_drains_every_ticket_exactly_once() {
                 all_tickets.lock().unwrap().extend(tickets);
             });
         }
-        // Let the submitters build up real in-flight depth, then pull
-        // the plug while they are mid-stream. `shutdown` returns only
-        // after every tile has drained.
-        std::thread::sleep(Duration::from_millis(40));
+        // Let the submitters build up real in-flight depth (a tenth of
+        // their 40 000 jobs), then pull the plug while they are
+        // mid-stream. `shutdown` returns only after every tile has
+        // drained.
+        wait_for_submitted(&cluster, 4_000);
         cluster.shutdown();
     });
 
@@ -345,7 +343,6 @@ fn reset_window_clears_coalesce_and_latency_but_not_lifetime_counters() {
                 workers: 2,
                 queue_capacity: 64,
                 max_batch: 4,
-                flush_interval: Duration::from_micros(20),
                 ..Default::default()
             },
             ..Default::default()

@@ -5,8 +5,6 @@
 //! lifecycle test walks drain → probation → re-admission → add
 //! through the public API.
 
-use std::time::Duration;
-
 use modsram_bigint::UBig;
 use modsram_core::cluster::{
     home_tile_for, rendezvous_ranking, weighted_home_tile_for, weighted_rendezvous_ranking,
@@ -14,7 +12,7 @@ use modsram_core::cluster::{
 };
 use modsram_core::dispatch::MulJob;
 use modsram_core::service::{ModSramService, ServiceConfig, Ticket};
-use modsram_core::test_util::{gated_pool, saturate_gated_home, Gate};
+use modsram_core::test_util::{gated_pool, saturate_gated_home, wait_for_submitted, Gate};
 use modsram_core::CoreError;
 use proptest::prelude::*;
 
@@ -28,7 +26,6 @@ fn quick_config() -> ClusterConfig {
             workers: 1,
             queue_capacity: 64,
             max_batch: 8,
-            flush_interval: Duration::ZERO,
             pipeline_depth: 1,
             ..Default::default()
         },
@@ -205,7 +202,6 @@ fn reweigh_mid_stream_loses_no_accepted_ticket() {
                 workers: 2,
                 queue_capacity: 128,
                 max_batch: 16,
-                flush_interval: Duration::from_micros(100),
                 ..Default::default()
             },
             probation_after: 2,
@@ -248,13 +244,14 @@ fn reweigh_mid_stream_loses_no_accepted_ticket() {
             });
         }
         // Let the submitters build real in-flight depth, then flip the
-        // weight up and back down under load.
-        std::thread::sleep(Duration::from_millis(10));
+        // weight up and back down under load, each flip after another
+        // eighth of the 16 000 jobs.
+        wait_for_submitted(&cluster, 2_000);
         let up = cluster
             .set_tile_weight(upgraded, 8)
             .expect("live reweigh succeeds");
         assert_eq!(cluster.tile_weight(upgraded), Some(8));
-        std::thread::sleep(Duration::from_millis(10));
+        wait_for_submitted(&cluster, 4_000);
         let down = cluster
             .set_tile_weight(upgraded, 1)
             .expect("live reweigh back succeeds");
@@ -299,7 +296,6 @@ fn drain_mid_stream_loses_no_accepted_ticket() {
                 workers: 2,
                 queue_capacity: 128,
                 max_batch: 16,
-                flush_interval: Duration::from_micros(100),
                 ..Default::default()
             },
             probation_after: 2,
@@ -341,9 +337,9 @@ fn drain_mid_stream_loses_no_accepted_ticket() {
                 all_tickets.lock().unwrap().extend(tickets);
             });
         }
-        // Let the submitters build real in-flight depth, then drain
-        // the victim tile under load.
-        std::thread::sleep(Duration::from_millis(15));
+        // Let the submitters build real in-flight depth (3 000 of
+        // their 16 000 jobs), then drain the victim tile under load.
+        wait_for_submitted(&cluster, 3_000);
         let report = cluster.drain_tile(victim).expect("live drain succeeds");
         assert_eq!(report.active_tiles, 3);
     });
@@ -380,7 +376,6 @@ fn blocked_submit_rideses_out_a_drain_of_its_home() {
         workers: 1,
         queue_capacity: 2,
         max_batch: 1,
-        flush_interval: Duration::ZERO,
         pipeline_depth: 1,
         ..Default::default()
     };

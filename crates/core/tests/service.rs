@@ -34,7 +34,6 @@ proptest! {
     fn streamed_equals_staged_equals_oracle(
         picks in prop::collection::vec((0usize..4, any::<u64>(), any::<u64>()), 1..60),
         max_batch in 1usize..16,
-        flush_us in 0u64..200,
     ) {
         let moduli = modulus_pool();
         let jobs: Vec<MulJob> = picks
@@ -58,7 +57,6 @@ proptest! {
                 workers: 4,
                 queue_capacity: 32,
                 max_batch,
-                flush_interval: Duration::from_micros(flush_us),
                 ..Default::default()
             },
         )
@@ -91,7 +89,6 @@ fn shutdown_drains_all_tickets() {
             workers: 2,
             queue_capacity: 512,
             max_batch: 16,
-            flush_interval: Duration::from_millis(5),
             ..Default::default()
         },
     )
@@ -133,7 +130,6 @@ fn backpressure_try_submit_reports_queue_full() {
             workers: 1,
             queue_capacity: 3,
             max_batch: 1,
-            flush_interval: Duration::ZERO,
             pipeline_depth: 1,
             ..Default::default()
         },
@@ -141,9 +137,8 @@ fn backpressure_try_submit_reports_queue_full() {
     let p = UBig::from(97u64);
     let job = |i: u64| MulJob::new(UBig::from(i + 2), UBig::from(i + 3), p.clone());
 
-    // The service can hold `queue_capacity` jobs in the queue plus a
-    // bounded pipeline slack (one executing, one in the executor
-    // hand-off, one held by the batcher). With 30 ms per
+    // The service can hold `queue_capacity` jobs in the queue plus the
+    // one job its single executor has taken. With 30 ms per
     // multiplication, a tight try_submit loop must hit QueueFull long
     // before the executor drains anything.
     let mut tickets = Vec::new();
@@ -218,7 +213,6 @@ fn executor_panic_fails_tickets_instead_of_hanging() {
             workers: 1,
             queue_capacity: 16,
             max_batch: 4,
-            flush_interval: Duration::ZERO,
             pipeline_depth: 1,
             ..Default::default()
         },
@@ -250,7 +244,6 @@ fn four_submitter_threads_share_one_service() {
             workers: 4,
             queue_capacity: 256,
             max_batch: 32,
-            flush_interval: Duration::from_micros(200),
             ..Default::default()
         },
     )

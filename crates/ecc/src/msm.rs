@@ -312,8 +312,7 @@ mod tests {
         use crate::curves::{secp256k1_fast, secp256k1_via};
         use modsram_core::cluster::{ClusterConfig, ServiceCluster};
         use modsram_core::dispatch::ContextPool;
-        use modsram_core::service::{ModSramService, MulBackend, Staged};
-        use modsram_core::test_util::unbatched_service_config;
+        use modsram_core::service::{ModSramService, MulBackend, ServiceConfig, Staged};
 
         let fast = secp256k1_fast();
         let mut rng = SmallRng::seed_from_u64(123);
@@ -348,12 +347,9 @@ mod tests {
             pool: &pool,
         };
         let service =
-            ModSramService::for_engine_name("montgomery", unbatched_service_config()).unwrap();
-        let cluster_config = ClusterConfig {
-            service: unbatched_service_config(),
-            ..Default::default()
-        };
-        let cluster = ServiceCluster::for_engine_name("montgomery", 2, cluster_config).unwrap();
+            ModSramService::for_engine_name("montgomery", ServiceConfig::default()).unwrap();
+        let cluster =
+            ServiceCluster::for_engine_name("montgomery", 2, ClusterConfig::default()).unwrap();
         for (name, backend) in [
             ("staged", &staged as &dyn MulBackend),
             ("service", &service),

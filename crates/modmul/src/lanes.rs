@@ -24,7 +24,7 @@
 //!   and the conditional subtractions, across lanes.
 //! * [`R4CsaLanes`] — the Algorithm 3 digit loop across lanes for one
 //!   multiplicand run (Table 1b is shared by construction, exactly the
-//!   coalescing order the service batcher produces).
+//!   multiplicand-major order the service sorts each batch into).
 //! * [`CarryFreeLanes`] — the carry-free radix-2 loop of
 //!   [`crate::carryfree`] across lanes (no shared-multiplicand
 //!   requirement: the injected addend is the lane's own `B`).

@@ -409,8 +409,8 @@ impl PreparedR4Csa {
     }
 
     /// Splits the batch into maximal equal-multiplicand runs and hands
-    /// each run to `per_run` — the access pattern the service batcher's
-    /// multiplicand-major coalescing produces.
+    /// each run to `per_run` — the access pattern the service's
+    /// multiplicand-major batch sort produces.
     fn for_each_run(
         &self,
         pairs: &[(UBig, UBig)],

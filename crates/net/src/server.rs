@@ -4,10 +4,12 @@
 //!
 //! The division of labour keeps every blocking point bounded:
 //!
-//! * the **reader** parses frames and runs admission control (tenant
-//!   limits first, then the backend's `try_submit`), so a saturated
-//!   cluster answers with a typed [`Frame::RetryAfter`] instead of a
-//!   stalled or dropped connection;
+//! * the **reader** parses frames and runs admission control (the
+//!   drain and tenant limits per job, then one `try_submit_many` per
+//!   frame into the backend), so a saturated cluster answers with a
+//!   typed [`Frame::RetryAfter`] instead of a stalled or dropped
+//!   connection. A [`Frame::SubmitBatch`] thus reaches its tile whole:
+//!   the client's batch is the tile's batch too;
 //! * the **completer** owns the connection's in-flight tickets and
 //!   delivers terminal frames **out of submission order** — it parks
 //!   on the oldest ticket with [`Ticket::wait_deadline`] in short
@@ -41,6 +43,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use modsram_core::cluster::{ClusterHandle, ClusterSubmitError};
+use modsram_core::dispatch::MulJob;
 use modsram_core::service::{SubmitError, SubmitHandle, Ticket};
 
 use crate::frame::{read_frame_into, write_frame, Frame, RetryReason, DEFAULT_MAX_PAYLOAD};
@@ -71,23 +74,40 @@ enum Admission {
 }
 
 impl NetBackend {
-    fn try_submit(&self, job: modsram_core::dispatch::MulJob) -> Admission {
+    /// Offers jobs without blocking, one outcome per job in job order.
+    /// The backend queues each tile's share whole, so a `SubmitBatch`
+    /// frame is one tile batch.
+    fn try_submit_many(&self, jobs: Vec<MulJob>) -> Vec<Admission> {
         match self {
-            NetBackend::Tile(handle) => match handle.try_submit(job) {
-                Ok(ticket) => Admission::Accepted(ticket),
-                Err(SubmitError::QueueFull) => Admission::Retry(RetryReason::QueueFull),
-                Err(SubmitError::Paused) => Admission::Retry(RetryReason::TilePaused),
-                Err(SubmitError::Stopped) => Admission::Dead("tile stopped"),
-            },
-            NetBackend::Cluster(handle) => match handle.try_submit(job) {
-                Ok(ticket) => Admission::Accepted(ticket),
-                Err(ClusterSubmitError::AllTilesSaturated { tried }) => {
-                    Admission::Retry(RetryReason::Saturated {
-                        tried: tried as u32,
-                    })
-                }
-                Err(ClusterSubmitError::Stopped) => Admission::Dead("cluster stopped"),
-            },
+            NetBackend::Tile(handle) => {
+                let (tickets, refused) = handle.try_submit_many(jobs);
+                let refused = refused.into_iter().flat_map(|(e, rest)| {
+                    let refusal = move || match e {
+                        SubmitError::QueueFull => Admission::Retry(RetryReason::QueueFull),
+                        SubmitError::Paused => Admission::Retry(RetryReason::TilePaused),
+                        SubmitError::Stopped => Admission::Dead("tile stopped"),
+                    };
+                    std::iter::repeat_with(refusal).take(rest.len())
+                });
+                tickets
+                    .into_iter()
+                    .map(Admission::Accepted)
+                    .chain(refused)
+                    .collect()
+            }
+            NetBackend::Cluster(handle) => handle
+                .try_submit_many(jobs)
+                .into_iter()
+                .map(|outcome| match outcome {
+                    Ok(ticket) => Admission::Accepted(ticket),
+                    Err(ClusterSubmitError::AllTilesSaturated { tried }) => {
+                        Admission::Retry(RetryReason::Saturated {
+                            tried: tried as u32,
+                        })
+                    }
+                    Err(ClusterSubmitError::Stopped) => Admission::Dead("cluster stopped"),
+                })
+                .collect(),
         }
     }
 }
@@ -545,19 +565,10 @@ fn reader_loop(
         shared.meter.frame_in(Some(tenant.name()), bytes);
         match frame {
             Frame::Submit { req_id, job } => {
-                admit_one(shared, pending, tenant, writer, req_id, job);
+                admit(shared, pending, tenant, writer, req_id, vec![job]);
             }
             Frame::SubmitBatch { first_req_id, jobs } => {
-                for (i, job) in jobs.into_iter().enumerate() {
-                    admit_one(
-                        shared,
-                        pending,
-                        tenant,
-                        writer,
-                        first_req_id.wrapping_add(i as u64),
-                        job,
-                    );
-                }
+                admit(shared, pending, tenant, writer, first_req_id, jobs);
             }
             Frame::Goodbye => break,
             // Anything else from a client is a protocol error; close
@@ -570,74 +581,80 @@ fn reader_loop(
     pending.wake.notify_all();
 }
 
-fn admit_one(
+/// Admits the jobs of one `Submit` or `SubmitBatch` frame, with ids
+/// counting up from `first_req_id`. Each job passes the drain check and
+/// the tenant's limits; the survivors reach the backend in one
+/// non-blocking `try_submit_many`.
+fn admit(
     shared: &ServerShared,
     pending: &PendingQueue,
     tenant: &Arc<TenantCell>,
     writer: &ConnWriter,
-    req_id: u64,
-    job: modsram_core::dispatch::MulJob,
+    first_req_id: u64,
+    jobs: Vec<MulJob>,
 ) {
     let t0 = Instant::now();
     let hint = shared.config.retry_after_hint.as_millis() as u32;
-    // Drain check first: once observed, this reader never admits
-    // again, which is what lets the completer exit safely.
-    if shared.draining.load(Ordering::Acquire) {
-        let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.drain_observed = true;
-        drop(state);
-        pending.wake.notify_all();
-        reject(shared, tenant, writer, req_id, RetryReason::Draining, hint);
-        return;
+    let mut drained = false;
+    let (mut ids, mut offered) = (Vec::with_capacity(jobs.len()), Vec::new());
+    for (i, job) in jobs.into_iter().enumerate() {
+        let req_id = first_req_id.wrapping_add(i as u64);
+        // Drain check first: once observed, this reader never admits
+        // again, which is what lets the completer exit safely. The
+        // completer learns of it below, after this frame's accepted
+        // tickets are queued for it.
+        drained = drained || shared.draining.load(Ordering::Acquire);
+        let refusal = if drained {
+            Some((RetryReason::Draining, hint))
+        } else {
+            match tenant.begin_job() {
+                Ok(()) => None,
+                Err(TenantRefusal::RateLimited { retry_after }) => Some((
+                    RetryReason::RateLimited,
+                    (retry_after.as_millis() as u32).max(1),
+                )),
+                Err(TenantRefusal::InflightFull) => Some((RetryReason::InflightCap, hint)),
+            }
+        };
+        match refusal {
+            Some((reason, millis)) => reject(shared, tenant, writer, req_id, reason, millis),
+            None => {
+                ids.push(req_id);
+                offered.push(job);
+            }
+        }
     }
-    // Tenant limits, then the backend.
-    match tenant.begin_job() {
-        Err(TenantRefusal::RateLimited { retry_after }) => {
-            let millis = (retry_after.as_millis() as u32).max(1);
-            reject(
-                shared,
-                tenant,
-                writer,
-                req_id,
-                RetryReason::RateLimited,
-                millis,
-            );
-        }
-        Err(TenantRefusal::InflightFull) => {
-            reject(
-                shared,
-                tenant,
-                writer,
-                req_id,
-                RetryReason::InflightCap,
-                hint,
-            );
-        }
-        Ok(()) => match shared.backend.try_submit(job) {
-            Admission::Accepted(ticket) => {
-                shared.meter.job_accepted(tenant.name());
-                let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-                state.queue.push_back(Pending { req_id, ticket, t0 });
-                drop(state);
-                pending.wake.notify_all();
-            }
-            Admission::Retry(reason) => {
-                tenant.end_job();
-                reject(shared, tenant, writer, req_id, reason, hint);
-            }
-            Admission::Dead(why) => {
-                tenant.end_job();
-                shared.meter.job_dead(tenant.name());
-                writer.send(
-                    &shared.meter,
-                    Some(tenant.name()),
-                    &[Frame::JobFailed {
+    let mut accepted = Vec::with_capacity(ids.len());
+    if !offered.is_empty() {
+        let admissions = shared.backend.try_submit_many(offered);
+        for (req_id, admission) in ids.into_iter().zip(admissions) {
+            match admission {
+                Admission::Accepted(ticket) => {
+                    shared.meter.job_accepted(tenant.name());
+                    accepted.push(Pending { req_id, ticket, t0 });
+                }
+                Admission::Retry(reason) => {
+                    tenant.end_job();
+                    reject(shared, tenant, writer, req_id, reason, hint);
+                }
+                Admission::Dead(why) => {
+                    tenant.end_job();
+                    shared.meter.job_dead(tenant.name());
+                    let failed = Frame::JobFailed {
                         req_id,
                         reason: why.to_string(),
-                    }],
-                );
+                    };
+                    writer.send(&shared.meter, Some(tenant.name()), &[failed]);
+                }
             }
-        },
+        }
+    }
+    if !accepted.is_empty() || drained {
+        let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.queue.extend(accepted);
+        state.drain_observed |= drained;
+        drop(state);
+        pending.wake.notify_all();
     }
 }
 

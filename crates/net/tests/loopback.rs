@@ -3,6 +3,8 @@
 //! and the multi-client drain-on-shutdown soak the CI tier-1 step
 //! runs by name.
 
+use std::collections::HashMap;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -10,10 +12,12 @@ use std::time::{Duration, Instant};
 use modsram_bigint::UBig;
 use modsram_core::cluster::{ClusterConfig, ServiceCluster, SpillPolicy};
 use modsram_core::dispatch::MulJob;
-use modsram_core::service::ServiceConfig;
+use modsram_core::service::{ModSramService, ServiceConfig};
+use modsram_core::test_util::{gated_pool, Gate};
+use modsram_net::frame::{read_frame, write_frame, DEFAULT_MAX_PAYLOAD};
 use modsram_net::{
-    NetBackend, RetryReason, TenantLimits, TenantRegistry, WireClient, WireConfig, WireError,
-    WireResponse, WireServer,
+    Frame, NetBackend, RetryReason, TenantLimits, TenantRegistry, WireClient, WireConfig,
+    WireError, WireResponse, WireServer,
 };
 
 fn job(a: u64, b: u64, p: u64) -> MulJob {
@@ -29,6 +33,18 @@ fn registry_with(name: &str, key: u64, limits: TenantLimits) -> Arc<TenantRegist
 /// How long a test waits without progress before it fails instead of
 /// hanging.
 const STALL_LIMIT: Duration = Duration::from_secs(30);
+
+fn oracle(job: &MulJob) -> UBig {
+    &(&job.a * &job.b) % &job.modulus
+}
+
+/// Reads the next frame the server sends on a raw connection.
+fn recv(stream: &mut TcpStream) -> Frame {
+    match read_frame(stream, DEFAULT_MAX_PAYLOAD) {
+        Ok(Some((frame, _))) => frame,
+        other => panic!("expected a frame, got {other:?}"),
+    }
+}
 
 /// Spins until the server has accepted `jobs` jobs, failing after
 /// [`STALL_LIMIT`] without a new acceptance.
@@ -79,6 +95,154 @@ fn shutdown_wakes_the_blocked_acceptor_on_an_unspecified_address() {
     cluster.shutdown();
 }
 
+/// A `SubmitBatch` frame reaches the tile whole: on an idle
+/// single-tile server its 64 jobs run as exactly one batch, window
+/// after window. (Admitted job by job, a warm executor takes the
+/// first jobs of a frame before the rest arrive.)
+#[test]
+fn submit_batch_frame_runs_as_one_batch_on_an_idle_tile() {
+    let cluster = ServiceCluster::for_engine_name("barrett", 1, ClusterConfig::default()).unwrap();
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        NetBackend::Cluster(cluster.handle()),
+        registry_with("window", 5, TenantLimits::default()),
+        WireConfig::default(),
+    )
+    .unwrap();
+    let mut client = WireClient::connect(server.local_addr(), "window", 5).unwrap();
+    // A closed-loop window: eight runs of eight jobs sharing `b`.
+    let jobs: Vec<MulJob> = (0..64u64)
+        .map(|i| job(i + 2, i / 8 + 3, 1_000_003))
+        .collect();
+    for window in 1..=8u64 {
+        let ids = client.submit_batch(jobs.clone()).unwrap();
+        for (job, id) in jobs.iter().zip(ids) {
+            match client.wait(id).unwrap() {
+                WireResponse::Done(product) => assert_eq!(product, oracle(job)),
+                other => panic!("job {id}: {other:?}"),
+            }
+        }
+        let tile = cluster.stats().tiles[0].service.clone();
+        assert_eq!(tile.batches, window, "each frame ran as one batch");
+        assert_eq!((tile.coalesce_min, tile.coalesce_max), (64, 64));
+    }
+    client.close().unwrap();
+    server.shutdown();
+    cluster.shutdown();
+}
+
+/// A frame longer than the tile's free queue capacity: the tile takes
+/// the prefix that fits, exactly the overflow suffix gets `RetryAfter`
+/// (in request-id order), and the accepted prefix answers correctly.
+#[test]
+fn submit_batch_overflow_suffix_gets_retry_after_in_order() {
+    // The same frame over a one-tile cluster and over a bare tile: only
+    // the refusal reason differs.
+    for over_cluster in [true, false] {
+        overflow_suffix_gets_retry_after_in_order(over_cluster);
+    }
+}
+
+fn overflow_suffix_gets_retry_after_in_order(over_cluster: bool) {
+    let tile = ServiceConfig {
+        workers: 1,
+        queue_capacity: 8,
+        pipeline_depth: 1,
+        ..Default::default()
+    };
+    let gate = Gate::new();
+    let (backend, cluster, service, want_reason) = if over_cluster {
+        let config = ClusterConfig {
+            service: tile,
+            ..Default::default()
+        };
+        let cluster = ServiceCluster::new(vec![gated_pool(&gate)], config);
+        let backend = NetBackend::Cluster(cluster.handle());
+        (
+            backend,
+            Some(cluster),
+            None,
+            RetryReason::Saturated { tried: 1 },
+        )
+    } else {
+        let service = ModSramService::new(gated_pool(&gate), tile);
+        let backend = NetBackend::Tile(service.handle());
+        (backend, None, Some(service), RetryReason::QueueFull)
+    };
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        backend,
+        registry_with("overflow", 9, TenantLimits::default()),
+        WireConfig::default(),
+    )
+    .unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(STALL_LIMIT)).unwrap();
+    let hello = Frame::Hello {
+        tenant: "overflow".into(),
+        key: 9,
+    };
+    write_frame(&mut stream, &hello).unwrap();
+    assert!(matches!(recv(&mut stream), Frame::HelloOk { .. }));
+
+    // The executor takes job 0 and holds it at the shut gate, so the
+    // queue's whole capacity is free and stays free.
+    let jobs: Vec<MulJob> = (0..13u64).map(|i| job(i + 2, 3, 1_000_003)).collect();
+    let first = Frame::Submit {
+        req_id: 0,
+        job: jobs[0].clone(),
+    };
+    write_frame(&mut stream, &first).unwrap();
+    gate.wait_entered(1);
+    // Twelve jobs for eight free slots: ids 1..=8 fit, 9..=12 overflow.
+    let batch = Frame::SubmitBatch {
+        first_req_id: 1,
+        jobs: jobs[1..].to_vec(),
+    };
+    write_frame(&mut stream, &batch).unwrap();
+    // Nothing can complete while the gate is shut, so the refusals are
+    // the first frames back.
+    for want in 9..=12u64 {
+        match recv(&mut stream) {
+            Frame::RetryAfter { req_id, reason, .. } => {
+                assert_eq!(req_id, want, "refusals arrive in request-id order");
+                assert_eq!(reason, want_reason);
+            }
+            other => panic!("expected RetryAfter for {want}, got {other:?}"),
+        }
+    }
+    gate.open();
+    let mut done = HashMap::new();
+    while done.len() < 9 {
+        match recv(&mut stream) {
+            Frame::Done { req_id, product } => {
+                assert!(done.insert(req_id, product).is_none(), "duplicate {req_id}");
+            }
+            other => panic!("expected Done, got {other:?}"),
+        }
+    }
+    for (req_id, job) in jobs.iter().enumerate().take(9) {
+        assert_eq!(
+            done.get(&(req_id as u64)),
+            Some(&oracle(job)),
+            "job {req_id}"
+        );
+    }
+    write_frame(&mut stream, &Frame::Goodbye).unwrap();
+    assert_eq!(recv(&mut stream), Frame::Bye { completed: 9 });
+
+    let stats = server.shutdown();
+    assert_eq!(stats.accepted, 9);
+    assert_eq!(stats.retries(want_reason.label()), 4);
+    if let Some(cluster) = cluster {
+        cluster.shutdown();
+    }
+    if let Some(service) = service {
+        // The tile counts the refused suffix itself, one per job.
+        assert_eq!(service.shutdown().rejected, 4);
+    }
+}
+
 #[test]
 fn hello_is_authenticated_against_the_registry() {
     let cluster = ServiceCluster::for_engine_name("barrett", 1, ClusterConfig::default()).unwrap();
@@ -124,7 +288,6 @@ fn paused_tile_during_live_drain_maps_to_tile_paused_retry_frame() {
                 workers: 1,
                 queue_capacity: 256,
                 max_batch: 16,
-                flush_interval: Duration::from_micros(200),
                 ..Default::default()
             },
             ..Default::default()
@@ -206,7 +369,6 @@ fn strict_saturation_maps_to_saturated_retry_frame() {
                 workers: 1,
                 queue_capacity: 4,
                 max_batch: 4,
-                flush_interval: Duration::from_micros(100),
                 ..Default::default()
             },
             ..Default::default()
@@ -369,7 +531,6 @@ fn multi_client_drain_on_shutdown_delivers_every_accepted_response() {
                 workers: 2,
                 queue_capacity: 512,
                 max_batch: 64,
-                flush_interval: Duration::from_micros(100),
                 ..Default::default()
             },
             ..Default::default()

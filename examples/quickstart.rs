@@ -9,7 +9,6 @@
 //! ```
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use modsram::arch::ModSram;
 use modsram::bigint::UBig;
@@ -29,18 +28,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let b = UBig::from_hex("0fedcba9876543210fedcba9876543210fedcba9876543210fedcba987654321")?;
 
     // ---- The streaming service: the serving entry point ------------------
-    // A ModSramService owns a bounded submission queue, a coalescing
-    // batcher (knobs: `max_batch` jobs per batch, flushed at latest
-    // every `flush_interval`), and the dispatch workers that execute
-    // each batch. Producers hold cloneable handles and never stage
-    // batches themselves.
+    // A ModSramService owns a bounded submission queue, executor
+    // threads that each take whatever has queued up (at most
+    // `max_batch` jobs) as one batch, and the dispatch workers that
+    // execute each batch. Producers hold cloneable handles and never
+    // stage batches themselves.
     let service = ModSramService::for_engine_name(
         "r4csa-lut", // the paper's engine; any registry engine works
         ServiceConfig {
             workers: 4,
             queue_capacity: 1024,
             max_batch: 256,
-            flush_interval: Duration::from_micros(100),
             ..Default::default()
         },
     )?;

@@ -29,7 +29,8 @@
 //! Serving starts at the **tile**: a [`ModSramService`] owns one
 //! macro's worth of execution — submit individual multiplications
 //! from any number of threads, get a [`Ticket`] per job, and let the
-//! coalescing batcher keep the tile saturated. The queue is bounded
+//! executors keep the tile saturated: each free executor takes
+//! whatever has queued up as its next batch. The queue is bounded
 //! ([`try_submit` backpressure](arch::service::SubmitHandle::try_submit)),
 //! batches coalesce multiplicand-major (the paper's Table 1b reuse),
 //! and [`ModSramService::shutdown`] drains every in-flight ticket:

@@ -7,8 +7,6 @@
 //! pins streamed-via-cluster ≡ staged ≡ oracle over random tile
 //! counts, spill policies, and coalescing knobs.
 
-use std::time::Duration;
-
 use modsram::apps::ecdsa::{verify_batch, SigningKey, VerifyRequest};
 use modsram::apps::PedersenCommitter;
 use modsram::arch::cluster::{ClusterConfig, ServiceCluster, SpillPolicy};
@@ -24,15 +22,14 @@ use proptest::prelude::*;
 
 #[test]
 fn heterogeneous_tenants_interleave_on_one_service() {
-    // Small coalescing window: tenants trickle dependent
-    // multiplications, so round-trip latency tracks the flush interval.
+    // Tenants trickle dependent multiplications: each one runs as soon
+    // as an executor is free, batched with whatever else has queued.
     let service = ModSramService::for_engine_name(
         "montgomery",
         ServiceConfig {
             workers: 4,
             queue_capacity: 512,
             max_batch: 64,
-            flush_interval: Duration::from_micros(20),
             ..Default::default()
         },
     )
@@ -142,7 +139,6 @@ fn heterogeneous_tenants_interleave_on_a_cluster() {
                 workers: 2,
                 queue_capacity: 512,
                 max_batch: 64,
-                flush_interval: Duration::from_micros(20),
                 ..Default::default()
             },
             poison_after: 3,
@@ -252,7 +248,6 @@ proptest! {
         strict in any::<bool>(),
         max_hops in 0usize..3,
         max_batch in 1usize..16,
-        flush_us in 0u64..150,
     ) {
         let tiles = [1usize, 2, 4][tiles_pick];
         let moduli = cluster_modulus_pool();
@@ -287,7 +282,6 @@ proptest! {
                     workers: 2,
                     queue_capacity: 32,
                     max_batch,
-                    flush_interval: Duration::from_micros(flush_us),
                     ..Default::default()
                 },
                 poison_after: 3,
