@@ -58,15 +58,26 @@ fn summarize(name: &str, v: &Value) -> (Value, String) {
                     num(r, "speedup"),
                 )
             });
+            // r4csa-lut's single-job speedup over its stepper at 256 bits.
+            let single = sweep
+                .iter()
+                .find(|r| {
+                    r.get("engine").and_then(Value::as_str) == Some("r4csa-lut")
+                        && count(r, "bits") == 256
+                        && count(r, "run") == 1
+                })
+                .map_or(f64::NAN, |r| num(r, "speedup"));
             (
                 serde_json::json!({
                     "rows": sweep.len(),
                     "best_laned_speedup": speedup,
                     "best_laned_engine": engine.as_str(),
                     "best_laned_bits": bits,
+                    "r4csa_single_job_speedup_256b": single,
                 }),
                 format!(
-                    "best laned speedup {speedup:.2}x ({engine} @ {bits}b), {} rows",
+                    "best laned speedup {speedup:.2}x ({engine} @ {bits}b), \
+                     r4csa single job {single:.2}x @ 256b, {} rows",
                     sweep.len()
                 ),
             )

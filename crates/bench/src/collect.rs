@@ -178,9 +178,9 @@ pub fn lut_usage(samples: u64, seed: u64) -> LutUsage {
     }
 }
 
-/// One engine × bitwidth point of the lane-vectorization sweep behind
-/// `results/hotpath_sweep.json`: the forced scalar batch path against
-/// the forced laned batch path on identical operands.
+/// One engine × bitwidth × run-length point of the lane-vectorization
+/// sweep behind `results/hotpath_sweep.json`: the forced scalar batch
+/// path against the forced laned batch path on identical operands.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HotpathSweepRow {
     /// Engine name from the registry.
@@ -189,6 +189,10 @@ pub struct HotpathSweepRow {
     pub bits: usize,
     /// Pairs multiplied per mode.
     pub pairs: usize,
+    /// Multiplicand run length: consecutive pairs sharing one `b`. At 1
+    /// every R4CSA multiplication is its own run, the cost of a tile's
+    /// first job for a modulus; at 8 a run fills the default lanes.
+    pub run: usize,
     /// Lane count of the laned pass.
     pub lanes: usize,
     /// Nanoseconds per multiplication, forced scalar batch (best pass).
@@ -203,11 +207,14 @@ pub struct HotpathSweepRow {
 /// order.
 pub const HOTPATH_ENGINES: [&str; 4] = ["montgomery", "barrett", "r4csa-lut", "carryfree"];
 
-/// Runs the scalar-vs-laned sweep at each bitwidth over `pairs` operand
-/// pairs with multiplicand reuse runs of 8 (so the R4CSA run detection
-/// sees the same locality the service's batch sort produces). Each mode is
-/// timed best-of-`reps`; both modes are asserted identical to the
-/// big-integer oracle every pass.
+/// Multiplicand run lengths the hot-path sweep times: single jobs, and
+/// runs of 8 (the locality the service's batch sort produces).
+pub const HOTPATH_RUNS: [usize; 2] = [1, 8];
+
+/// Runs the scalar-vs-laned sweep at each bitwidth and each of
+/// [`HOTPATH_RUNS`] over `pairs` operand pairs whose multiplicands repeat
+/// in runs of that length. Each mode is timed best-of-`reps`; both modes
+/// are asserted identical to the big-integer oracle every pass.
 ///
 /// # Panics
 ///
@@ -224,47 +231,50 @@ pub fn hotpath_sweep(
     for &bits in bits_list {
         let pairs = pairs_for_bits(bits).max(1);
         let p = sweep_modulus(bits);
-        let mut rng = SmallRng::seed_from_u64(seed ^ bits as u64);
-        let operands: Vec<(UBig, UBig)> = {
-            let mut out = Vec::with_capacity(pairs);
-            let mut b = ubig_below(&mut rng, &p);
-            for i in 0..pairs {
-                if i % 8 == 0 {
-                    b = ubig_below(&mut rng, &p);
+        for run in HOTPATH_RUNS {
+            let mut rng = SmallRng::seed_from_u64(seed ^ bits as u64);
+            let operands: Vec<(UBig, UBig)> = {
+                let mut out = Vec::with_capacity(pairs);
+                let mut b = ubig_below(&mut rng, &p);
+                for i in 0..pairs {
+                    if i % run == 0 {
+                        b = ubig_below(&mut rng, &p);
+                    }
+                    out.push((ubig_below(&mut rng, &p), b.clone()));
                 }
-                out.push((ubig_below(&mut rng, &p), b.clone()));
+                out
+            };
+            let oracle: Vec<UBig> = operands.iter().map(|(a, b)| &(a * b) % &p).collect();
+            for name in HOTPATH_ENGINES {
+                let engine = engine_by_name(name).expect("registry name");
+                let prep = engine.prepare(&p).expect("odd sweep modulus");
+                let mut scalar_best = f64::INFINITY;
+                let mut laned_best = f64::INFINITY;
+                for _ in 0..reps.max(1) {
+                    let start = Instant::now();
+                    let scalar = prep.mod_mul_batch_scalar(&operands).expect("scalar path");
+                    scalar_best = scalar_best.min(start.elapsed().as_secs_f64());
+                    let start = Instant::now();
+                    let laned = prep
+                        .mod_mul_batch_laned(&operands, DEFAULT_LANES)
+                        .expect("laned path");
+                    laned_best = laned_best.min(start.elapsed().as_secs_f64());
+                    assert_eq!(scalar, oracle, "{name}: scalar diverged at {bits} bits");
+                    assert_eq!(laned, oracle, "{name}: laned diverged at {bits} bits");
+                }
+                let scalar_ns = scalar_best * 1e9 / pairs as f64;
+                let laned_ns = laned_best * 1e9 / pairs as f64;
+                rows.push(HotpathSweepRow {
+                    engine: name,
+                    bits,
+                    pairs,
+                    run,
+                    lanes: DEFAULT_LANES,
+                    scalar_ns,
+                    laned_ns,
+                    speedup: scalar_ns / laned_ns,
+                });
             }
-            out
-        };
-        let oracle: Vec<UBig> = operands.iter().map(|(a, b)| &(a * b) % &p).collect();
-        for name in HOTPATH_ENGINES {
-            let engine = engine_by_name(name).expect("registry name");
-            let prep = engine.prepare(&p).expect("odd sweep modulus");
-            let mut scalar_best = f64::INFINITY;
-            let mut laned_best = f64::INFINITY;
-            for _ in 0..reps.max(1) {
-                let start = Instant::now();
-                let scalar = prep.mod_mul_batch_scalar(&operands).expect("scalar path");
-                scalar_best = scalar_best.min(start.elapsed().as_secs_f64());
-                let start = Instant::now();
-                let laned = prep
-                    .mod_mul_batch_laned(&operands, DEFAULT_LANES)
-                    .expect("laned path");
-                laned_best = laned_best.min(start.elapsed().as_secs_f64());
-                assert_eq!(scalar, oracle, "{name}: scalar diverged at {bits} bits");
-                assert_eq!(laned, oracle, "{name}: laned diverged at {bits} bits");
-            }
-            let scalar_ns = scalar_best * 1e9 / pairs as f64;
-            let laned_ns = laned_best * 1e9 / pairs as f64;
-            rows.push(HotpathSweepRow {
-                engine: name,
-                bits,
-                pairs,
-                lanes: DEFAULT_LANES,
-                scalar_ns,
-                laned_ns,
-                speedup: scalar_ns / laned_ns,
-            });
         }
     }
     rows
@@ -564,10 +574,6 @@ pub fn cluster_sweep(spec: &ClusterSweepSpec) -> Vec<ClusterSweepRow> {
                         workers: workers_per_tile,
                         queue_capacity: 8192,
                         max_batch: 256,
-                        // One batch at a time per tile keeps the
-                        // modelled occupancy additive (a physical tile
-                        // has `workers` lanes, not `workers × depth`).
-                        pipeline_depth: 1,
                         ..Default::default()
                     },
                     poison_after: 3,
@@ -702,7 +708,6 @@ pub fn cluster_spill_probe(offered: u64, policies: &[String]) -> Vec<SpillProbeR
                         workers: 1,
                         queue_capacity: 4,
                         max_batch: 1,
-                        pipeline_depth: 1,
                         ..Default::default()
                     },
                     poison_after: 0,
@@ -846,9 +851,6 @@ pub fn elasticity_sweep(spec: &ElasticitySweepSpec) -> Vec<ElasticityPhaseRow> {
         workers: workers_per_tile,
         queue_capacity: 8192,
         max_batch: 256,
-        // One batch at a time per tile keeps the modelled occupancy
-        // additive (a physical tile has `workers` lanes).
-        pipeline_depth: 1,
         ..Default::default()
     };
     let cluster = ServiceCluster::for_engine_name(
@@ -2041,7 +2043,6 @@ fn weighted_fleet_run(
                 workers: 2,
                 queue_capacity: 8192,
                 max_batch: 256,
-                pipeline_depth: 1,
                 ..Default::default()
             },
             poison_after: 3,
@@ -2133,7 +2134,6 @@ fn hot_modulus_run(rounds: usize, burst: u64, replicate_after: u64) -> (u64, f64
                 workers: 1,
                 queue_capacity: 4,
                 max_batch: 1,
-                pipeline_depth: 1,
                 ..Default::default()
             },
             poison_after: 0,

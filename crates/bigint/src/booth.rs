@@ -76,11 +76,20 @@ impl Radix8Digit {
     }
 }
 
-/// Minimum number of radix-4 digits that can represent `a` exactly.
-fn radix4_digit_count(a: &UBig) -> usize {
+/// Number of digits [`radix4_digits_msb_first`] returns for a
+/// multiplier of `a_bits` bits at declared bitwidth `n`.
+pub fn radix4_digit_len(a_bits: usize, n: usize) -> usize {
     // Value-preserving iff the bit just above the covered window is clear:
     // need 2k − 1 ≥ bit_len(a), i.e. k ≥ (bit_len + 1) / 2 rounded up.
-    (a.bit_len() + 2) / 2
+    n.div_ceil(2).max((a_bits + 2) / 2).max(1)
+}
+
+/// Radix-4 Booth digit `i` (weight `4^i`) of `a`, per Table 1a. Every
+/// digit at or above [`radix4_digit_len`] is zero, so a digit loop may
+/// run a shorter multiplier over extra leading steps.
+pub fn radix4_digit(a: &UBig, i: usize) -> Radix4Digit {
+    let a_im1 = i > 0 && a.bit(2 * i - 1);
+    Radix4Digit::encode(a.bit(2 * i + 1), a.bit(2 * i), a_im1)
 }
 
 /// Radix-4 Booth recoding of `a` at declared bitwidth `n`, most
@@ -99,13 +108,9 @@ pub fn radix4_digits_msb_first(a: &UBig, n: usize) -> Vec<Radix4Digit> {
         "multiplier has {} bits, declared width is {n}",
         a.bit_len()
     );
-    let k = (n.div_ceil(2)).max(radix4_digit_count(a)).max(1);
-    (0..k)
+    (0..radix4_digit_len(a.bit_len(), n))
         .rev()
-        .map(|i| {
-            let a_im1 = 2 * i > 0 && a.bit(2 * i - 1);
-            Radix4Digit::encode(a.bit(2 * i + 1), a.bit(2 * i), a_im1)
-        })
+        .map(|i| radix4_digit(a, i))
         .collect()
 }
 

@@ -33,7 +33,10 @@ mod random;
 mod u256;
 mod ubig;
 
-pub use booth::{radix4_digits_msb_first, radix8_digits_msb_first, Radix4Digit, Radix8Digit};
+pub use booth::{
+    radix4_digit, radix4_digit_len, radix4_digits_msb_first, radix8_digits_msb_first, Radix4Digit,
+    Radix8Digit,
+};
 pub use fmt::ParseUBigError;
 pub use modular::{gcd, mod_add, mod_inv, mod_mul, mod_neg, mod_pow, mod_sqrt, mod_sub};
 pub use mont256::{MontCtx256, MontError};

@@ -11,7 +11,7 @@
 //! *home* is the highest-scoring routable tile. Two properties follow:
 //!
 //! * **Coalescing survives sharding.** All traffic for one modulus
-//!   lands on one tile, so that tile's executors still take long
+//!   lands on one tile, so that tile's executor still takes long
 //!   modulus-major, multiplicand-major runs and the paper's Table 1b
 //!   LUT reuse keeps amortising. Hashing jobs round-robin instead
 //!   would shred exactly the locality the architecture is built on.
@@ -135,8 +135,8 @@
 //!   first. Tail latency under skew improves — work flows to idle
 //!   macros — but each spilled modulus is *prepared again* on the
 //!   spill tile (a context-pool miss: Montgomery constants, Barrett
-//!   µ, or a full Table 1b LUT fill) and the spill tile's executors
-//!   coalesce a foreign modulus it will likely never see again, so
+//!   µ, or a full Table 1b LUT fill) and the spill tile's executor
+//!   coalesces a foreign modulus it will likely never see again, so
 //!   its resident tenants lose some multiplicand-run length. Spilling
 //!   buys throughput under overload by diluting the very locality
 //!   affinity routing exists to protect — which is why `max_hops`
@@ -2294,7 +2294,6 @@ mod tests {
             workers: 1,
             queue_capacity: 2,
             max_batch: 1,
-            pipeline_depth: 1,
             ..Default::default()
         };
         for spill in [SpillPolicy::Spill { max_hops: 1 }, SpillPolicy::Strict] {
@@ -2389,7 +2388,6 @@ mod tests {
             workers: 1,
             queue_capacity: 2,
             max_batch: 1,
-            pipeline_depth: 1,
             ..Default::default()
         };
         let config = ClusterConfig {
@@ -2455,7 +2453,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 2,
                 max_batch: 1,
-                pipeline_depth: 1,
                 ..Default::default()
             },
             ..Default::default()
@@ -2601,7 +2598,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 16,
                 max_batch: 1,
-                pipeline_depth: 1,
                 ..Default::default()
             },
             poison_after: 2,
@@ -2735,7 +2731,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 2,
                 max_batch: 1,
-                pipeline_depth: 1,
                 ..Default::default()
             },
             poison_after: 0,

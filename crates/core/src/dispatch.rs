@@ -33,7 +33,7 @@
 //! materialise a whole batch and dispatch it in one call. The
 //! **streaming** half lives in [`crate::service`]: a
 //! [`crate::service::ModSramService`] owns a bounded submission queue
-//! whose executors each take whatever has queued up, at most
+//! whose one executor takes whatever has queued up, at most
 //! [`crate::service::ServiceConfig::max_batch`] jobs, as one
 //! multiplicand-major batch handed to this dispatcher.
 //!

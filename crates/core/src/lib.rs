@@ -39,8 +39,8 @@
 //!   race) the way a JIT picks a code path.
 //! * [`service`] — the streaming front-end: a [`service::ModSramService`]
 //!   with cloneable submission handles, bounded-queue backpressure,
-//!   completion tickets, and executors that each take whatever has
-//!   queued up as one multiplicand-major batch for the dispatcher.
+//!   completion tickets, and one executor per tile that takes whatever
+//!   has queued up as one multiplicand-major batch for the dispatcher.
 //!   Its [`service::MulBackend`] trait is the one seam batch
 //!   consumers execute through: a [`service::Staged`] dispatcher +
 //!   pool, a service, or a cluster.

@@ -17,12 +17,12 @@
 //!   ([`ServiceConfig::queue_capacity`]). `submit` blocks until space
 //!   frees; [`SubmitHandle::try_submit`] refuses immediately with
 //!   [`SubmitError::QueueFull`] so open-loop producers can shed load.
-//! * **Natural batching** — the [`ServiceConfig::pipeline_depth`]
-//!   executor threads pull straight from the queue: whenever one is
-//!   free it takes every queued job, at most
+//! * **Natural batching** — a tile models one SRAM array, so it runs
+//!   one executor thread, which pulls straight from the queue: whenever
+//!   it is free it takes every queued job, at most
 //!   [`ServiceConfig::max_batch`], as its batch. No timer waits for
-//!   stragglers; jobs pile up while every executor is busy, and that
-//!   is when batching saves LUT refills. On an idle multi-lane tile the
+//!   stragglers; jobs pile up while the executor is busy, and that is
+//!   when batching saves LUT refills. On an idle multi-lane tile the
 //!   executor first yields its core until the queue stops growing, so
 //!   a submitter streaming single jobs finishes its run before the
 //!   batch is taken and fills the lanes. A bulk submission
@@ -35,7 +35,7 @@
 //!   [`ContextPool`]. Results are routed back to tickets in
 //!   submission order regardless of the coalesced execution order.
 //!
-//! [`ModSramService::shutdown`] closes the queue, lets the executors
+//! [`ModSramService::shutdown`] closes the queue, lets the executor
 //! drain every in-flight ticket, and returns the final
 //! [`ServiceStats`] (queue depth, coalesce sizes, and p50/p99 latency
 //! in both wall-clock nanoseconds and modelled device cycles).
@@ -88,19 +88,13 @@ pub struct ServiceConfig {
     /// Bound on queued-but-not-yet-drained jobs: `submit` blocks and
     /// `try_submit` returns [`SubmitError::QueueFull`] beyond it.
     pub queue_capacity: usize,
-    /// Most jobs one executor takes from the queue as one batch.
+    /// Most jobs the executor takes from the queue as one batch.
     pub max_batch: usize,
     /// Optional dispatcher chunk-size override (defaults to the
     /// dispatcher's automatic sizing).
     pub chunk_size: Option<usize>,
     /// Steal policy for batch execution.
     pub policy: StealPolicy,
-    /// Executor threads, each pulling its own batch from the queue:
-    /// while one batch executes, the next free executor takes whatever
-    /// has queued up. `1` serialises batches (deterministic batch
-    /// order; lowest thread count); the default of 2 overlaps one
-    /// batch's sorting and delivery with the other's execution.
-    pub pipeline_depth: usize,
 }
 
 impl Default for ServiceConfig {
@@ -111,7 +105,6 @@ impl Default for ServiceConfig {
             max_batch: 512,
             chunk_size: None,
             policy: StealPolicy::WorkStealing,
-            pipeline_depth: 2,
         }
     }
 }
@@ -386,7 +379,7 @@ impl Reservoir {
     }
 }
 
-/// Counters and latency reservoirs shared by handles, the executors,
+/// Counters and latency reservoirs shared by handles, the executor,
 /// and stats readers.
 ///
 /// Two lifetimes coexist here: the plain counters (`submitted`,
@@ -451,7 +444,7 @@ impl StatsCell {
 }
 
 /// Queue + stats shared between the service, its handles, and the
-/// executor threads.
+/// executor thread.
 struct Shared {
     inner: Mutex<QueueInner>,
     not_empty: Condvar,
@@ -593,7 +586,7 @@ impl SubmitHandle {
                 if !block {
                     break Some(SubmitError::QueueFull);
                 }
-                // Let an executor drain what this call queued so far.
+                // Let the executor drain what this call queued so far.
                 self.shared.not_empty.notify_one();
                 inner = self
                     .shared
@@ -734,7 +727,7 @@ impl TileHealth {
 pub struct ModSramService {
     shared: Arc<Shared>,
     pool: Arc<ContextPool>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    executor: Mutex<Option<JoinHandle<()>>>,
     config: ServiceConfig,
 }
 
@@ -782,14 +775,13 @@ impl ModSramService {
     /// # Panics
     ///
     /// As [`ModSramService::new`] for zero `workers`,
-    /// `queue_capacity`, `max_batch`, or `pipeline_depth` (those are
-    /// caller bugs, not runtime conditions).
+    /// `queue_capacity`, or `max_batch` (those are caller bugs, not
+    /// runtime conditions).
     ///
     /// # Errors
     ///
-    /// [`CoreError::Spawn`] when the OS cannot start an executor
-    /// thread; every thread spawned before the failure is shut down
-    /// cleanly before returning.
+    /// [`CoreError::Spawn`] when the OS cannot start the executor
+    /// thread.
     pub fn try_with_shared_pool(
         pool: Arc<ContextPool>,
         config: ServiceConfig,
@@ -797,7 +789,6 @@ impl ModSramService {
         assert!(config.workers > 0, "need at least one worker");
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
         assert!(config.max_batch > 0, "max batch must be positive");
-        assert!(config.pipeline_depth > 0, "need at least one executor");
         let shared = Arc::new(Shared {
             inner: Mutex::new(QueueInner {
                 jobs: VecDeque::new(),
@@ -810,34 +801,18 @@ impl ModSramService {
             capacity: config.queue_capacity,
             stats: StatsCell::new(),
         });
-        let mut threads = Vec::with_capacity(config.pipeline_depth);
-        for e in 0..config.pipeline_depth {
-            let (thread_shared, thread_pool) = (Arc::clone(&shared), Arc::clone(&pool));
-            let thread_config = config.clone();
-            let spawned = std::thread::Builder::new()
-                .name(format!("modsram-exec-{e}"))
-                .spawn(move || executor_loop(thread_shared, thread_pool, thread_config));
-            match spawned {
-                Ok(handle) => threads.push(handle),
-                Err(_) => {
-                    // Unwind the partial construction: closing the
-                    // queue retires the executors spawned so far, so no
-                    // thread outlives the failed ctor.
-                    shared.lock_inner().closed = true;
-                    shared.not_empty.notify_all();
-                    for t in threads {
-                        let _ = t.join();
-                    }
-                    return Err(CoreError::Spawn {
-                        what: "executor thread",
-                    });
-                }
-            }
-        }
+        let (thread_shared, thread_pool) = (Arc::clone(&shared), Arc::clone(&pool));
+        let thread_config = config.clone();
+        let executor = std::thread::Builder::new()
+            .name("modsram-exec".into())
+            .spawn(move || executor_loop(thread_shared, thread_pool, thread_config))
+            .map_err(|_| CoreError::Spawn {
+                what: "executor thread",
+            })?;
         Ok(ModSramService {
             shared,
             pool,
-            threads: Mutex::new(threads),
+            executor: Mutex::new(Some(executor)),
             config,
         })
     }
@@ -1049,8 +1024,8 @@ impl ModSramService {
     }
 
     /// Gracefully stops the service: refuses new submissions, lets the
-    /// executors drain and complete every queued ticket, joins them,
-    /// and returns the final statistics. Idempotent.
+    /// executor drain and complete every queued ticket, joins it, and
+    /// returns the final statistics. Idempotent.
     pub fn shutdown(&self) -> ServiceStats {
         {
             let mut inner = self.shared.lock_inner();
@@ -1058,11 +1033,14 @@ impl ModSramService {
         }
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
-        // Executors keep taking batches until the closed queue is
-        // empty, so joining them completes every accepted ticket.
-        let threads =
-            std::mem::take(&mut *self.threads.lock().unwrap_or_else(PoisonError::into_inner));
-        for handle in threads {
+        // The executor keeps taking batches until the closed queue is
+        // empty, so joining it completes every accepted ticket.
+        let executor = self
+            .executor
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(handle) = executor {
             let _ = handle.join();
         }
         self.stats()
@@ -1084,38 +1062,28 @@ const SETTLE_LOOKS: u32 = 32;
 /// multi-lane executor (`settles`) that had to wait lets the queue
 /// [`settle`] first, since a short batch leaves lanes idle for a whole
 /// batch; a one-lane executor, or one that finds jobs piled up while
-/// it was busy, takes them at once.
+/// it was busy, takes them at once. Only the executor takes jobs, so
+/// the queue cannot empty while it settles.
 fn next_batch(shared: &Shared, max_batch: usize, settles: bool) -> Option<Vec<Queued>> {
     let mut inner = shared.lock_inner();
-    let mut idle = false;
-    loop {
-        while inner.jobs.is_empty() {
-            if inner.closed {
-                return None;
-            }
-            idle = true;
-            inner = shared
-                .not_empty
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
+    let idle = inner.jobs.is_empty();
+    while inner.jobs.is_empty() {
+        if inner.closed {
+            return None;
         }
-        if !(idle && settles) {
-            break;
-        }
-        // Another executor may take the jobs meanwhile; then wait again.
-        idle = false;
+        inner = shared
+            .not_empty
+            .wait(inner)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+    if idle && settles {
         inner = settle(shared, inner, max_batch);
     }
     let take = inner.jobs.len().min(max_batch);
     let batch: Vec<Queued> = inner.jobs.drain(..take).collect();
-    let more = !inner.jobs.is_empty();
     drop(inner);
-    // Capacity freed: wake every blocked submitter, and hand what is
-    // left over to another idle executor.
+    // Capacity freed: wake every blocked submitter.
     shared.not_full.notify_all();
-    if more {
-        shared.not_empty.notify_one();
-    }
     Some(batch)
 }
 
@@ -1252,8 +1220,7 @@ fn execute_batch(
     };
 
     // Record the samples first and drop both reservoir guards, so
-    // neither `stats()` nor the other executor waits on a whole batch
-    // of deliveries.
+    // `stats()` never waits on a whole batch of deliveries.
     let done = Instant::now();
     {
         let mut wall = stats.wall_ns.lock().unwrap_or_else(PoisonError::into_inner);
@@ -1480,7 +1447,7 @@ mod tests {
             assert_eq!(ticket.wait().unwrap(), &(&job.a * &job.b) % &job.modulus);
         }
         // Bulk submission larger than the queue capacity still drains
-        // (the call blocks per slot, the executors free space).
+        // (the call blocks per slot, the executor frees space).
         let big = jobs_mod(97, 200);
         let tickets = service.handle().submit_many(big.clone()).unwrap();
         for (job, ticket) in big.iter().zip(&tickets) {
@@ -1502,7 +1469,6 @@ mod tests {
         let config = ServiceConfig {
             workers: 1,
             queue_capacity: 3,
-            pipeline_depth: 1,
             ..Default::default()
         };
         let service = ModSramService::new(gated_pool(&gate), config);
@@ -1529,6 +1495,48 @@ mod tests {
         let (none, stopped) = handle.try_submit_many(jobs_mod(97, 1));
         assert!(none.is_empty());
         assert_eq!(stopped.map(|(e, _)| e), Some(SubmitError::Stopped));
+    }
+
+    #[test]
+    fn a_tile_runs_one_batch_at_a_time() {
+        use crate::test_util::{gated_pool, Gate};
+        let gate = Gate::new();
+        let config = ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        };
+        let service = ModSramService::new(gated_pool(&gate), config);
+        let jobs = jobs_mod(97, 6);
+        // The first batch holds the tile at the gate.
+        let first = service.submit(jobs[0].clone()).unwrap();
+        gate.wait_entered(1);
+        let queued: Vec<Ticket> = jobs[1..]
+            .iter()
+            .map(|job| service.submit(job.clone()).unwrap())
+            .collect();
+        // Nothing else takes them while the first batch runs. Look
+        // before opening the gate, assert after, so a failure cannot
+        // leave the executor parked.
+        let depth_while_held = service.queue_depth();
+        let entered_while_held = gate.entered();
+        let done_while_held = std::iter::once(&first)
+            .chain(&queued)
+            .filter(|t| t.is_done())
+            .count();
+        gate.open();
+        assert_eq!(depth_while_held, queued.len());
+        assert_eq!(entered_while_held, 1);
+        assert_eq!(done_while_held, 0);
+        for (job, ticket) in jobs.iter().zip(std::iter::once(&first).chain(&queued)) {
+            assert_eq!(ticket.wait().unwrap(), &(&job.a * &job.b) % &job.modulus);
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.completed, jobs.len() as u64);
+        assert_eq!(
+            stats.batches, 2,
+            "the jobs queued during the hold ran as one batch"
+        );
+        assert_eq!(stats.coalesce_max, queued.len() as u64);
     }
 
     #[test]

@@ -357,10 +357,10 @@ pub const SATURATE_STALL_LIMIT: Duration = Duration::from_secs(30);
 
 /// Fills `p`'s home tile of a cluster built over [`gated_pool`]s with
 /// tiles shaped like `tile` (`max_batch: 1`) to its fixed point while
-/// the gate is shut: each of the `pipeline_depth` executors holds the
-/// one job it took, and the queue its whole capacity. Nothing moves
-/// until the gate opens, so every later submission to that tile is
-/// refused (or parks). Returns the accepted tickets.
+/// the gate is shut: the tile's one executor holds the job it took,
+/// and the queue its whole capacity. Nothing moves until the gate
+/// opens, so every later submission to that tile is refused (or
+/// parks). Returns the accepted tickets.
 ///
 /// # Panics
 ///
@@ -375,7 +375,7 @@ pub fn saturate_gated_home(
     tile: &ServiceConfig,
 ) -> Vec<Ticket> {
     assert_eq!(tile.max_batch, 1, "one job per batch");
-    let fixed_point = tile.pipeline_depth + tile.queue_capacity;
+    let fixed_point = 1 + tile.queue_capacity;
     let job = |i: usize| MulJob::new(UBig::from(i as u64 + 2), UBig::from(3u64), p.clone());
     let mut accepted = Vec::new();
     let mut last_accept = Instant::now();

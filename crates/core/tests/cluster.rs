@@ -49,7 +49,6 @@ fn tiny_tile_config() -> ServiceConfig {
         workers: 1,
         queue_capacity: 16,
         max_batch: 2,
-        pipeline_depth: 1,
         ..Default::default()
     }
 }
@@ -170,7 +169,6 @@ fn backpressure_spills_to_least_loaded_tile_and_strict_saturates() {
         workers: 1,
         queue_capacity: 2,
         max_batch: 1,
-        pipeline_depth: 1,
         ..Default::default()
     };
     let config = ClusterConfig {

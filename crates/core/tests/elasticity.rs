@@ -26,7 +26,6 @@ fn quick_config() -> ClusterConfig {
             workers: 1,
             queue_capacity: 64,
             max_batch: 8,
-            pipeline_depth: 1,
             ..Default::default()
         },
         probation_after: 2,
@@ -376,7 +375,6 @@ fn blocked_submit_rideses_out_a_drain_of_its_home() {
         workers: 1,
         queue_capacity: 2,
         max_batch: 1,
-        pipeline_depth: 1,
         ..Default::default()
     };
     let config = ClusterConfig {

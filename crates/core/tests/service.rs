@@ -130,7 +130,6 @@ fn backpressure_try_submit_reports_queue_full() {
             workers: 1,
             queue_capacity: 3,
             max_batch: 1,
-            pipeline_depth: 1,
             ..Default::default()
         },
     );
@@ -213,7 +212,6 @@ fn executor_panic_fails_tickets_instead_of_hanging() {
             workers: 1,
             queue_capacity: 16,
             max_batch: 4,
-            pipeline_depth: 1,
             ..Default::default()
         },
     );

@@ -24,16 +24,25 @@
 //!   and the conditional subtractions, across lanes.
 //! * [`R4CsaLanes`] — the Algorithm 3 digit loop across lanes for one
 //!   multiplicand run (Table 1b is shared by construction, exactly the
-//!   multiplicand-major order the service sorts each batch into).
+//!   multiplicand-major order the service sorts each batch into). It is
+//!   R4CSA-LUT's only prepared datapath: a run of any length, a single
+//!   multiplication included, gets one lane per multiplier up to the
+//!   lane count, and the Booth digits are read in place from each
+//!   multiplier.
 //! * [`CarryFreeLanes`] — the carry-free radix-2 loop of
 //!   [`crate::carryfree`] across lanes (no shared-multiplicand
 //!   requirement: the injected addend is the lane's own `B`).
+//!
+//! The two carry-save kernels share one step: the shift and both
+//! carry-save injections of a digit run in a single pass over the
+//! limbs, `XOR3`/`MAJ` words with no carry chain (paper §3), reading
+//! each lane's LUT row in place instead of copying it into a buffer.
 //!
 //! Correctness is pinned by the `laned ≡ scalar ≡ oracle` proptests in
 //! `tests/proptests.rs`; throughput is measured by the
 //! `collect::hotpath_sweep` bench (`results/hotpath_sweep.json`).
 
-use modsram_bigint::{Radix4Digit, UBig};
+use modsram_bigint::{radix4_digit, UBig};
 
 use crate::prepared::canonical;
 use crate::r4csa::TimingPolicy;
@@ -46,8 +55,10 @@ pub const DEFAULT_LANES: usize = 8;
 /// fixed stack arrays of this size).
 pub const MAX_LANES: usize = 16;
 
-/// Minimum batch (or, for R4CSA, multiplicand-run) length before the
-/// laned path is taken: shorter runs cannot amortise the transpose.
+/// Minimum batch length before the Montgomery, Barrett and carry-free
+/// batch paths take their laned kernel: shorter batches cannot amortise
+/// the transpose. R4CSA-LUT does not check it: its laned kernel sizes
+/// the lanes to the run, so a run of one costs one lane.
 pub const LANE_MIN_PAIRS: usize = 4;
 
 // ---------------------------------------------------------------------
@@ -468,14 +479,15 @@ impl BarrettLanes {
 // Carry-save lanes (shared by R4CSA-LUT and the carry-free engine)
 // ---------------------------------------------------------------------
 
-/// The `(sum, carry)` redundant accumulator of [`crate::CsaState`],
-/// replicated across lanes on flat limbs.
+/// The `(sum, carry)` redundant accumulator of [`crate::CsaState`] and
+/// each lane's deferred overflow carry, replicated across lanes on flat
+/// limbs. [`CsaLanes::reset`] sizes the lanes to the group about to
+/// run, so no lane computes padding.
 #[derive(Debug, Clone)]
 struct CsaLanes {
     sum: Vec<u64>,
     carry: Vec<u64>,
-    xbuf: Vec<u64>,
-    mbuf: Vec<u64>,
+    pending: [u8; MAX_LANES],
     width: usize,
     wl: usize,
     lanes: usize,
@@ -483,16 +495,17 @@ struct CsaLanes {
 }
 
 impl CsaLanes {
-    fn new(width: usize, lanes: usize) -> Self {
+    /// An accumulator with a `width`-bit window for up to `max_lanes`
+    /// lanes.
+    fn new(width: usize, max_lanes: usize) -> Self {
         let wl = width.div_ceil(64).max(1);
         CsaLanes {
-            sum: vec![0u64; wl * lanes],
-            carry: vec![0u64; wl * lanes],
-            xbuf: vec![0u64; wl * lanes],
-            mbuf: vec![0u64; wl * lanes],
+            sum: vec![0u64; wl * max_lanes],
+            carry: vec![0u64; wl * max_lanes],
+            pending: [0; MAX_LANES],
             width,
             wl,
-            lanes,
+            lanes: max_lanes,
             top_mask: if width.is_multiple_of(64) {
                 u64::MAX
             } else {
@@ -501,83 +514,109 @@ impl CsaLanes {
         }
     }
 
-    fn reset(&mut self) {
-        self.sum.fill(0);
-        self.carry.fill(0);
+    /// Zeroes the accumulator for a group of `lanes` multiplications.
+    fn reset(&mut self, lanes: usize) {
+        debug_assert!(lanes * self.wl <= self.sum.len(), "group exceeds lanes");
+        self.lanes = lanes;
+        self.sum[..self.wl * lanes].fill(0);
+        self.carry[..self.wl * lanes].fill(0);
+        self.pending = [0; MAX_LANES];
     }
 
-    /// Bit `pos` of lane `l` in `buf`.
-    fn lane_bit(buf: &[u64], lanes: usize, l: usize, pos: usize) -> u8 {
-        ((buf[(pos / 64) * lanes + l] >> (pos % 64)) & 1) as u8
+    /// Bit `pos` of lane `l` in `buf` (0 or 1).
+    fn bit(&self, buf: &[u64], l: usize, pos: usize) -> u64 {
+        (buf[(pos / 64) * self.lanes + l] >> (pos % 64)) & 1
     }
 
-    /// In-place left shift of one SoA buffer by `bits ∈ {1, 2}` with the
-    /// window mask applied.
-    fn shift_buf(buf: &mut [u64], wl: usize, lanes: usize, bits: usize, top_mask: u64) {
-        for i in (0..wl).rev() {
-            let base = i * lanes;
-            for l in 0..lanes {
-                let lo = if i > 0 { buf[(i - 1) * lanes + l] } else { 0 };
-                buf[base + l] = (buf[base + l] << bits) | (lo >> (64 - bits));
-            }
-        }
-        let base = (wl - 1) * lanes;
+    /// One digit step of the carry-save loop, in one pass over the limbs:
+    ///
+    /// 1. `C ← 2^shift · C` inside the window (Alg. 3 lines 4–5);
+    /// 2. the carry-save injection of `addend(limb, lane)`: `XOR3` → sum,
+    ///    `MAJ ≪ 1` → carry (lines 7–9);
+    /// 3. the same injection of the `ov_rows` row that each lane's
+    ///    overflow word selects (lines 10–12). Its own carry-out becomes
+    ///    the lane's pending carry, worth `2^shift` in the next step's
+    ///    overflow word.
+    ///
+    /// The overflow word (the bits shifted out, the first injection's
+    /// carry-out and the pending carry) depends only on bits at the top
+    /// of the window, so it is read before the pass. The pass then
+    /// computes each limb of the shift and both injections at once,
+    /// carrying the bits that cross into the next limb in registers.
+    fn step(&mut self, shift: u32, ov_rows: &[u64], addend: impl Fn(usize, usize) -> u64) {
+        let (width, wl, lanes) = (self.width, self.wl, self.lanes);
+        let top_bit = (width - 1) % 64;
+        let shifted_out = width - shift as usize;
+        let mut ov_row = [0usize; MAX_LANES];
+        let mut msb = [0u64; MAX_LANES];
         for l in 0..lanes {
-            buf[base + l] &= top_mask;
-        }
-    }
-
-    /// `C ← 2^bits · C` inside the window, capturing the `bits` values
-    /// shifted out of each word per lane (the laned `shl1`/`shl2`).
-    fn shl(&mut self, bits: usize, ov_s: &mut [u8; MAX_LANES], ov_c: &mut [u8; MAX_LANES]) {
-        for l in 0..self.lanes {
-            let mut s = 0u8;
-            let mut c = 0u8;
-            for t in 0..bits {
-                let pos = self.width - bits + t;
-                s |= Self::lane_bit(&self.sum, self.lanes, l, pos) << t;
-                c |= Self::lane_bit(&self.carry, self.lanes, l, pos) << t;
+            let mut ov = u64::from(self.pending[l]) << shift;
+            for t in 0..shift {
+                let pos = shifted_out + t as usize;
+                ov += (self.bit(&self.sum, l, pos) + self.bit(&self.carry, l, pos)) << t;
             }
-            ov_s[l] = s;
-            ov_c[l] = c;
+            // Bit `width − 1` of the first injection's MAJ word, which
+            // its `≪ 1` carries out of the window.
+            let v = (addend(wl - 1, l) >> top_bit) & 1;
+            let (s, c) = (width - 1)
+                .checked_sub(shift as usize)
+                .map_or((0, 0), |pos| {
+                    (self.bit(&self.sum, l, pos), self.bit(&self.carry, l, pos))
+                });
+            msb[l] = (v & s) | (v & c) | (s & c);
+            ov_row[l] = (ov + msb[l]) as usize * wl;
         }
-        Self::shift_buf(&mut self.sum, self.wl, self.lanes, bits, self.top_mask);
-        Self::shift_buf(&mut self.carry, self.wl, self.lanes, bits, self.top_mask);
-    }
-
-    /// One carry-save injection per lane (`XOR3` → sum, `MAJ ≪ 1` →
-    /// carry), capturing the weight-`2^width` carry-out per lane.
-    fn inject(&mut self, v: &[u64], msb_out: &mut [u8; MAX_LANES]) {
-        let (wl, lanes) = (self.wl, self.lanes);
+        let back = 64 - shift;
+        let (mut prev_s, mut prev_c) = ([0u64; MAX_LANES], [0u64; MAX_LANES]);
+        let (mut prev_m, mut prev_m2) = ([0u64; MAX_LANES], [0u64; MAX_LANES]);
         for i in 0..wl {
+            let mask = if i + 1 == wl { self.top_mask } else { u64::MAX };
             let base = i * lanes;
             for l in 0..lanes {
-                let (vv, s, c) = (v[base + l], self.sum[base + l], self.carry[base + l]);
-                self.xbuf[base + l] = vv ^ s ^ c;
-                self.mbuf[base + l] = (vv & s) | (vv & c) | (s & c);
+                let (s0, c0) = (self.sum[base + l], self.carry[base + l]);
+                let s = ((s0 << shift) | (prev_s[l] >> back)) & mask;
+                let c = ((c0 << shift) | (prev_c[l] >> back)) & mask;
+                (prev_s[l], prev_c[l]) = (s0, c0);
+                let v = addend(i, l);
+                let m = (v & s) | (v & c) | (s & c);
+                let s = v ^ s ^ c;
+                let c = ((m << 1) | (prev_m[l] >> 63)) & mask;
+                prev_m[l] = m;
+                let v = ov_rows[ov_row[l] + i];
+                let m2 = (v & s) | (v & c) | (s & c);
+                self.sum[base + l] = v ^ s ^ c;
+                self.carry[base + l] = ((m2 << 1) | (prev_m2[l] >> 63)) & mask;
+                prev_m2[l] = m2;
             }
         }
-        for (l, m) in msb_out.iter_mut().enumerate().take(lanes) {
-            // Bit `width` of m ≪ 1 is bit `width − 1` of m.
-            *m = Self::lane_bit(&self.mbuf, lanes, l, self.width - 1);
+        for l in 0..lanes {
+            debug_assert_eq!((prev_m[l] >> top_bit) & 1, msb[l], "overflow word");
+            self.pending[l] = ((prev_m2[l] >> top_bit) & 1) as u8;
         }
-        Self::shift_buf(&mut self.mbuf, wl, lanes, 1, self.top_mask);
-        self.sum.copy_from_slice(&self.xbuf);
-        self.carry.copy_from_slice(&self.mbuf);
     }
 
-    /// The near-memory finisher: `sum + carry (+ pending·2^width) mod p`.
-    fn finalize_lane(&self, l: usize, pending: u8, p: &UBig) -> UBig {
-        let mut total = extract_lane(&self.sum, self.lanes, l, self.wl)
-            + extract_lane(&self.carry, self.lanes, l, self.wl);
-        if pending != 0 {
+    /// The near-memory finisher of lane `l`:
+    /// `sum + carry (+ pending·2^width) mod p` (Alg. 3 line 14).
+    fn finalize_lane(&self, l: usize, p: &UBig) -> UBig {
+        let (wl, lanes) = (self.wl, self.lanes);
+        let mut total = Vec::with_capacity(wl + 1);
+        let mut carry = false;
+        for i in 0..wl {
+            let (s1, c1) = self.sum[i * lanes + l].overflowing_add(self.carry[i * lanes + l]);
+            let (s2, c2) = s1.overflowing_add(carry as u64);
+            total.push(s2);
+            carry = c1 | c2;
+        }
+        total.push(carry as u64);
+        let mut total = UBig::from_limbs(total);
+        if self.pending[l] != 0 {
             total = &total + &UBig::pow2(self.width);
         }
         &total % p
     }
 }
 
-/// Flattens LUT rows into `rows × wl` plain limbs for per-lane gather.
+/// Flattens LUT rows into `rows × wl` plain limbs, one row per `wl`.
 fn flatten_rows(rows: &[UBig], wl: usize) -> Vec<u64> {
     let mut out = vec![0u64; rows.len() * wl];
     for (r, v) in rows.iter().enumerate() {
@@ -586,13 +625,6 @@ fn flatten_rows(rows: &[UBig], wl: usize) -> Vec<u64> {
         }
     }
     out
-}
-
-/// Copies flattened row `row` into lane `l` of the SoA value buffer.
-fn gather_row(dst: &mut [u64], lanes: usize, l: usize, rows: &[u64], row: usize, wl: usize) {
-    for i in 0..wl {
-        dst[i * lanes + l] = rows[row * wl + i];
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -628,9 +660,12 @@ impl R4CsaLanes {
 
     /// Runs one multiplicand run: `aᵢ·B mod p` for every multiplier,
     /// where `lut4` is the run's shared Table 1b.
-    pub fn run_batch(
+    /// Multipliers advance `lanes` at a time; a shorter run, or the
+    /// last group of a longer one, gets one lane per multiplier, so a
+    /// run of one costs one lane.
+    pub fn run_batch<'a>(
         &self,
-        multipliers: &[UBig],
+        multipliers: impl IntoIterator<Item = &'a UBig>,
         lut4: &LutRadix4,
         policy: TimingPolicy,
         lanes: usize,
@@ -639,55 +674,34 @@ impl R4CsaLanes {
         let wl = self.wl;
         let lut_rows = flatten_rows(lut4.rows(), wl);
         let mut state = CsaLanes::new(self.width, lanes);
-        let mut vbuf = vec![0u64; wl * lanes];
-        let mut ov_s = [0u8; MAX_LANES];
-        let mut ov_c = [0u8; MAX_LANES];
-        let mut msb1 = [0u8; MAX_LANES];
-        let mut po = [0u8; MAX_LANES];
-        let mut out = Vec::with_capacity(multipliers.len());
-        let zero_digit = Radix4Digit::encode(false, false, false);
-        for group in multipliers.chunks(lanes) {
-            let digits: Vec<Vec<Radix4Digit>> = group
+        let mut group: Vec<UBig> = Vec::with_capacity(lanes);
+        let mut out = Vec::new();
+        let mut multipliers = multipliers.into_iter().peekable();
+        while multipliers.peek().is_some() {
+            group.clear();
+            group.extend(
+                multipliers
+                    .by_ref()
+                    .take(lanes)
+                    .map(|a| canonical(a, &self.p)),
+            );
+            // A lane with fewer digits than the group's longest runs
+            // extra leading zero digits (`radix4_digit` past its length),
+            // which leave a zero accumulator unchanged.
+            let steps = group
                 .iter()
-                .map(|a| policy.digits(&canonical(a, &self.p), self.n))
-                .collect();
-            let steps = digits.iter().map(Vec::len).max().unwrap_or(0);
-            state.reset();
-            let mut pending = [0u8; MAX_LANES];
-            for t in 0..steps {
-                state.shl(2, &mut ov_s, &mut ov_c);
-                for (l, d) in digits.iter().enumerate() {
-                    // Shorter streams are padded with leading zero
-                    // digits (value-preserving: the accumulator is
-                    // still zero while they run).
-                    let pad = steps - d.len();
-                    let digit = if t < pad { zero_digit } else { d[t - pad] };
-                    gather_row(
-                        &mut vbuf,
-                        lanes,
-                        l,
-                        &lut_rows,
-                        LutRadix4::index_of(digit),
-                        wl,
-                    );
+                .map(|a| policy.digit_count(a.bit_len(), self.n))
+                .max()
+                .unwrap_or(0);
+            state.reset(group.len());
+            let mut row = [0usize; MAX_LANES];
+            for i in (0..steps).rev() {
+                for (r, a) in row.iter_mut().zip(&group) {
+                    *r = LutRadix4::index_of(radix4_digit(a, i)) * wl;
                 }
-                for l in group.len()..lanes {
-                    zero_lane(&mut vbuf, lanes, l, wl);
-                }
-                state.inject(&vbuf, &mut msb1);
-                for l in 0..lanes {
-                    let ov = ov_s[l] as usize
-                        + ov_c[l] as usize
-                        + msb1[l] as usize
-                        + 4 * pending[l] as usize;
-                    gather_row(&mut vbuf, lanes, l, &self.ov_rows, ov, wl);
-                }
-                state.inject(&vbuf, &mut po);
-                pending[..lanes].copy_from_slice(&po[..lanes]);
+                state.step(2, &self.ov_rows, |limb, l| lut_rows[row[l] + limb]);
             }
-            for (l, &pend) in pending.iter().enumerate().take(group.len()) {
-                out.push(state.finalize_lane(l, pend, &self.p));
-            }
+            out.extend((0..group.len()).map(|l| state.finalize_lane(l, &self.p)));
         }
         out
     }
@@ -734,51 +748,25 @@ impl CarryFreeLanes {
         let wl = self.wl;
         let mut state = CsaLanes::new(self.width, lanes);
         let mut bsoa = vec![0u64; wl * lanes];
-        let mut vbuf = vec![0u64; wl * lanes];
-        let mut ov_s = [0u8; MAX_LANES];
-        let mut ov_c = [0u8; MAX_LANES];
-        let mut msb1 = [0u8; MAX_LANES];
-        let mut po = [0u8; MAX_LANES];
         let mut out = Vec::with_capacity(pairs.len());
         for group in pairs.chunks(lanes) {
+            let g = group.len();
             let multipliers: Vec<UBig> = group.iter().map(|(a, _)| canonical(a, &self.p)).collect();
             for (l, (_, b)) in group.iter().enumerate() {
-                load_lane(&mut bsoa, lanes, l, wl, &canonical(b, &self.p));
-            }
-            for l in group.len()..lanes {
-                zero_lane(&mut bsoa, lanes, l, wl);
+                load_lane(&mut bsoa, g, l, wl, &canonical(b, &self.p));
             }
             // Shorter multipliers contribute leading zero bits, which
             // are value-preserving on a zero accumulator.
             let steps = multipliers.iter().map(UBig::bit_len).max().unwrap_or(0);
-            state.reset();
-            let mut pending = [0u8; MAX_LANES];
-            for t in 0..steps {
-                let bit_pos = steps - 1 - t;
-                state.shl(1, &mut ov_s, &mut ov_c);
-                for (l, a) in multipliers.iter().enumerate() {
-                    let mask = 0u64.wrapping_sub(a.bit(bit_pos) as u64);
-                    for i in 0..wl {
-                        vbuf[i * lanes + l] = bsoa[i * lanes + l] & mask;
-                    }
+            state.reset(g);
+            let mut mask = [0u64; MAX_LANES];
+            for bit_pos in (0..steps).rev() {
+                for (m, a) in mask.iter_mut().zip(&multipliers) {
+                    *m = 0u64.wrapping_sub(a.bit(bit_pos) as u64);
                 }
-                for l in group.len()..lanes {
-                    zero_lane(&mut vbuf, lanes, l, wl);
-                }
-                state.inject(&vbuf, &mut msb1);
-                for l in 0..lanes {
-                    let ov = ov_s[l] as usize
-                        + ov_c[l] as usize
-                        + msb1[l] as usize
-                        + 2 * pending[l] as usize;
-                    gather_row(&mut vbuf, lanes, l, &self.red_rows, ov, wl);
-                }
-                state.inject(&vbuf, &mut po);
-                pending[..lanes].copy_from_slice(&po[..lanes]);
+                state.step(1, &self.red_rows, |limb, l| bsoa[limb * g + l] & mask[l]);
             }
-            for (l, &pend) in pending.iter().enumerate().take(group.len()) {
-                out.push(state.finalize_lane(l, pend, &self.p));
-            }
+            out.extend((0..g).map(|l| state.finalize_lane(l, &self.p)));
         }
         out
     }

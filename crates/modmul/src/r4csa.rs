@@ -37,9 +37,9 @@
 
 use std::sync::Arc;
 
-use modsram_bigint::{radix4_digits_msb_first, Radix4Digit, UBig};
+use modsram_bigint::{radix4_digit_len, radix4_digits_msb_first, Radix4Digit, UBig};
 
-use crate::lanes::{R4CsaLanes, DEFAULT_LANES, LANE_MIN_PAIRS};
+use crate::lanes::{R4CsaLanes, DEFAULT_LANES};
 use crate::prepared::{canonical, check_modulus};
 use crate::{
     CsaState, CycleModel, LutOverflow, LutRadix4, ModMulEngine, ModMulError, PreparedModMul,
@@ -66,15 +66,21 @@ impl TimingPolicy {
     /// copies must agree).
     pub fn digits(&self, a: &UBig, n: usize) -> Vec<Radix4Digit> {
         let mut digits = radix4_digits_msb_first(a, n);
-        if *self == TimingPolicy::ConstantTime {
-            let want = (n + 1).div_ceil(2);
-            if digits.len() < want {
-                let pad = want - digits.len();
-                let zero = Radix4Digit::encode(false, false, false);
-                digits.splice(0..0, std::iter::repeat_n(zero, pad));
-            }
-        }
+        let pad = self.digit_count(a.bit_len(), n) - digits.len();
+        let zero = Radix4Digit::encode(false, false, false);
+        digits.splice(0..0, std::iter::repeat_n(zero, pad));
         digits
+    }
+
+    /// `digits(a, n).len()` for a multiplier of `a_bits` bits: the loop
+    /// iterations this policy runs. The laned kernel steps
+    /// [`modsram_bigint::radix4_digit`] in place for this many digits.
+    pub fn digit_count(&self, a_bits: usize, n: usize) -> usize {
+        let natural = radix4_digit_len(a_bits, n);
+        match self {
+            TimingPolicy::DataDependent => natural,
+            TimingPolicy::ConstantTime => natural.max((n + 1).div_ceil(2)),
+        }
     }
 }
 
@@ -376,8 +382,8 @@ pub struct PreparedR4Csa {
     n: usize,
     lutov: Arc<LutOverflow>,
     policy: TimingPolicy,
-    /// The structure-of-arrays digit-loop kernel behind the laned batch
-    /// path (one multiplicand run at a time).
+    /// The structure-of-arrays digit-loop kernel behind every prepared
+    /// multiplication (one multiplicand run at a time).
     lanes: R4CsaLanes,
 }
 
@@ -399,13 +405,6 @@ impl PreparedR4Csa {
             policy,
             lanes,
         })
-    }
-
-    fn run(&self, a: &UBig, stepper: &mut R4CsaStepper) -> UBig {
-        for d in self.policy.digits(a, self.n) {
-            stepper.step(d);
-        }
-        stepper.finalize().0
     }
 
     /// Splits the batch into maximal equal-multiplicand runs and hands
@@ -431,14 +430,17 @@ impl PreparedR4Csa {
     }
 
     /// One multiplicand run through the scalar stepper (Table 1b built
-    /// once, accumulator cloned per pair).
+    /// once, accumulator cloned per pair): the reference the laned
+    /// kernel is tested against.
     fn run_scalar(&self, run: &[(UBig, UBig)], out: &mut Vec<UBig>) -> Result<(), ModMulError> {
         let template =
             R4CsaStepper::with_overflow_lut(&run[0].1, &self.p, self.n, self.lutov.clone())?;
         for (a, _) in run {
             let mut stepper = template.clone();
-            let a = canonical(a, &self.p);
-            out.push(self.run(&a, &mut stepper));
+            for d in self.policy.digits(&canonical(a, &self.p), self.n) {
+                stepper.step(d);
+            }
+            out.push(stepper.finalize().0);
         }
         Ok(())
     }
@@ -451,10 +453,9 @@ impl PreparedR4Csa {
         out: &mut Vec<UBig>,
     ) -> Result<(), ModMulError> {
         let lut4 = LutRadix4::new(&run[0].1, &self.p)?;
-        let multipliers: Vec<UBig> = run.iter().map(|(a, _)| a.clone()).collect();
         out.extend(
             self.lanes
-                .run_batch(&multipliers, &lut4, self.policy, lanes),
+                .run_batch(run.iter().map(|(a, _)| a), &lut4, self.policy, lanes),
         );
         Ok(())
     }
@@ -469,30 +470,29 @@ impl PreparedModMul for PreparedR4Csa {
         &self.p
     }
 
+    /// One multiplication on the laned kernel at one lane: the same
+    /// datapath as a batch, so a tile's first job costs no more per
+    /// digit than its later ones.
     fn mod_mul(&self, a: &UBig, b: &UBig) -> Result<UBig, ModMulError> {
-        let a = canonical(a, &self.p);
-        let mut stepper = R4CsaStepper::with_overflow_lut(b, &self.p, self.n, self.lutov.clone())?;
-        Ok(self.run(&a, &mut stepper))
+        let lut4 = LutRadix4::new(b, &self.p)?;
+        Ok(self
+            .lanes
+            .run_batch([a], &lut4, self.policy, 1)
+            .swap_remove(0))
     }
 
     /// Batch override: Table 2 is shared by construction, Table 1b is
     /// built once per maximal equal-multiplicand run (the repeated-`B`
     /// pattern of point addition; the run check compares the raw
     /// multiplicand, so a repeated `b` costs one equality test, not a
-    /// canonicalising division, per pair). Runs of at least
-    /// [`LANE_MIN_PAIRS`] multipliers take the lane-vectorized digit
-    /// loop ([`crate::lanes::R4CsaLanes`]); shorter runs clone a scalar
-    /// stepper template per pair as before.
+    /// canonicalising division, per pair). Every run, however short,
+    /// takes the lane-vectorized digit loop
+    /// ([`crate::lanes::R4CsaLanes`]) at up to [`DEFAULT_LANES`] lanes,
+    /// one lane per multiplier for a run shorter than that. The `UBig`
+    /// stepper stays behind [`PreparedModMul::mod_mul_batch_scalar`] as
+    /// the reference the proptests compare against.
     fn mod_mul_batch(&self, pairs: &[(UBig, UBig)]) -> Result<Vec<UBig>, ModMulError> {
-        let mut out = Vec::with_capacity(pairs.len());
-        self.for_each_run(pairs, &mut out, |run, out| {
-            if run.len() >= LANE_MIN_PAIRS {
-                self.run_laned(run, DEFAULT_LANES, out)
-            } else {
-                self.run_scalar(run, out)
-            }
-        })?;
-        Ok(out)
+        self.mod_mul_batch_laned(pairs, DEFAULT_LANES)
     }
 
     fn mod_mul_batch_scalar(&self, pairs: &[(UBig, UBig)]) -> Result<Vec<UBig>, ModMulError> {

@@ -4,8 +4,8 @@
 
 use modsram_bigint::{radix4_digits_msb_first, UBig};
 use modsram_modmul::{
-    all_engines, DirectEngine, ModMulEngine, ModMulError, R4CsaLutEngine, R4CsaStepper,
-    TimingPolicy, MAX_LANES,
+    all_engines, DirectEngine, ModMulEngine, ModMulError, PreparedModMul, PreparedR4Csa,
+    R4CsaLutEngine, R4CsaStepper, TimingPolicy, MAX_LANES,
 };
 use proptest::prelude::*;
 
@@ -164,6 +164,102 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// R4CSA-LUT's prepared path runs single jobs and short runs on the
+    /// laned kernel: for a run of 1–3 multipliers, `mod_mul` and
+    /// `mod_mul_batch` equal the `UBig` stepper behind
+    /// `mod_mul_batch_scalar` and the oracle, under both timing
+    /// policies, at widths from 1 to 2048 bits.
+    #[test]
+    fn r4csa_short_runs_match_stepper_and_oracle(input in short_run_input()) {
+        let (pairs, p, policy) = input;
+        let prep = PreparedR4Csa::new(&p, policy).expect("non-zero modulus");
+        let oracle: Vec<UBig> = pairs.iter().map(|(a, b)| &(a * b) % &p).collect();
+        let bits = p.bit_len();
+        prop_assert_eq!(
+            &prep.mod_mul_batch_scalar(&pairs).expect("stepper path"),
+            &oracle,
+            "stepper diverged at {} bits",
+            bits
+        );
+        prop_assert_eq!(
+            &prep.mod_mul_batch(&pairs).expect("batch path"),
+            &oracle,
+            "batch diverged at {} bits",
+            bits
+        );
+        for ((a, b), want) in pairs.iter().zip(&oracle) {
+            prop_assert_eq!(
+                &prep.mod_mul(a, b).expect("single-job path"),
+                want,
+                "mod_mul diverged at {} bits",
+                bits
+            );
+        }
+    }
+}
+
+/// One multiplicand run of 1–3 pairs, a timing policy, and a modulus of
+/// 1–2048 bits: widths 1–2 give the moduli below 4, and from 2 bits up
+/// the modulus is even half the time. Operands are drawn one limb wider
+/// than the modulus and reduced only half the time, so most are ≥ p.
+fn short_run_input() -> impl Strategy<Value = (Vec<(UBig, UBig)>, UBig, TimingPolicy)> {
+    (
+        0usize..4,
+        1usize..=3,
+        any::<bool>(),
+        any::<bool>(),
+        any::<u64>(),
+    )
+        .prop_map(|(class, run, even, constant_time, seed)| {
+            let mut x = seed | 1;
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let spread = next() as usize;
+            let bits = match class {
+                0 => 1 + spread % 2,
+                1 => 3 + spread % 62,
+                2 => 65 + spread % 448,
+                _ => 513 + spread % 1536,
+            };
+            let limbs = bits.div_ceil(64);
+            let mut p_limbs: Vec<u64> = (0..limbs).map(|_| next()).collect();
+            let top = (bits - 1) % 64;
+            p_limbs[limbs - 1] &= u64::MAX >> (63 - top);
+            p_limbs[limbs - 1] |= 1 << top;
+            if bits >= 2 {
+                if even {
+                    p_limbs[0] &= !1;
+                } else {
+                    p_limbs[0] |= 1;
+                }
+            }
+            let p = UBig::from_limbs(p_limbs);
+            let mut operand = || {
+                let v = UBig::from_limbs((0..=limbs).map(|_| next()).collect());
+                if next() & 1 == 0 {
+                    &v % &p
+                } else {
+                    v
+                }
+            };
+            let b = operand();
+            let pairs = (0..run).map(|_| (operand(), b.clone())).collect();
+            let policy = if constant_time {
+                TimingPolicy::ConstantTime
+            } else {
+                TimingPolicy::DataDependent
+            };
+            (pairs, p, policy)
+        })
 }
 
 /// Runs of equal multiplicands (lengths 1..64), a modulus of `limbs`

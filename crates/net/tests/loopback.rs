@@ -147,7 +147,6 @@ fn overflow_suffix_gets_retry_after_in_order(over_cluster: bool) {
     let tile = ServiceConfig {
         workers: 1,
         queue_capacity: 8,
-        pipeline_depth: 1,
         ..Default::default()
     };
     let gate = Gate::new();

@@ -320,7 +320,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // When does laning win? mod_mul_batch transposes batches of
     // LANE_MIN_PAIRS (4) or more pairs into structure-of-arrays lanes,
     // advancing eight multiplications per limb pass; shorter batches
-    // run scalar because the transpose doesn't amortise. The win is
+    // run scalar because the transpose doesn't amortise (r4csa-lut
+    // runs even one multiplication on its laned loop). The win is
     // several-fold on the bit/digit-serial engines (r4csa-lut,
     // carryfree) and >= 1.3x on montgomery/barrett at 256 bits —
     // `cargo run --release --bin hotpath` sweeps it on your host.

@@ -29,7 +29,7 @@
 //! Serving starts at the **tile**: a [`ModSramService`] owns one
 //! macro's worth of execution — submit individual multiplications
 //! from any number of threads, get a [`Ticket`] per job, and let the
-//! executors keep the tile saturated: each free executor takes
+//! tile's executor keep it saturated: whenever it is free it takes
 //! whatever has queued up as its next batch. The queue is bounded
 //! ([`try_submit` backpressure](arch::service::SubmitHandle::try_submit)),
 //! batches coalesce multiplicand-major (the paper's Table 1b reuse),
@@ -238,9 +238,12 @@
 //!
 //! **When does laning win?** Engines marked ✓ transpose batches into
 //! structure-of-arrays lanes ([`modmul::lanes`]) so eight independent
-//! multiplications advance per limb pass. The transpose amortises from
-//! roughly [`modmul::LANE_MIN_PAIRS`] pairs up (below that the batch
-//! runs scalar automatically), and the win is largest when per-pair
+//! multiplications advance per limb pass. On `montgomery`, `barrett`
+//! and `carryfree` the transpose amortises from roughly
+//! [`modmul::LANE_MIN_PAIRS`] pairs up (below that the batch runs
+//! scalar automatically); `r4csa-lut` runs every multiplication, a
+//! single one included, on its laned digit loop, one lane per
+//! multiplier for a short run. The win is largest when per-pair
 //! bookkeeping dominates limb arithmetic: expect several-fold on the
 //! bit/digit-serial engines (`r4csa-lut`, `carryfree`) and a more
 //! modest but still ≥ 1.3× gain on `montgomery`/`barrett` at 256 bits,
