@@ -6,9 +6,10 @@
 //! ```sh
 //! # After running any of the sweep binaries:
 //! cargo run --release --bin summary
-//! # CI: fail unless every expected artifact is present.
+//! # CI: fail unless every expected artifact is present. Wire serving
+//! # has no sweep artifact: perfbench's net rung measures it.
 //! cargo run --release --bin summary -- \
-//!   --require shard_sweep,hotpath_sweep,cluster_sweep,elasticity_sweep,autotune_sweep,wire_sweep,weighted_sweep,analyzer_report
+//!   --require shard_sweep,hotpath_sweep,cluster_sweep,elasticity_sweep,autotune_sweep,weighted_sweep,analyzer_report
 //! ```
 //!
 //! Artifacts that are absent are skipped (and listed as skipped), so
@@ -160,34 +161,6 @@ fn summarize(name: &str, v: &Value) -> (Value, String) {
                 ),
             )
         }
-        "wire_sweep" => {
-            let sweep = rows(v, "rows");
-            let best = sweep
-                .iter()
-                .max_by(|a, b| num(a, "wire_jobs_per_s").total_cmp(&num(b, "wire_jobs_per_s")));
-            let per_s = best.map_or(f64::NAN, |r| num(r, "wire_jobs_per_s"));
-            // "At saturation" = the largest client count, the last row.
-            let last = sweep.last();
-            let clients = last.map_or(0, |r| count(r, "clients"));
-            let ratio = last.map_or(f64::NAN, |r| num(r, "wire_vs_inproc"));
-            let p99_us = last.map_or(f64::NAN, |r| num(r, "wire_p99_ns") / 1000.0);
-            let lost: u64 = sweep.iter().map(|r| count(r, "lost")).sum();
-            let duplicates: u64 = sweep.iter().map(|r| count(r, "duplicates")).sum();
-            (
-                serde_json::json!({
-                    "rows": sweep.len(),
-                    "max_wire_jobs_per_s": per_s,
-                    "saturation_clients": clients,
-                    "saturation_wire_vs_inproc": ratio,
-                    "saturation_p99_us": p99_us,
-                    "lost": lost,
-                    "duplicates": duplicates,
-                }),
-                format!(
-                    "{per_s:.0} req/s max over TCP, {ratio:.2}x in-proc at {clients} clients, p99 {p99_us:.0}us, {lost} lost/{duplicates} dup"
-                ),
-            )
-        }
         "weighted_sweep" => {
             let share = v.get("share").cloned().unwrap_or(Value::Null);
             let makespan = v.get("makespan").cloned().unwrap_or(Value::Null);
@@ -255,7 +228,6 @@ const ARTIFACTS: &[&str] = &[
     "cluster_sweep",
     "elasticity_sweep",
     "autotune_sweep",
-    "wire_sweep",
     "weighted_sweep",
     "analyzer_report",
 ];

@@ -1,25 +1,18 @@
 //! Data collection for every table and figure in the paper's evaluation.
 
-use std::collections::VecDeque;
 use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use modsram_baselines::{BpNttModel, DataOrg, MenttModel};
 use modsram_bigint::{ubig_below, UBig};
 use modsram_core::cluster::{
-    home_tile_for, weighted_home_tile_for, ClusterConfig, ClusterHandle, ServiceCluster,
-    SpillPolicy,
+    home_tile_for, weighted_home_tile_for, ClusterConfig, ServiceCluster, SpillPolicy,
 };
-use modsram_core::dispatch::{ContextPool, Dispatcher, MulJob};
+use modsram_core::dispatch::MulJob;
 use modsram_core::service::{ModSramService, ServiceConfig, Ticket};
 use modsram_core::test_util::slow_pool;
 use modsram_core::{BankedModSram, ModSram, ModSramConfig, RunStats};
 use modsram_modmul::{engine_by_name, CycleModel, LutOverflow, R4CsaLutEngine};
-use modsram_net::{
-    NetBackend, NetStats, TenantLimits, TenantRegistry, WireClient, WireConfig, WireResponse,
-    WireServer,
-};
 use modsram_phys::{AreaModel, Component, FreqModel};
 use modsram_zkp::{figure7, MsmPreset, WorkloadCounts};
 use rand::rngs::SmallRng;
@@ -574,7 +567,6 @@ pub fn cluster_sweep(spec: &ClusterSweepSpec) -> Vec<ClusterSweepRow> {
                         workers: workers_per_tile,
                         queue_capacity: 8192,
                         max_batch: 256,
-                        ..Default::default()
                     },
                     poison_after: 3,
                     ..Default::default()
@@ -708,7 +700,6 @@ pub fn cluster_spill_probe(offered: u64, policies: &[String]) -> Vec<SpillProbeR
                         workers: 1,
                         queue_capacity: 4,
                         max_batch: 1,
-                        ..Default::default()
                     },
                     poison_after: 0,
                     ..Default::default()
@@ -851,7 +842,6 @@ pub fn elasticity_sweep(spec: &ElasticitySweepSpec) -> Vec<ElasticityPhaseRow> {
         workers: workers_per_tile,
         queue_capacity: 8192,
         max_batch: 256,
-        ..Default::default()
     };
     let cluster = ServiceCluster::for_engine_name(
         engine,
@@ -1229,672 +1219,6 @@ pub fn autotune_sweep(
     }
 }
 
-/// Shape of one wire-protocol loopback sweep (`bin/wire`,
-/// `results/wire_sweep.json`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSweepSpec {
-    /// Engine name (see `modsram_modmul::all_engines`).
-    pub engine: String,
-    /// Operand bitwidth.
-    pub bits: usize,
-    /// Cluster tiles behind the server.
-    pub tiles: usize,
-    /// Worker threads per tile.
-    pub workers_per_tile: usize,
-    /// Tenants; client `c` authenticates as tenant `c % tenants`,
-    /// each tenant owning a distinct modulus.
-    pub tenants: usize,
-    /// Concurrent closed-loop clients, one sweep row per count.
-    pub client_counts: Vec<usize>,
-    /// Jobs each client pushes per timed pass.
-    pub jobs_per_client: usize,
-    /// Closed-loop window: ids a client keeps outstanding per round.
-    pub window: usize,
-    /// RNG seed for operand generation.
-    pub seed: u64,
-    /// When set, remeasure the largest row (on fresh clusters, up to
-    /// twice) while its ratio sits below this target, keeping the best
-    /// attempt. A shared host occasionally runs one whole row in a
-    /// skewed regime — one side hot or cold for seconds at a time —
-    /// and a bounded remeasure separates that from a real regression.
-    /// The attempt count is recorded on the row.
-    pub remeasure_below: Option<f64>,
-}
-
-/// One client-count point: wire throughput against the in-process
-/// closed-loop baseline on an identical fresh cluster.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSweepRow {
-    /// Concurrent clients.
-    pub clients: usize,
-    /// Jobs delivered per timed pass (all clients).
-    pub jobs: usize,
-    /// Best-pass wire throughput, jobs per second.
-    pub wire_jobs_per_s: f64,
-    /// Best-pass in-process throughput, jobs per second.
-    pub inproc_jobs_per_s: f64,
-    /// The serving-overhead headline: wire throughput over in-process
-    /// throughput, taken from the best *matched pass pair* (the two
-    /// sides of one alternating iteration), so host-load swings
-    /// between iterations cancel out of the ratio.
-    pub wire_vs_inproc: f64,
-    /// Retry-after frames the clients absorbed (and resubmitted).
-    pub retries: u64,
-    /// Duplicate terminal responses (must be 0).
-    pub duplicates: u64,
-    /// Ids submitted but never resolved (must be 0).
-    pub lost: u64,
-    /// Extra measurement attempts this row consumed (see
-    /// [`WireSweepSpec::remeasure_below`]); `0` on a clean first run.
-    pub remeasures: u32,
-    /// Server-side p50 request-to-response latency, nanoseconds.
-    pub wire_p50_ns: u64,
-    /// Server-side p99 request-to-response latency, nanoseconds.
-    pub wire_p99_ns: u64,
-    /// Final server metering for this row.
-    pub net: NetStats,
-}
-
-/// The drain soak: a live `drain_tile` mid-stream at the largest
-/// client count, with every id accounted for.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireDrainSoak {
-    /// Concurrent clients during the soak.
-    pub clients: usize,
-    /// Jobs delivered across all clients (after resubmissions).
-    pub delivered: u64,
-    /// Retry-after frames absorbed (drain refusals resubmitted).
-    pub retries: u64,
-    /// Duplicate terminal responses (must be 0).
-    pub duplicates: u64,
-    /// Ids submitted but never resolved (must be 0).
-    pub lost: u64,
-    /// The tile drained mid-stream.
-    pub drained_tile: usize,
-    /// Cluster membership epoch before the drain.
-    pub epoch_before: u64,
-    /// Cluster membership epoch after the drain (must have advanced).
-    pub epoch_after: u64,
-    /// Server-side terminal failures (must be 0: a drain re-homes,
-    /// it does not kill accepted work).
-    pub failed: u64,
-}
-
-/// The admission probe: a deliberately tiny strict tile plus throttled
-/// tenants, demonstrating each typed refusal on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireSaturationProbe {
-    /// Jobs in the saturating burst.
-    pub burst: usize,
-    /// Burst jobs eventually delivered (oracle-checked).
-    pub delivered: u64,
-    /// `saturated` retry-after frames observed.
-    pub saturated: u64,
-    /// `rate_limited` retry-after frames observed.
-    pub rate_limited: u64,
-    /// `inflight_cap` retry-after frames observed.
-    pub inflight_capped: u64,
-}
-
-/// Everything `bin/wire` renders and asserts on.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireSweep {
-    /// One row per swept client count.
-    pub rows: Vec<WireSweepRow>,
-    /// The mid-stream drain soak at the largest client count.
-    pub drain: WireDrainSoak,
-    /// The typed-refusal probe.
-    pub saturation: WireSaturationProbe,
-    /// `true` when the staged `Dispatcher` reference reproduced the
-    /// oracle for client 0's job list (wire ≡ staged ≡ oracle).
-    pub staged_reference_ok: bool,
-}
-
-/// Passes per row; each side reports its best pass, and the
-/// wire-vs-in-process ratio comes from the best *matched pair* (the
-/// wire and in-process passes of one iteration run back-to-back, so a
-/// pair shares host conditions even when the host is noisy).
-const WIRE_PASSES: usize = 8;
-
-fn wire_tenant_name(t: usize) -> String {
-    format!("tenant{t}")
-}
-
-fn wire_tenant_key(t: usize) -> u64 {
-    0xA11CE + t as u64
-}
-
-/// Per-tenant moduli: distinct, odd, same bit length (offsets of the
-/// sweep modulus by a small even amount).
-fn wire_tenant_moduli(bits: usize, tenants: usize) -> Vec<UBig> {
-    let base = sweep_modulus(bits);
-    (0..tenants)
-        .map(|t| &base - &UBig::from(2 * t as u64))
-        .collect()
-}
-
-/// Per-client job lists with multiplicand reuse runs of 8, plus the
-/// big-integer oracle for each.
-#[allow(clippy::type_complexity)]
-fn wire_job_lists(
-    moduli: &[UBig],
-    clients: usize,
-    jobs_per_client: usize,
-    rng: &mut SmallRng,
-) -> Vec<(Vec<MulJob>, Vec<UBig>)> {
-    (0..clients)
-        .map(|c| {
-            let p = &moduli[c % moduli.len()];
-            let mut jobs = Vec::with_capacity(jobs_per_client);
-            let mut b = ubig_below(rng, p);
-            for i in 0..jobs_per_client {
-                if i % 8 == 0 {
-                    b = ubig_below(rng, p);
-                }
-                jobs.push(MulJob::new(ubig_below(rng, p), b.clone(), p.clone()));
-            }
-            let oracle: Vec<UBig> = jobs.iter().map(|j| &(&j.a * &j.b) % &j.modulus).collect();
-            (jobs, oracle)
-        })
-        .collect()
-}
-
-/// Drives one closed loop over the wire: keep `window` ids
-/// outstanding, oracle-check every `Done`, resubmit every
-/// `RetryAfter` under a fresh id. Returns `(delivered, retries)`;
-/// the loop only exits once every job has a `Done`, so anything short
-/// of `jobs.len()` delivered means an id was lost.
-fn wire_pump(
-    client: &mut WireClient,
-    jobs: &[MulJob],
-    oracle: &[UBig],
-    window: usize,
-    rounds_done: Option<&AtomicU64>,
-) -> (u64, u64) {
-    let window = window.max(1);
-    let mut pending: VecDeque<usize> = (0..jobs.len()).collect();
-    let mut delivered = 0u64;
-    let mut retries = 0u64;
-    while !pending.is_empty() {
-        let take = window.min(pending.len());
-        let round: Vec<usize> = pending.drain(..take).collect();
-        let ids = client
-            .submit_batch_refs(round.iter().map(|&i| &jobs[i]))
-            .expect("socket healthy");
-        let mut any_done = false;
-        let mut max_backoff = 0u32;
-        for (req_id, &i) in ids.zip(round.iter()) {
-            match client.wait(req_id).expect("a response for every id") {
-                WireResponse::Done(product) => {
-                    assert_eq!(product, oracle[i], "wire job {i} diverged from oracle");
-                    delivered += 1;
-                    any_done = true;
-                }
-                WireResponse::RetryAfter { millis, .. } => {
-                    retries += 1;
-                    max_backoff = max_backoff.max(millis);
-                    pending.push_back(i);
-                }
-                WireResponse::Failed(reason) => panic!("wire job {i} failed: {reason}"),
-            }
-        }
-        if let Some(rounds) = rounds_done {
-            rounds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        if !any_done {
-            // A fully-refused round: honour the largest hint briefly
-            // instead of hammering the admission path.
-            std::thread::sleep(Duration::from_millis(u64::from(max_backoff.clamp(1, 5))));
-        }
-    }
-    (delivered, retries)
-}
-
-/// The in-process twin of [`wire_pump`]: same window discipline over a
-/// bare [`ClusterHandle`], so the wire row's ratio isolates protocol +
-/// socket overhead rather than closed-loop shape.
-fn inproc_pump(handle: &ClusterHandle, jobs: &[MulJob], oracle: &[UBig], window: usize) -> u64 {
-    let window = window.max(1);
-    let mut pending: VecDeque<usize> = (0..jobs.len()).collect();
-    let mut delivered = 0u64;
-    while !pending.is_empty() {
-        let take = window.min(pending.len());
-        let round: Vec<usize> = pending.drain(..take).collect();
-        let mut tickets: Vec<(usize, Ticket)> = Vec::with_capacity(round.len());
-        let mut any_done = false;
-        for &i in &round {
-            match handle.try_submit(jobs[i].clone()) {
-                Ok(ticket) => tickets.push((i, ticket)),
-                Err(_) => pending.push_back(i),
-            }
-        }
-        for (i, ticket) in tickets {
-            assert_eq!(
-                ticket.wait().expect("valid modulus"),
-                oracle[i],
-                "in-process job {i} diverged from oracle"
-            );
-            delivered += 1;
-            any_done = true;
-        }
-        if !any_done {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-    delivered
-}
-
-fn wire_cluster(spec: &WireSweepSpec, tiles: usize, spill: SpillPolicy) -> ServiceCluster {
-    ServiceCluster::for_engine_name(
-        &spec.engine,
-        tiles,
-        ClusterConfig {
-            spill,
-            service: ServiceConfig {
-                workers: spec.workers_per_tile,
-                queue_capacity: 8192,
-                max_batch: 256,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    )
-    .unwrap_or_else(|_| panic!("unknown engine '{}'", spec.engine))
-}
-
-fn wire_registry(spec: &WireSweepSpec, clients: usize) -> Arc<TenantRegistry> {
-    let registry = Arc::new(TenantRegistry::new());
-    let max_inflight = ((clients * spec.window * 2).max(256)) as u32;
-    for t in 0..spec.tenants.max(1) {
-        registry.register(
-            &wire_tenant_name(t),
-            wire_tenant_key(t),
-            TenantLimits {
-                max_inflight,
-                ..Default::default()
-            },
-        );
-    }
-    registry
-}
-
-/// One timed row: `clients` closed loops over loopback TCP against a
-/// fresh cluster, and the identical loops in-process against another
-/// fresh cluster. Barriers bracket each pass so the wall clock covers
-/// exactly the closed-loop phase; wire and in-process passes
-/// *alternate* (both stacks stay up for the whole row) so a
-/// background-load burst on a shared host degrades both sides alike
-/// instead of skewing the ratio. Each side's throughput is its best
-/// pass; `wire_vs_inproc` is the best *matched pair* — the two passes
-/// of one iteration run back-to-back under the same host conditions,
-/// which makes their ratio meaningful even when absolute rates swing
-/// between iterations.
-fn wire_row(
-    spec: &WireSweepSpec,
-    clients: usize,
-    job_lists: &[(Vec<MulJob>, Vec<UBig>)],
-) -> WireSweepRow {
-    let cluster = wire_cluster(spec, spec.tiles, SpillPolicy::default());
-    let registry = wire_registry(spec, clients);
-    let server = WireServer::bind(
-        "127.0.0.1:0",
-        NetBackend::Cluster(cluster.handle()),
-        registry,
-        WireConfig::default(),
-    )
-    .expect("loopback bind");
-    let addr = server.local_addr();
-    let baseline = wire_cluster(spec, spec.tiles, SpillPolicy::default());
-
-    let wire_start = Barrier::new(clients + 1);
-    let wire_done = Barrier::new(clients + 1);
-    let inproc_start = Barrier::new(clients + 1);
-    let inproc_done = Barrier::new(clients + 1);
-    let mut wire_times = [0.0f64; WIRE_PASSES];
-    let mut inproc_times = [0.0f64; WIRE_PASSES];
-    let mut retries = 0u64;
-    let mut duplicates = 0u64;
-    let mut delivered = 0u64;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let (jobs, oracle) = &job_lists[c];
-                let tenant = wire_tenant_name(c % spec.tenants.max(1));
-                let key = wire_tenant_key(c % spec.tenants.max(1));
-                let (start, done) = (&wire_start, &wire_done);
-                scope.spawn(move || {
-                    let mut client =
-                        WireClient::connect(addr, &tenant, key).expect("handshake accepted");
-                    // Warm-up: one window's worth prepares the tenant
-                    // context on its home tile before any timed pass.
-                    let head = spec.window.min(jobs.len());
-                    wire_pump(
-                        &mut client,
-                        &jobs[..head],
-                        &oracle[..head],
-                        spec.window,
-                        None,
-                    );
-                    let mut delivered = 0u64;
-                    let mut retries = 0u64;
-                    for _ in 0..WIRE_PASSES {
-                        start.wait();
-                        let (d, r) = wire_pump(&mut client, jobs, oracle, spec.window, None);
-                        delivered += d;
-                        retries += r;
-                        done.wait();
-                    }
-                    let duplicates = client.duplicates();
-                    client.close().expect("clean goodbye");
-                    (delivered, retries, duplicates)
-                })
-            })
-            .collect();
-        for (jobs, oracle) in &job_lists[..clients] {
-            let handle = baseline.handle();
-            let (start, done) = (&inproc_start, &inproc_done);
-            scope.spawn(move || {
-                let head = spec.window.min(jobs.len());
-                inproc_pump(&handle, &jobs[..head], &oracle[..head], spec.window);
-                for _ in 0..WIRE_PASSES {
-                    start.wait();
-                    inproc_pump(&handle, jobs, oracle, spec.window);
-                    done.wait();
-                }
-            });
-        }
-        // Off-duty loops sit parked on their barrier, so each timed
-        // pass sees only its own side's threads runnable.
-        for pass in 0..WIRE_PASSES {
-            wire_start.wait();
-            let t0 = Instant::now();
-            wire_done.wait();
-            wire_times[pass] = t0.elapsed().as_secs_f64();
-            inproc_start.wait();
-            let t0 = Instant::now();
-            inproc_done.wait();
-            inproc_times[pass] = t0.elapsed().as_secs_f64();
-        }
-        for handle in handles {
-            let (d, r, dup) = handle.join().expect("client thread");
-            delivered += d;
-            retries += r;
-            duplicates += dup;
-        }
-    });
-    let net = server.shutdown();
-    cluster.shutdown();
-    baseline.shutdown();
-    let expected: u64 = job_lists[..clients]
-        .iter()
-        .map(|(jobs, _)| jobs.len() as u64 * WIRE_PASSES as u64)
-        .sum();
-    let lost = expected.saturating_sub(delivered);
-
-    let jobs_per_pass: usize = job_lists[..clients].iter().map(|(j, _)| j.len()).sum();
-    let wire_best = wire_times.iter().copied().fold(f64::INFINITY, f64::min);
-    let inproc_best = inproc_times.iter().copied().fold(f64::INFINITY, f64::min);
-    let wire_jobs_per_s = jobs_per_pass as f64 / wire_best;
-    let inproc_jobs_per_s = jobs_per_pass as f64 / inproc_best;
-    // A pass pair's ratio is inproc_time / wire_time (wire throughput
-    // over in-process throughput at the same jobs-per-pass).
-    let wire_vs_inproc = wire_times
-        .iter()
-        .zip(&inproc_times)
-        .map(|(w, i)| i / w)
-        .fold(f64::NEG_INFINITY, f64::max);
-    WireSweepRow {
-        clients,
-        jobs: jobs_per_pass,
-        wire_jobs_per_s,
-        inproc_jobs_per_s,
-        wire_vs_inproc,
-        retries,
-        duplicates,
-        lost,
-        remeasures: 0,
-        wire_p50_ns: net.wire_p50_ns,
-        wire_p99_ns: net.wire_p99_ns,
-        net,
-    }
-}
-
-/// The drain soak: largest client count, spill routing, and a live
-/// `drain_tile` once every client is demonstrably mid-stream.
-fn wire_drain_soak(
-    spec: &WireSweepSpec,
-    clients: usize,
-    job_lists: &[(Vec<MulJob>, Vec<UBig>)],
-) -> WireDrainSoak {
-    let tiles = spec.tiles.max(2);
-    let cluster = wire_cluster(spec, tiles, SpillPolicy::default());
-    let registry = wire_registry(spec, clients);
-    let server = WireServer::bind(
-        "127.0.0.1:0",
-        NetBackend::Cluster(cluster.handle()),
-        registry,
-        WireConfig::default(),
-    )
-    .expect("loopback bind");
-    let addr = server.local_addr();
-    let epoch_before = cluster.membership_epoch();
-    let victim = cluster
-        .home_tile(&job_lists[0].0[0].modulus)
-        .expect("a routable tile homes client 0");
-
-    let rounds_done = AtomicU64::new(0);
-    let mut delivered = 0u64;
-    let mut retries = 0u64;
-    let mut duplicates = 0u64;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let (jobs, oracle) = &job_lists[c];
-                let tenant = wire_tenant_name(c % spec.tenants.max(1));
-                let key = wire_tenant_key(c % spec.tenants.max(1));
-                let rounds_done = &rounds_done;
-                scope.spawn(move || {
-                    let mut client =
-                        WireClient::connect(addr, &tenant, key).expect("handshake accepted");
-                    let (d, r) =
-                        wire_pump(&mut client, jobs, oracle, spec.window, Some(rounds_done));
-                    let dup = client.duplicates();
-                    client.close().expect("clean goodbye");
-                    (d, r, dup)
-                })
-            })
-            .collect();
-        // Drain once the fleet has collectively finished a couple of
-        // rounds per client — mid-stream by construction.
-        let threshold = 2 * clients as u64;
-        while rounds_done.load(std::sync::atomic::Ordering::Relaxed) < threshold {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        cluster.drain_tile(victim).expect("live drain succeeds");
-        for handle in handles {
-            let (d, r, dup) = handle.join().expect("client thread");
-            delivered += d;
-            retries += r;
-            duplicates += dup;
-        }
-    });
-    let epoch_after = cluster.membership_epoch();
-    let net = server.shutdown();
-    cluster.shutdown();
-    let expected: u64 = job_lists[..clients]
-        .iter()
-        .map(|(jobs, _)| jobs.len() as u64)
-        .sum();
-    WireDrainSoak {
-        clients,
-        delivered,
-        retries,
-        duplicates,
-        lost: expected.saturating_sub(delivered),
-        drained_tile: victim,
-        epoch_before,
-        epoch_after,
-        failed: net.failed,
-    }
-}
-
-/// The typed-refusal probe: a one-tile strict cluster with a tiny
-/// queue forces `saturated`, a throttled tenant forces `rate_limited`,
-/// and a one-slot tenant forces `inflight_cap` — all on the wire, all
-/// with every accepted job oracle-checked.
-fn wire_saturation_probe(spec: &WireSweepSpec) -> WireSaturationProbe {
-    let burst = 96usize;
-    let mut rng = SmallRng::seed_from_u64(spec.seed ^ 0x5A7);
-    let p = sweep_modulus(spec.bits);
-    let jobs: Vec<MulJob> = (0..burst)
-        .map(|_| {
-            MulJob::new(
-                ubig_below(&mut rng, &p),
-                ubig_below(&mut rng, &p),
-                p.clone(),
-            )
-        })
-        .collect();
-    let oracle: Vec<UBig> = jobs.iter().map(|j| &(&j.a * &j.b) % &j.modulus).collect();
-
-    // A deliberately starved tile: one slow worker, four queue slots.
-    let cluster = ServiceCluster::for_engine_name(
-        "r4csa-lut",
-        1,
-        ClusterConfig {
-            spill: SpillPolicy::Strict,
-            service: ServiceConfig {
-                workers: 1,
-                queue_capacity: 4,
-                max_batch: 4,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    )
-    .expect("r4csa-lut exists");
-    let registry = Arc::new(TenantRegistry::new());
-    registry.register("burst", 0xB0, TenantLimits::default());
-    registry.register(
-        "throttled",
-        0x71,
-        TenantLimits {
-            max_inflight: 64,
-            rate_per_sec: 20.0,
-            burst: 4,
-        },
-    );
-    registry.register(
-        "narrow",
-        0x42,
-        TenantLimits {
-            max_inflight: 2,
-            ..Default::default()
-        },
-    );
-    let server = WireServer::bind(
-        "127.0.0.1:0",
-        NetBackend::Cluster(cluster.handle()),
-        registry,
-        WireConfig::default(),
-    )
-    .expect("loopback bind");
-    let addr = server.local_addr();
-
-    // Saturating burst: one oversized batch against the tiny queue.
-    let mut client = WireClient::connect(addr, "burst", 0xB0).expect("handshake accepted");
-    let (delivered, _) = wire_pump(&mut client, &jobs, &oracle, burst, None);
-    client.close().expect("clean goodbye");
-
-    // Throttled tenant: sequential submits past the bucket depth.
-    let mut client = WireClient::connect(addr, "throttled", 0x71).expect("handshake accepted");
-    for job in jobs.iter().take(12).cloned() {
-        let id = client.submit(job).expect("socket healthy");
-        let _ = client.wait(id).expect("a response for every id");
-    }
-    client.close().expect("clean goodbye");
-
-    // One-slot tenant: a window far wider than its in-flight cap.
-    let mut client = WireClient::connect(addr, "narrow", 0x42).expect("handshake accepted");
-    let ids = client
-        .submit_batch(jobs.iter().take(8).cloned().collect())
-        .expect("socket healthy");
-    for id in ids {
-        let _ = client.wait(id).expect("a response for every id");
-    }
-    client.close().expect("clean goodbye");
-
-    let net = server.shutdown();
-    cluster.shutdown();
-    WireSaturationProbe {
-        burst,
-        delivered,
-        saturated: net.retries("saturated"),
-        rate_limited: net.retries("rate_limited"),
-        inflight_capped: net.retries("inflight_cap"),
-    }
-}
-
-/// Runs the full wire sweep: one row per client count, then the drain
-/// soak and the refusal probe. `bin/wire` holds the assertions; the
-/// collector only measures and accounts.
-///
-/// # Panics
-///
-/// Panics on an unknown engine, a refused handshake, or any response
-/// that diverges from the big-integer oracle.
-pub fn wire_sweep(spec: &WireSweepSpec) -> WireSweep {
-    let mut rng = SmallRng::seed_from_u64(spec.seed);
-    let moduli = wire_tenant_moduli(spec.bits, spec.tenants.max(1));
-    let max_clients = spec.client_counts.iter().copied().max().unwrap_or(1);
-    let job_lists = wire_job_lists(&moduli, max_clients, spec.jobs_per_client, &mut rng);
-
-    // Staged reference: the whole of client 0's list through the
-    // synchronous dispatcher, against the same oracle the wire pumps
-    // check — closing the streamed ≡ staged ≡ oracle triangle.
-    let staged_reference_ok = {
-        let pool = ContextPool::for_engine_name(&spec.engine)
-            .unwrap_or_else(|| panic!("unknown engine '{}'", spec.engine));
-        let dispatcher = Dispatcher::new(spec.workers_per_tile);
-        let (jobs, oracle) = &job_lists[0];
-        let (results, _) = dispatcher.dispatch_jobs(&pool, jobs).expect("valid jobs");
-        results == *oracle
-    };
-
-    let mut client_counts = spec.client_counts.clone();
-    client_counts.sort_unstable();
-    client_counts.dedup();
-    let mut rows: Vec<WireSweepRow> = client_counts
-        .iter()
-        .map(|&clients| wire_row(spec, clients.max(1), &job_lists))
-        .collect();
-
-    if let (Some(target), Some(last)) = (spec.remeasure_below, rows.last_mut()) {
-        let clients = last.clients;
-        for _ in 0..2 {
-            if last.wire_vs_inproc >= target {
-                break;
-            }
-            let remeasures = last.remeasures + 1;
-            let retry = wire_row(spec, clients, &job_lists);
-            if retry.wire_vs_inproc > last.wire_vs_inproc {
-                *last = retry;
-            }
-            last.remeasures = remeasures;
-        }
-    }
-
-    let drain = wire_drain_soak(spec, max_clients, &job_lists);
-    let saturation = wire_saturation_probe(spec);
-
-    WireSweep {
-        rows,
-        drain,
-        saturation,
-        staged_reference_ok,
-    }
-}
-
 /// The shape of one [`weighted_sweep`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WeightedSweepSpec {
@@ -2043,7 +1367,6 @@ fn weighted_fleet_run(
                 workers: 2,
                 queue_capacity: 8192,
                 max_batch: 256,
-                ..Default::default()
             },
             poison_after: 3,
             ..Default::default()
@@ -2134,7 +1457,6 @@ fn hot_modulus_run(rounds: usize, burst: u64, replicate_after: u64) -> (u64, f64
                 workers: 1,
                 queue_capacity: 4,
                 max_batch: 1,
-                ..Default::default()
             },
             poison_after: 0,
             // High enough that the sustained burst can never demote
@@ -2191,7 +1513,6 @@ fn live_reweigh_soak(spec: &WeightedSweepSpec, rng: &mut SmallRng) -> LiveReweig
                 workers: 2,
                 queue_capacity: 1024,
                 max_batch: 64,
-                ..Default::default()
             },
             probation_after: 2,
             ..Default::default()
@@ -2404,48 +1725,6 @@ pub fn weighted_sweep(spec: &WeightedSweepSpec) -> WeightedSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_sweep_small_run_accounts_for_every_id() {
-        let sweep = wire_sweep(&WireSweepSpec {
-            engine: "barrett".to_string(),
-            bits: 64,
-            tiles: 2,
-            workers_per_tile: 2,
-            tenants: 2,
-            client_counts: vec![1, 2],
-            jobs_per_client: 48,
-            window: 8,
-            seed: 7,
-            remeasure_below: None,
-        });
-        assert!(sweep.staged_reference_ok, "staged reference diverged");
-        assert_eq!(sweep.rows.len(), 2);
-        for row in &sweep.rows {
-            assert_eq!(row.lost, 0, "{} clients lost ids", row.clients);
-            assert_eq!(row.duplicates, 0, "{} clients saw duplicates", row.clients);
-            assert_eq!(
-                row.net.accepted,
-                row.net.completed + row.net.failed,
-                "accepted jobs must all reach a terminal frame"
-            );
-            assert!(row.wire_jobs_per_s > 0.0 && row.inproc_jobs_per_s > 0.0);
-        }
-        assert_eq!(sweep.drain.lost, 0, "drain soak lost ids");
-        assert_eq!(sweep.drain.duplicates, 0, "drain soak saw duplicates");
-        assert_eq!(sweep.drain.failed, 0, "drain must not kill accepted work");
-        assert!(
-            sweep.drain.epoch_after > sweep.drain.epoch_before,
-            "drain must advance the membership epoch"
-        );
-        assert_eq!(sweep.saturation.delivered, sweep.saturation.burst as u64);
-        assert!(
-            sweep.saturation.saturated >= 1,
-            "strict burst never saturated"
-        );
-        assert!(sweep.saturation.rate_limited >= 1, "throttle never tripped");
-        assert!(sweep.saturation.inflight_capped >= 1, "cap never tripped");
-    }
 
     #[test]
     fn elasticity_sweep_small_run_keeps_tickets_and_recovers_affinity() {

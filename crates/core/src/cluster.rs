@@ -2035,7 +2035,6 @@ mod tests {
                 workers: 2,
                 queue_capacity: 64,
                 max_batch: 8,
-                ..Default::default()
             },
             ..Default::default()
         }
@@ -2294,7 +2293,6 @@ mod tests {
             workers: 1,
             queue_capacity: 2,
             max_batch: 1,
-            ..Default::default()
         };
         for spill in [SpillPolicy::Spill { max_hops: 1 }, SpillPolicy::Strict] {
             let gate = Gate::new();
@@ -2388,7 +2386,6 @@ mod tests {
             workers: 1,
             queue_capacity: 2,
             max_batch: 1,
-            ..Default::default()
         };
         let config = ClusterConfig {
             spill: SpillPolicy::Strict,
@@ -2453,7 +2450,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 2,
                 max_batch: 1,
-                ..Default::default()
             },
             ..Default::default()
         };
@@ -2598,7 +2594,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 16,
                 max_batch: 1,
-                ..Default::default()
             },
             poison_after: 2,
             probation_after: 2,
@@ -2731,7 +2726,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 2,
                 max_batch: 1,
-                ..Default::default()
             },
             poison_after: 0,
             probation_after: 2,

@@ -71,30 +71,23 @@ use modsram_modmul::{ModMulError, PreparedModMul};
 
 use crate::autotune::{AutotuneStats, TunePolicy};
 use crate::cluster::ServiceCluster;
-use crate::dispatch::{ContextPool, Dispatcher, MulJob, StealPolicy};
+use crate::cycles::modelled_batch_cycles;
+use crate::dispatch::{ContextPool, Dispatcher, MulJob};
 use crate::error::CoreError;
 use crate::modsram::ModSramConfig;
-
-// The modelled-cycle constants and formulas were defined here before
-// `crate::cycles` became their shared home; the re-export keeps every
-// historical `service::modelled_*` path compiling.
-pub use crate::cycles::{modelled_batch_cycles, modelled_mul_cycles, MODELLED_REFILL_CYCLES};
 
 /// Tuning knobs of a [`ModSramService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Dispatcher workers executing each coalesced batch.
+    /// Dispatcher workers (lanes) executing each coalesced batch. The
+    /// executor's [`Dispatcher`] uses its defaults otherwise: automatic
+    /// chunk sizing and work stealing.
     pub workers: usize,
     /// Bound on queued-but-not-yet-drained jobs: `submit` blocks and
     /// `try_submit` returns [`SubmitError::QueueFull`] beyond it.
     pub queue_capacity: usize,
     /// Most jobs the executor takes from the queue as one batch.
     pub max_batch: usize,
-    /// Optional dispatcher chunk-size override (defaults to the
-    /// dispatcher's automatic sizing).
-    pub chunk_size: Option<usize>,
-    /// Steal policy for batch execution.
-    pub policy: StealPolicy,
 }
 
 impl Default for ServiceConfig {
@@ -103,8 +96,6 @@ impl Default for ServiceConfig {
             workers: 4,
             queue_capacity: 1024,
             max_batch: 512,
-            chunk_size: None,
-            policy: StealPolicy::WorkStealing,
         }
     }
 }
@@ -1123,10 +1114,7 @@ fn settle<'a>(
 /// [`ServiceError::Stopped`] instead of hanging their waiters, and the
 /// executor keeps serving later batches.
 fn executor_loop(shared: Arc<Shared>, pool: Arc<ContextPool>, config: ServiceConfig) {
-    let mut dispatcher = Dispatcher::new(config.workers).policy(config.policy);
-    if let Some(chunk) = config.chunk_size {
-        dispatcher = dispatcher.chunk_size(chunk);
-    }
+    let dispatcher = Dispatcher::new(config.workers);
     while let Some(batch) = next_batch(&shared, config.max_batch, config.workers > 1) {
         let tickets: Vec<Arc<TicketState>> = batch.iter().map(|q| Arc::clone(&q.ticket)).collect();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1400,6 +1388,7 @@ impl MulBackend for ServiceCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cycles::{modelled_mul_cycles, MODELLED_REFILL_CYCLES};
 
     fn jobs_mod(p: u64, count: u64) -> Vec<MulJob> {
         (0..count)
@@ -1412,7 +1401,6 @@ mod tests {
             workers: 2,
             queue_capacity: 64,
             max_batch: 8,
-            ..Default::default()
         }
     }
 

@@ -49,7 +49,6 @@ fn tiny_tile_config() -> ServiceConfig {
         workers: 1,
         queue_capacity: 16,
         max_batch: 2,
-        ..Default::default()
     }
 }
 
@@ -169,7 +168,6 @@ fn backpressure_spills_to_least_loaded_tile_and_strict_saturates() {
         workers: 1,
         queue_capacity: 2,
         max_batch: 1,
-        ..Default::default()
     };
     let config = ClusterConfig {
         spill: SpillPolicy::Spill { max_hops: 1 },
@@ -260,7 +258,6 @@ fn soak_shutdown_mid_stream_drains_every_ticket_exactly_once() {
                 workers: 2,
                 queue_capacity: 128,
                 max_batch: 16,
-                ..Default::default()
             },
             poison_after: 3,
             ..Default::default()
@@ -341,7 +338,6 @@ fn reset_window_clears_coalesce_and_latency_but_not_lifetime_counters() {
                 workers: 2,
                 queue_capacity: 64,
                 max_batch: 4,
-                ..Default::default()
             },
             ..Default::default()
         },

@@ -26,7 +26,6 @@ fn quick_config() -> ClusterConfig {
             workers: 1,
             queue_capacity: 64,
             max_batch: 8,
-            ..Default::default()
         },
         probation_after: 2,
         ..Default::default()
@@ -201,7 +200,6 @@ fn reweigh_mid_stream_loses_no_accepted_ticket() {
                 workers: 2,
                 queue_capacity: 128,
                 max_batch: 16,
-                ..Default::default()
             },
             probation_after: 2,
             ..Default::default()
@@ -295,7 +293,6 @@ fn drain_mid_stream_loses_no_accepted_ticket() {
                 workers: 2,
                 queue_capacity: 128,
                 max_batch: 16,
-                ..Default::default()
             },
             probation_after: 2,
             ..Default::default()
@@ -375,7 +372,6 @@ fn blocked_submit_rideses_out_a_drain_of_its_home() {
         workers: 1,
         queue_capacity: 2,
         max_batch: 1,
-        ..Default::default()
     };
     let config = ClusterConfig {
         spill: SpillPolicy::Strict,

@@ -57,7 +57,6 @@ proptest! {
                 workers: 4,
                 queue_capacity: 32,
                 max_batch,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -89,7 +88,6 @@ fn shutdown_drains_all_tickets() {
             workers: 2,
             queue_capacity: 512,
             max_batch: 16,
-            ..Default::default()
         },
     )
     .unwrap();
@@ -130,7 +128,6 @@ fn backpressure_try_submit_reports_queue_full() {
             workers: 1,
             queue_capacity: 3,
             max_batch: 1,
-            ..Default::default()
         },
     );
     let p = UBig::from(97u64);
@@ -212,7 +209,6 @@ fn executor_panic_fails_tickets_instead_of_hanging() {
             workers: 1,
             queue_capacity: 16,
             max_batch: 4,
-            ..Default::default()
         },
     );
     let p = UBig::from(97u64);
@@ -242,7 +238,6 @@ fn four_submitter_threads_share_one_service() {
             workers: 4,
             queue_capacity: 256,
             max_batch: 32,
-            ..Default::default()
         },
     )
     .unwrap();

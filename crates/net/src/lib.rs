@@ -26,9 +26,9 @@
 //! * [`stats`] — [`NetStats`]: per-tenant frames/bytes/outcomes and
 //!   reservoir-sampled request-to-response latency percentiles.
 //! * [`client`] — [`WireClient`]: the blocking single-threaded client
-//!   the closed-loop load generator (`bin/wire`) and the loopback
-//!   tests drive; the waiter reads the socket itself and files
-//!   out-of-order completions locally.
+//!   perfbench's closed loops and the loopback tests drive; the
+//!   waiter reads the socket itself and files out-of-order completions
+//!   locally.
 //!
 //! # Example: serve a cluster over loopback
 //!

@@ -1,7 +1,7 @@
 //! Connection-level metering: per-tenant frame/byte/outcome counters
 //! and request-to-response latency percentiles, mirroring the
-//! `ServiceStats`/`ClusterStats` shape one layer down so `bin/wire`
-//! artifacts line up with the rest of the sweep family.
+//! `ServiceStats`/`ClusterStats` shape one layer down so perfbench's
+//! net rung lines up with the service and cluster rungs below it.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,7 +1,9 @@
 //! Loopback-socket integration tests: admission edge cases surfaced
 //! at the wire boundary, tenant limits over a real TCP connection,
-//! and the multi-client drain-on-shutdown soak the CI tier-1 step
-//! runs by name.
+//! the multi-client drain-on-shutdown soak the CI tier-1 step runs by
+//! name, and a live tile drain under closed-loop traffic.
+
+mod common;
 
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -287,7 +289,6 @@ fn paused_tile_during_live_drain_maps_to_tile_paused_retry_frame() {
                 workers: 1,
                 queue_capacity: 256,
                 max_batch: 16,
-                ..Default::default()
             },
             ..Default::default()
         },
@@ -368,7 +369,6 @@ fn strict_saturation_maps_to_saturated_retry_frame() {
                 workers: 1,
                 queue_capacity: 4,
                 max_batch: 4,
-                ..Default::default()
             },
             ..Default::default()
         },
@@ -394,7 +394,7 @@ fn strict_saturation_maps_to_saturated_retry_frame() {
     let ids = client.submit_batch(jobs.clone()).unwrap();
 
     let mut done = 0u64;
-    let mut saturated = 0u64;
+    let mut refused = Vec::new();
     for (i, id) in ids.enumerate() {
         match client.wait(id).unwrap() {
             WireResponse::Done(product) => {
@@ -405,11 +405,12 @@ fn strict_saturation_maps_to_saturated_retry_frame() {
             WireResponse::RetryAfter { reason, .. } => {
                 // Strict: exactly one tile was offered the job.
                 assert_eq!(reason, RetryReason::Saturated { tried: 1 });
-                saturated += 1;
+                refused.push((jobs[i].clone(), oracle(&jobs[i])));
             }
             other => panic!("unexpected response: {other:?}"),
         }
     }
+    let saturated = refused.len() as u64;
     assert_eq!(done + saturated, 256);
     assert!(done >= 1, "some of the burst must land");
     assert!(
@@ -417,11 +418,16 @@ fn strict_saturation_maps_to_saturated_retry_frame() {
         "a 4-deep queue cannot swallow a 256-job burst"
     );
 
+    // Resending every refused job until it lands delivers the whole
+    // burst; the resends may saturate again, and only saturate.
+    let again = common::pump(&mut client, &refused, refused.len());
+
     client.close().unwrap();
     let stats = server.shutdown();
-    assert_eq!(stats.retries("saturated"), saturated);
+    assert_eq!(stats.retries("saturated"), saturated + again.len() as u64);
     assert_eq!(stats.retries("tile_paused"), 0, "distinct retry reasons");
-    assert_eq!(stats.accepted, done);
+    assert_eq!(stats.accepted, 256, "every burst job delivered");
+    assert_eq!(stats.completed, 256);
     cluster.shutdown();
 }
 
@@ -530,7 +536,6 @@ fn multi_client_drain_on_shutdown_delivers_every_accepted_response() {
                 workers: 2,
                 queue_capacity: 512,
                 max_batch: 64,
-                ..Default::default()
             },
             ..Default::default()
         },
@@ -628,4 +633,42 @@ fn multi_client_drain_on_shutdown_delivers_every_accepted_response() {
         "every connection fully torn down"
     );
     cluster.shutdown();
+}
+
+/// A live `drain_tile` mid-stream: four clients keep closed-loop
+/// windows in flight against a 2-tile spill cluster, resending every
+/// refusal under a fresh id, while the tile homing client 0 drains.
+/// Every job is delivered exactly once with the oracle's product,
+/// nothing fails, and the membership epoch advances.
+#[test]
+fn live_drain_mid_stream_delivers_every_job_exactly_once() {
+    let (clients, window, jobs_per_client) = (4, 16, 128);
+    let p = UBig::from(0xffff_ffff_ffff_ffc5u64);
+    let job_lists = common::job_lists(&p, clients, jobs_per_client, 7);
+    let cluster = common::cluster("barrett");
+    let server = common::serve(&cluster);
+    let epoch_before = cluster.membership_epoch();
+    let victim = cluster.home_tile(&p).unwrap(); // client 0's home
+    std::thread::scope(|scope| {
+        for (c, jobs) in job_lists.iter().enumerate() {
+            let addr = server.local_addr();
+            scope.spawn(move || {
+                let mut client = common::connect(addr, c);
+                common::pump(&mut client, jobs, window);
+                assert_eq!(client.duplicates(), 0, "no id may complete twice");
+                client.close().unwrap();
+            });
+        }
+        // Two windows per client accepted: every client is mid-stream.
+        wait_for_accepted(&server, 2 * (clients * window) as u64);
+        cluster.drain_tile(victim).expect("live drain succeeds");
+    });
+
+    assert!(cluster.membership_epoch() > epoch_before, "epoch advanced");
+    let stats = server.shutdown();
+    cluster.shutdown();
+    assert_eq!(stats.failed, 0, "a drain re-homes work, it fails none");
+    assert_eq!(stats.accepted, stats.completed + stats.failed);
+    let jobs = (clients * jobs_per_client) as u64;
+    assert_eq!(stats.completed, jobs, "each job delivered once");
 }

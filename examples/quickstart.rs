@@ -39,7 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             workers: 4,
             queue_capacity: 1024,
             max_batch: 256,
-            ..Default::default()
         },
     )?;
 

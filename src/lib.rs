@@ -186,10 +186,10 @@
 //! service.shutdown();
 //! ```
 //!
-//! `cargo run --release --bin wire` exercises this stack end to end:
-//! a closed-loop load generator over loopback TCP per client count,
-//! checked against the oracle and an identical in-process closed loop
-//! (`results/wire_sweep.json`).
+//! Perfbench (`perfbench/`) times this stack end to end over loopback
+//! TCP and reports the wire rung as `net.*`. The tests in
+//! `crates/net/tests/` check it against the oracle through a live drain
+//! (`loopback.rs`) and against an in-process closed loop (`wire_timing.rs`).
 //!
 //! Batch consumers — `apps::ecdsa::verify_batch`,
 //! `PedersenCommitter::new_via`, `NttPlan::{forward,inverse}_via`, and

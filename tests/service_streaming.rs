@@ -30,7 +30,6 @@ fn heterogeneous_tenants_interleave_on_one_service() {
             workers: 4,
             queue_capacity: 512,
             max_batch: 64,
-            ..Default::default()
         },
     )
     .unwrap();
@@ -139,7 +138,6 @@ fn heterogeneous_tenants_interleave_on_a_cluster() {
                 workers: 2,
                 queue_capacity: 512,
                 max_batch: 64,
-                ..Default::default()
             },
             poison_after: 3,
             ..Default::default()
@@ -282,7 +280,6 @@ proptest! {
                     workers: 2,
                     queue_capacity: 32,
                     max_batch,
-                    ..Default::default()
                 },
                 poison_after: 3,
                 ..Default::default()
