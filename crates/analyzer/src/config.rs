@@ -233,6 +233,11 @@ impl Config {
                     level: 2,
                 },
                 LockHelperSpec {
+                    file: "core/src/service.rs",
+                    method: "lock_slot",
+                    level: 4,
+                },
+                LockHelperSpec {
                     file: "core/src/dispatch.rs",
                     method: "lock_cache",
                     level: 2,

@@ -188,6 +188,24 @@ fn no_sleep_ignores_tests_test_util_and_other_crates() {
     assert!(denied_rules(&files, &rules_config()).is_empty());
 }
 
+#[test]
+fn no_sleep_catches_seeded_yield_outside_test_code() {
+    let spin = "fn f() { while !done() { std::thread::yield_now(); } }";
+    let seeded = [("crates/core/src/service.rs", spin)];
+    assert!(denied_rules(&seeded, &rules_config()).contains(&"no_sleep"));
+    // Counter waits in test code stay legal, as does `test_util.rs`.
+    let legal = [
+        ("crates/net/tests/loopback.rs", spin),
+        ("tests/service_streaming.rs", spin),
+        ("crates/core/src/test_util.rs", spin),
+        (
+            "crates/core/src/cluster.rs",
+            "#[cfg(test)]\nmod tests { fn t() { std::thread::yield_now(); } }",
+        ),
+    ];
+    assert!(denied_rules(&legal, &rules_config()).is_empty());
+}
+
 // ---- allow machinery (allow_syntax) -----------------------------------
 
 #[test]

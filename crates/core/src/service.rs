@@ -18,17 +18,16 @@
 //!   frees; [`SubmitHandle::try_submit`] refuses immediately with
 //!   [`SubmitError::QueueFull`] so open-loop producers can shed load.
 //! * **Natural batching** — a tile models one SRAM array, so it runs
-//!   one executor thread, which pulls straight from the queue: whenever
-//!   it is free it takes every queued job, at most
-//!   [`ServiceConfig::max_batch`], as its batch. No timer waits for
+//!   one executor thread, which pulls straight from the queue, at most
+//!   [`ServiceConfig::max_batch`] jobs per batch. No timer waits for
 //!   stragglers; jobs pile up while the executor is busy, and that is
-//!   when batching saves LUT refills. On an idle multi-lane tile the
-//!   executor first yields its core until the queue stops growing, so
-//!   a submitter streaming single jobs finishes its run before the
-//!   batch is taken and fills the lanes. A bulk submission
+//!   when batching saves LUT refills. A one-lane tile takes queued jobs
+//!   at once; a multi-lane tile holds them until a producer waits on,
+//!   polls or drops a pending [`Ticket`], submits in bulk
 //!   ([`SubmitHandle::submit_many`], [`SubmitHandle::try_submit_many`],
-//!   a wire `SubmitBatch` frame) lands under one lock, so an idle
-//!   executor takes it whole. Each batch is sorted
+//!   a wire `SubmitBatch` frame) or fills `max_batch` (or the queue),
+//!   or the tile pauses or stops. So streamed single jobs fill the
+//!   lanes together, whatever the scheduler does. Each batch is sorted
 //!   **multiplicand-major** (modulus-major, then by `b`) so the
 //!   paper's Table 1b reuse survives interleaved tenants, and executes
 //!   through the existing [`Dispatcher`] over a shared
@@ -61,10 +60,10 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use modsram_bigint::UBig;
 use modsram_modmul::{ModMulError, PreparedModMul};
@@ -81,12 +80,14 @@ use crate::modsram::ModSramConfig;
 pub struct ServiceConfig {
     /// Dispatcher workers (lanes) executing each coalesced batch. The
     /// executor's [`Dispatcher`] uses its defaults otherwise: automatic
-    /// chunk sizing and work stealing.
+    /// chunk sizing and work stealing. With more than one lane, queued
+    /// jobs wait for a producer to release them (see the module docs).
     pub workers: usize,
     /// Bound on queued-but-not-yet-drained jobs: `submit` blocks and
     /// `try_submit` returns [`SubmitError::QueueFull`] beyond it.
     pub queue_capacity: usize,
-    /// Most jobs the executor takes from the queue as one batch.
+    /// Most jobs the executor takes from the queue as one batch; a
+    /// multi-lane tile takes one unasked at `max_batch.min(queue_capacity)`.
     pub max_batch: usize,
 }
 
@@ -180,7 +181,7 @@ impl TicketState {
     /// makes the executor's panic guard idempotent with normal
     /// delivery).
     fn complete(&self, result: Result<UBig, ServiceError>) -> bool {
-        let mut slot = self.slot.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut slot = self.lock_slot();
         let won = slot.is_none();
         if won {
             *slot = Some(result);
@@ -188,15 +189,24 @@ impl TicketState {
         self.ready.notify_all();
         won
     }
+
+    fn lock_slot(&self) -> MutexGuard<'_, Option<Result<UBig, ServiceError>>> {
+        self.slot.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A claim on one submitted job's eventual product.
 ///
 /// Redeem with [`Ticket::wait`] (blocking) or poll with
 /// [`Ticket::try_poll`]; both may be called repeatedly and from the
-/// thread of your choice.
+/// thread of your choice. On a multi-lane tile, waiting on, polling or
+/// dropping a pending ticket releases the batch the tile holds.
 pub struct Ticket {
     state: Arc<TicketState>,
+    /// The multi-lane tile holding the job; `None` on a one-lane tile.
+    tile: Option<Arc<Shared>>,
+    /// Set once this ticket has released its tile's held batch.
+    asked: AtomicBool,
 }
 
 impl core::fmt::Debug for Ticket {
@@ -205,14 +215,30 @@ impl core::fmt::Debug for Ticket {
     }
 }
 
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        self.ask();
+    }
+}
+
 impl Ticket {
+    /// Releases the tile's held batch the first time a producer wants
+    /// this pending job; `wanted` then stays set until a take empties
+    /// the queue, so the job runs. Holds no slot lock while asking.
+    fn ask(&self) {
+        let Some(tile) = &self.tile else { return };
+        if self.asked.load(Ordering::Relaxed) {
+            return;
+        }
+        if self.state.lock_slot().is_none() && !self.asked.swap(true, Ordering::Relaxed) {
+            tile.want();
+        }
+    }
+
     /// Blocks until the job completes and returns its result.
     pub fn wait(&self) -> Result<UBig, ServiceError> {
-        let mut slot = self
-            .state
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        self.ask();
+        let mut slot = self.state.lock_slot();
         loop {
             if let Some(result) = slot.as_ref() {
                 return result.clone();
@@ -225,25 +251,13 @@ impl Ticket {
         }
     }
 
-    /// Blocks until the job completes or `timeout` elapses.
-    ///
-    /// Returns `None` on timeout — the ticket is still live and may be
-    /// waited on again (connection handlers use this to bound how long
-    /// a writer thread parks on one response without abandoning it).
-    pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<UBig, ServiceError>> {
-        self.wait_deadline(Instant::now() + timeout)
-    }
-
-    /// Like [`Ticket::wait_timeout`], but against an absolute deadline:
-    /// a `try_poll` loop that parks on the completion condvar between
-    /// polls, so callers iterating many tickets toward one shared
+    /// Blocks until the job completes or `deadline` passes; `None` on
+    /// timeout, and the ticket may be waited on again. The deadline is
+    /// absolute, so callers iterating many tickets toward one shared
     /// deadline don't accumulate per-ticket timeout drift.
     pub fn wait_deadline(&self, deadline: Instant) -> Option<Result<UBig, ServiceError>> {
-        let mut slot = self
-            .state
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
+        self.ask();
+        let mut slot = self.state.lock_slot();
         loop {
             if let Some(result) = slot.as_ref() {
                 return Some(result.clone());
@@ -266,11 +280,11 @@ impl Ticket {
     /// Returns the result if the job has completed, `None` while it is
     /// still queued or executing.
     pub fn try_poll(&self) -> Option<Result<UBig, ServiceError>> {
-        self.state
-            .slot
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+        let result = self.state.lock_slot().clone();
+        if result.is_none() {
+            self.ask();
+        }
+        result
     }
 
     /// `true` once a result (success or failure) is available.
@@ -294,9 +308,9 @@ struct QueueInner {
     /// refused with [`SubmitError::Paused`] while queued jobs keep
     /// draining. Unlike `closed`, this is reversible.
     paused: bool,
-    /// The newest queued job was submitted alone, so more of its stream
-    /// may follow (see [`settle`]); a bulk submission is a batch already.
-    streamed: bool,
+    /// A producer wants a queued result, or a bulk submission queued a
+    /// batch: a multi-lane tile takes its batch now (see [`next_batch`]).
+    wanted: bool,
 }
 
 /// Fixed-size reservoir sample of `u64` observations with a
@@ -441,12 +455,24 @@ struct Shared {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
+    /// Queued jobs that release a batch unasked: 1 on a one-lane tile,
+    /// `max_batch.min(capacity)` on a multi-lane one.
+    release_at: usize,
     stats: StatsCell,
 }
 
 impl Shared {
     fn lock_inner(&self) -> MutexGuard<'_, QueueInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Releases the held batch for a producer that wants a queued
+    /// result (`wanted` is only ever set on a non-empty queue).
+    fn want(&self) {
+        let mut inner = self.lock_inner();
+        inner.wanted = !inner.jobs.is_empty();
+        drop(inner);
+        self.not_empty.notify_one();
     }
 }
 
@@ -509,29 +535,12 @@ impl SubmitHandle {
     /// [`SubmitError::Stopped`] (or [`SubmitError::Paused`]) if the
     /// service stops admitting before every job is queued. Jobs
     /// already queued by then still execute and drain, but their
-    /// tickets are not returned — treat the whole call as failed, or
-    /// use [`SubmitHandle::submit_many_partial`] to keep the accepted
-    /// prefix's tickets.
+    /// tickets are not returned — treat the whole call as failed.
     pub fn submit_many(&self, jobs: Vec<MulJob>) -> Result<Vec<Ticket>, SubmitError> {
-        let (tickets, err) = self.submit_many_partial(jobs);
-        match err {
-            None => Ok(tickets),
-            Some(e) => Err(e),
+        match self.enqueue_many(jobs, true) {
+            (tickets, None) => Ok(tickets),
+            (_, Some((e, _))) => Err(e),
         }
-    }
-
-    /// Bulk submission that never orphans a ticket: queues jobs in
-    /// order under one lock acquisition (blocking on capacity like
-    /// [`SubmitHandle::submit_many`]) and, if the service stops or
-    /// pauses admissions mid-batch, returns the tickets of the
-    /// **accepted prefix** alongside the error instead of dropping
-    /// them. The accepted jobs still execute and drain; the remainder
-    /// was never queued. The cluster router's bulk path queues each
-    /// tile's share the same way, so a tile stopping mid-batch cannot
-    /// strand waiters whose jobs will still run.
-    pub fn submit_many_partial(&self, jobs: Vec<MulJob>) -> (Vec<Ticket>, Option<SubmitError>) {
-        let (tickets, refused) = self.enqueue_many(jobs, true);
-        (tickets, refused.map(|(e, _)| e))
     }
 
     /// Non-blocking bulk submission: queues the longest prefix of
@@ -559,7 +568,8 @@ impl SubmitHandle {
         jobs: Vec<MulJob>,
         block: bool,
     ) -> (Vec<Ticket>, Option<(SubmitError, Vec<MulJob>)>) {
-        let streamed = jobs.len() == 1;
+        let bulk = jobs.len() > 1;
+        let tile = (self.shared.release_at > 1).then(|| Arc::clone(&self.shared));
         let mut jobs = VecDeque::from(jobs);
         let mut tickets = Vec::with_capacity(jobs.len());
         let mut inner = self.shared.lock_inner();
@@ -593,13 +603,18 @@ impl SubmitHandle {
                     ticket: Arc::clone(&state),
                     submitted: Instant::now(),
                 });
-                inner.streamed = streamed;
+                inner.wanted |= bulk;
                 self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                tickets.push(Ticket { state });
+                tickets.push(Ticket {
+                    state,
+                    tile: tile.clone(),
+                    asked: AtomicBool::new(false),
+                });
             }
         };
+        let release = inner.wanted || inner.jobs.len() >= self.shared.release_at;
         drop(inner);
-        if !tickets.is_empty() {
+        if release && !tickets.is_empty() {
             self.shared.not_empty.notify_one();
         }
         if refusal == Some(SubmitError::QueueFull) {
@@ -785,11 +800,16 @@ impl ModSramService {
                 jobs: VecDeque::new(),
                 closed: false,
                 paused: false,
-                streamed: false,
+                wanted: false,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             capacity: config.queue_capacity,
+            release_at: if config.workers > 1 {
+                config.max_batch.min(config.queue_capacity)
+            } else {
+                1
+            },
             stats: StatsCell::new(),
         });
         let (thread_shared, thread_pool) = (Arc::clone(&shared), Arc::clone(&pool));
@@ -985,8 +1005,10 @@ impl ModSramService {
         }
         // Wake blocked submitters so they observe the pause and refuse
         // instead of waiting for capacity that may never be offered to
-        // them again this epoch.
+        // them again this epoch, and the executor so a drain never
+        // waits on a held batch.
         self.shared.not_full.notify_all();
+        self.shared.not_empty.notify_one();
     }
 
     /// Re-opens admissions after [`ModSramService::pause_admissions`].
@@ -1044,21 +1066,20 @@ impl Drop for ModSramService {
     }
 }
 
-/// Looks in a row that must find no new job before an idle multi-lane
-/// executor takes its batch (see [`settle`]).
-const SETTLE_LOOKS: u32 = 32;
-
-/// Blocks until jobs are queued, then takes up to `max_batch` of them
-/// as one batch; `None` once the queue is closed and empty. A
-/// multi-lane executor (`settles`) that had to wait lets the queue
-/// [`settle`] first, since a short batch leaves lanes idle for a whole
-/// batch; a one-lane executor, or one that finds jobs piled up while
-/// it was busy, takes them at once. Only the executor takes jobs, so
-/// the queue cannot empty while it settles.
-fn next_batch(shared: &Shared, max_batch: usize, settles: bool) -> Option<Vec<Queued>> {
+/// Blocks until the queue releases a batch, then takes up to
+/// `max_batch` jobs; `None` once the queue is closed and empty. A
+/// batch is released once [`Shared::release_at`] jobs are queued (one
+/// on a one-lane tile), a producer wants a queued result, or the queue
+/// is paused or closed. Only a take that empties the queue clears
+/// `wanted`: a waited-on job may be left behind a full batch.
+fn next_batch(shared: &Shared, max_batch: usize) -> Option<Vec<Queued>> {
     let mut inner = shared.lock_inner();
-    let idle = inner.jobs.is_empty();
-    while inner.jobs.is_empty() {
+    loop {
+        let queued = inner.jobs.len();
+        let release = inner.wanted || inner.paused || inner.closed || queued >= shared.release_at;
+        if queued > 0 && release {
+            break;
+        }
         if inner.closed {
             return None;
         }
@@ -1067,43 +1088,13 @@ fn next_batch(shared: &Shared, max_batch: usize, settles: bool) -> Option<Vec<Qu
             .wait(inner)
             .unwrap_or_else(PoisonError::into_inner);
     }
-    if idle && settles {
-        inner = settle(shared, inner, max_batch);
-    }
     let take = inner.jobs.len().min(max_batch);
     let batch: Vec<Queued> = inner.jobs.drain(..take).collect();
+    inner.wanted &= !inner.jobs.is_empty();
     drop(inner);
     // Capacity freed: wake every blocked submitter.
     shared.not_full.notify_all();
     Some(batch)
-}
-
-/// Lets the queue of an idle multi-lane tile settle before its
-/// executor takes a batch. The wake-up on an idle tile often preempts
-/// the very submitter that queued the first job, mid-stream. So while
-/// the newest job was submitted alone, the executor yields its core
-/// until [`SETTLE_LOOKS`] looks in a row find no new job, the queue
-/// holds a full batch, or it empties; streamed single jobs then reach
-/// the executor together instead of one by one. No timer: a lone job
-/// costs `SETTLE_LOOKS` yields, and a bulk submission none. Each yield
-/// may hand the core to another runnable thread for its time slice,
-/// which is why one-lane tiles, with no idle lanes to fill, skip this.
-fn settle<'a>(
-    shared: &'a Shared,
-    mut inner: MutexGuard<'a, QueueInner>,
-    max_batch: usize,
-) -> MutexGuard<'a, QueueInner> {
-    let (mut seen, mut quiet) = (inner.jobs.len(), 0);
-    while inner.streamed && quiet < SETTLE_LOOKS && !inner.closed && (1..max_batch).contains(&seen)
-    {
-        drop(inner);
-        std::thread::yield_now();
-        inner = shared.lock_inner();
-        let queued = inner.jobs.len();
-        quiet = if queued > seen { 0 } else { quiet + 1 };
-        seen = queued;
-    }
-    inner
 }
 
 /// An executor thread: takes, sorts, plans, dispatches, and delivers
@@ -1115,7 +1106,7 @@ fn settle<'a>(
 /// executor keeps serving later batches.
 fn executor_loop(shared: Arc<Shared>, pool: Arc<ContextPool>, config: ServiceConfig) {
     let dispatcher = Dispatcher::new(config.workers);
-    while let Some(batch) = next_batch(&shared, config.max_batch, config.workers > 1) {
+    while let Some(batch) = next_batch(&shared, config.max_batch) {
         let tickets: Vec<Arc<TicketState>> = batch.iter().map(|q| Arc::clone(&q.ticket)).collect();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             execute_batch(&shared, &pool, &dispatcher, &config, batch);
@@ -1389,6 +1380,8 @@ impl MulBackend for ServiceCluster {
 mod tests {
     use super::*;
     use crate::cycles::{modelled_mul_cycles, MODELLED_REFILL_CYCLES};
+    use crate::test_util::SATURATE_STALL_LIMIT;
+    use std::time::Duration;
 
     fn jobs_mod(p: u64, count: u64) -> Vec<MulJob> {
         (0..count)
@@ -1544,7 +1537,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_timeout_on_time_path_returns_result() {
+    fn wait_deadline_on_time_path_returns_result() {
         let service = ModSramService::for_engine_name("direct", tiny_config()).unwrap();
         let ticket = service
             .submit(MulJob::new(
@@ -1554,12 +1547,12 @@ mod tests {
             ))
             .unwrap();
         // Generous budget: the job completes well inside it.
-        let got = ticket.wait_timeout(Duration::from_secs(30));
+        let got = ticket.wait_deadline(Instant::now() + Duration::from_secs(30));
         assert_eq!(got, Some(Ok(UBig::from(42u64))));
         // A completed ticket keeps answering instantly, even with a
         // zero budget or an already-expired deadline.
         assert_eq!(
-            ticket.wait_timeout(Duration::ZERO),
+            ticket.wait_deadline(Instant::now()),
             Some(Ok(UBig::from(42u64)))
         );
         assert_eq!(
@@ -1570,15 +1563,20 @@ mod tests {
     }
 
     #[test]
-    fn wait_timeout_expires_on_pending_ticket_then_redeems() {
+    fn wait_deadline_expires_on_pending_ticket_then_redeems() {
         // A hand-built pending ticket: nothing completes it until the
         // test does, so the timeout path is deterministic.
         let state = TicketState::new();
         let ticket = Ticket {
             state: Arc::clone(&state),
+            tile: None,
+            asked: AtomicBool::new(false),
         };
         let start = Instant::now();
-        assert_eq!(ticket.wait_timeout(Duration::from_millis(20)), None);
+        assert_eq!(
+            ticket.wait_deadline(Instant::now() + Duration::from_millis(20)),
+            None
+        );
         assert!(
             start.elapsed() >= Duration::from_millis(20),
             "timeout returned early"
@@ -1592,10 +1590,124 @@ mod tests {
             state.complete(Ok(UBig::from(9u64)));
         });
         assert_eq!(
-            ticket.wait_timeout(Duration::from_secs(30)),
+            ticket.wait_deadline(Instant::now() + Duration::from_secs(30)),
             Some(Ok(UBig::from(9u64)))
         );
         deliverer.join().unwrap();
+    }
+
+    /// Redeems `ticket`, failing instead of hanging if the tile never
+    /// releases its batch.
+    fn redeem(ticket: &Ticket) -> UBig {
+        ticket
+            .wait_deadline(Instant::now() + SATURATE_STALL_LIMIT)
+            .expect("the held batch was never released")
+            .unwrap()
+    }
+
+    /// Spins until `service` has completed `jobs` jobs, failing after
+    /// [`SATURATE_STALL_LIMIT`] without progress.
+    fn wait_for_completed(service: &ModSramService, jobs: u64) {
+        let (mut seen, mut last_progress) = (0, Instant::now());
+        while seen < jobs {
+            let completed = service.stats().completed;
+            if completed > seen {
+                (seen, last_progress) = (completed, Instant::now());
+            }
+            assert!(
+                last_progress.elapsed() < SATURATE_STALL_LIMIT,
+                "completions stalled at {seen} of {jobs}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn waiting_on_a_streamed_job_releases_the_whole_stream() {
+        // Two lanes, max_batch 8: five single jobs wait in the queue
+        // until the producer asks for a result, then run as one batch.
+        let service = ModSramService::for_engine_name("barrett", tiny_config()).unwrap();
+        let jobs = jobs_mod(97, 5);
+        let tickets: Vec<Ticket> = jobs
+            .iter()
+            .map(|j| service.submit(j.clone()).unwrap())
+            .collect();
+        assert_eq!(service.queue_depth(), jobs.len(), "the stream is held");
+        for (job, ticket) in jobs.iter().zip(&tickets) {
+            assert_eq!(redeem(ticket), &(&job.a * &job.b) % &job.modulus);
+        }
+        let stats = service.shutdown();
+        assert_eq!(stats.batches, 1);
+        assert_eq!(stats.coalesce_max, jobs.len() as u64);
+    }
+
+    #[test]
+    fn an_ask_outlives_a_take_that_leaves_its_job_behind() {
+        use crate::test_util::{gated_pool, Gate};
+        // While the gate holds the tile busy, 11 jobs queue up and the
+        // producer asks for the last one. The next take runs 8 of them;
+        // the ask must still release the 3 left behind, as the asked
+        // ticket does not ask again.
+        let gate = Gate::new();
+        let service = ModSramService::new(gated_pool(&gate), tiny_config());
+        let jobs = jobs_mod(97, 12);
+        let first = service.submit(jobs[0].clone()).unwrap();
+        assert_eq!(first.try_poll(), None);
+        gate.wait_entered(1);
+        let queued: Vec<Ticket> = jobs[1..]
+            .iter()
+            .map(|j| service.submit(j.clone()).unwrap())
+            .collect();
+        // Ask before opening the gate, assert after, so a failure
+        // cannot leave the executor parked.
+        let asked = queued[10].try_poll();
+        gate.open();
+        assert_eq!(asked, None);
+        redeem(&queued[10]);
+        for (job, ticket) in jobs.iter().zip(std::iter::once(&first).chain(&queued)) {
+            assert_eq!(redeem(ticket), &(&job.a * &job.b) % &job.modulus);
+        }
+        let stats = service.shutdown();
+        assert_eq!((stats.batches, stats.coalesce_max), (3, 8));
+    }
+
+    #[test]
+    fn dropping_the_tickets_of_a_held_stream_releases_it() {
+        let service = ModSramService::for_engine_name("barrett", tiny_config()).unwrap();
+        let tickets: Vec<Ticket> = jobs_mod(97, 5)
+            .into_iter()
+            .map(|j| service.submit(j).unwrap())
+            .collect();
+        assert_eq!(service.queue_depth(), 5, "the stream is held");
+        drop(tickets);
+        wait_for_completed(&service, 5);
+        assert_eq!(service.stats().batches, 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn an_untouched_stream_runs_once_a_full_batch_is_queued() {
+        // A producer that never waits is served by the threshold:
+        // `max_batch` jobs, or the whole queue when it is smaller.
+        for (queue_capacity, full) in [(64, 8), (3, 3)] {
+            let config = ServiceConfig {
+                queue_capacity,
+                ..tiny_config()
+            };
+            let service = ModSramService::for_engine_name("barrett", config).unwrap();
+            let jobs = jobs_mod(97, full);
+            let tickets: Vec<Ticket> = jobs
+                .iter()
+                .map(|j| service.submit(j.clone()).unwrap())
+                .collect();
+            wait_for_completed(&service, full);
+            let stats = service.stats();
+            assert_eq!((stats.batches, stats.coalesce_max), (1, full));
+            for (job, ticket) in jobs.iter().zip(&tickets) {
+                assert_eq!(redeem(ticket), &(&job.a * &job.b) % &job.modulus);
+            }
+            service.shutdown();
+        }
     }
 
     #[test]

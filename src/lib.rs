@@ -30,7 +30,8 @@
 //! macro's worth of execution — submit individual multiplications
 //! from any number of threads, get a [`Ticket`] per job, and let the
 //! tile's executor keep it saturated: whenever it is free it takes
-//! whatever has queued up as its next batch. The queue is bounded
+//! whatever has queued up as its next batch (a multi-lane tile once a
+//! producer waits on a ticket or fills a batch). The queue is bounded
 //! ([`try_submit` backpressure](arch::service::SubmitHandle::try_submit)),
 //! batches coalesce multiplicand-major (the paper's Table 1b reuse),
 //! and [`ModSramService::shutdown`] drains every in-flight ticket:
