@@ -10,9 +10,9 @@
 //!
 //! | level | lock (field) | file | what it guards |
 //! |-------|--------------|------|----------------|
-//! | 0 | `membership` | `core/src/cluster.rs` | epoch-versioned tile snapshot (RwLock) |
-//! | 1 | `homes`, `saturation`, `replicas` | `core/src/cluster.rs` | router maps |
-//! | 2 | `inner`, `threads` | `core/src/service.rs` | tile queues / join handles |
+//! | 0 | `membership` | `core/src/cluster/mod.rs` | epoch-versioned tile snapshot (RwLock) |
+//! | 1 | `homes`, `saturation`, `replicas` | `core/src/cluster/mod.rs` | router maps |
+//! | 2 | `inner`, `executor` | `core/src/service.rs` | tile queue / executor join handle |
 //! | 2 | `state`, `conns` | `net/src/server.rs` | pending queue, conn writer, handles |
 //! | 2 | `cache` | `core/src/dispatch.rs` | context-pool cache |
 //! | 3 | `wall_ns`, `cycles` | `core/src/service.rs` | stats reservoirs |
@@ -24,6 +24,8 @@
 //! no known lock may be held across a `Ticket::wait*` park — the only
 //! blessed lock-across-wait is a `Condvar` parking on its own guard
 //! (receivers listed in [`Config::condvar_receivers`]).
+//! The cluster's router (`core/src/cluster/route.rs`) takes no lock.
+//! A self-test checks that each row names a lock its file acquires.
 
 /// One hot-path designation for the `no_panic` rule.
 #[derive(Debug, Clone)]
@@ -134,7 +136,7 @@ impl Config {
                     ban_indexing: false,
                 },
                 HotPathSpec {
-                    path: "crates/core/src/cluster.rs",
+                    path: "crates/core/src/cluster/",
                     ban_indexing: false,
                 },
                 // The service executors and the wire
@@ -156,22 +158,22 @@ impl Config {
             ],
             locks: vec![
                 LockSpec {
-                    file: "core/src/cluster.rs",
+                    file: "core/src/cluster/mod.rs",
                     field: "membership",
                     level: 0,
                 },
                 LockSpec {
-                    file: "core/src/cluster.rs",
+                    file: "core/src/cluster/mod.rs",
                     field: "homes",
                     level: 1,
                 },
                 LockSpec {
-                    file: "core/src/cluster.rs",
+                    file: "core/src/cluster/mod.rs",
                     field: "saturation",
                     level: 1,
                 },
                 LockSpec {
-                    file: "core/src/cluster.rs",
+                    file: "core/src/cluster/mod.rs",
                     field: "replicas",
                     level: 1,
                 },
@@ -182,7 +184,7 @@ impl Config {
                 },
                 LockSpec {
                     file: "core/src/service.rs",
-                    field: "threads",
+                    field: "executor",
                     level: 2,
                 },
                 LockSpec {
@@ -243,7 +245,7 @@ impl Config {
                     level: 2,
                 },
             ],
-            condvar_receivers: vec!["ready", "not_empty", "not_full", "wake"],
+            condvar_receivers: vec!["ready", "not_empty", "not_full", "quiesced", "wake"],
             atomic_scope: vec!["crates/core/src/", "crates/net/src/", "crates/modmul/src/"],
             // Tests are in scope too: a test that sleeps is betting
             // that a timer outlasts the scheduler.

@@ -276,7 +276,7 @@ mod tests {
                 let snap = self.membership.read().unwrap_or_else(E::into_inner);
             }
         "#;
-        let found = run_snippet("crates/core/src/cluster.rs", bad);
+        let found = run_snippet("crates/core/src/cluster/mod.rs", bad);
         assert!(found
             .iter()
             .any(|f| f.rule == RULE && f.message.contains("inverts")));
@@ -292,7 +292,7 @@ mod tests {
                 let replicas = self.replicas.read().unwrap_or_else(E::into_inner);
             }
         "#;
-        assert!(run_snippet("crates/core/src/cluster.rs", clean).is_empty());
+        assert!(run_snippet("crates/core/src/cluster/mod.rs", clean).is_empty());
     }
 
     #[test]
@@ -304,7 +304,7 @@ mod tests {
                 let snap = self.membership.read().unwrap_or_else(E::into_inner);
             }
         "#;
-        assert!(run_snippet("crates/core/src/cluster.rs", ok).is_empty());
+        assert!(run_snippet("crates/core/src/cluster/mod.rs", ok).is_empty());
     }
 
     #[test]
@@ -318,7 +318,7 @@ mod tests {
                 let snap = self.membership.read().unwrap_or_else(E::into_inner);
             }
         "#;
-        assert!(run_snippet("crates/core/src/cluster.rs", ok).is_empty());
+        assert!(run_snippet("crates/core/src/cluster/mod.rs", ok).is_empty());
     }
 
     #[test]

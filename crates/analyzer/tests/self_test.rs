@@ -92,7 +92,7 @@ fn no_panic_ignores_test_code_and_cold_paths() {
 fn lock_order_catches_seeded_inversion() {
     // homes (level 1) held while membership (level 0) is acquired.
     let seeded = [(
-        "crates/core/src/cluster.rs",
+        "crates/core/src/cluster/mod.rs",
         "impl C { fn f(&self) { let h = self.homes.write(); let m = self.membership.read(); } }",
     )];
     assert!(denied_rules(&seeded, &rules_config()).contains(&"lock_order"));
@@ -110,7 +110,7 @@ fn lock_order_catches_seeded_wait_across_lock() {
 #[test]
 fn lock_order_clean_twin_passes() {
     let clean = [(
-        "crates/core/src/cluster.rs",
+        "crates/core/src/cluster/mod.rs",
         "impl C { fn f(&self) { let m = self.membership.read(); let h = self.homes.write(); } }",
     )];
     assert!(denied_rules(&clean, &rules_config()).is_empty());
@@ -121,7 +121,7 @@ fn lock_order_clean_twin_passes() {
 #[test]
 fn relaxed_atomic_catches_seeded_relaxed_on_gating_flag() {
     let seeded = [(
-        "crates/core/src/cluster.rs",
+        "crates/core/src/cluster/mod.rs",
         "fn f(s: &S) -> bool { s.replicas_active.load(Ordering::Relaxed) > 0 }",
     )];
     assert!(denied_rules(&seeded, &rules_config()).contains(&"relaxed_atomic"));
@@ -132,7 +132,7 @@ fn relaxed_atomic_clean_twins_pass() {
     let clean = [
         // Acquire on a gating flag: fine.
         (
-            "crates/core/src/cluster.rs",
+            "crates/core/src/cluster/mod.rs",
             "fn f(s: &S) -> bool { s.replicas_active.load(Ordering::Acquire) > 0 }",
         ),
         // Relaxed on a plain counter outside the manifest: fine.
@@ -199,7 +199,7 @@ fn no_sleep_catches_seeded_yield_outside_test_code() {
         ("tests/service_streaming.rs", spin),
         ("crates/core/src/test_util.rs", spin),
         (
-            "crates/core/src/cluster.rs",
+            "crates/core/src/cluster/mod.rs",
             "#[cfg(test)]\nmod tests { fn t() { std::thread::yield_now(); } }",
         ),
     ];
@@ -305,6 +305,33 @@ fn drift_clean_twin_passes() {
 }
 
 // ---- the workspace as committed ---------------------------------------
+
+/// Every declared lock is acquired in the file its spec names, and
+/// every hot path matches a file: a spec that outlives its field or
+/// file drops out of `lock_order` / `no_panic` without a finding.
+#[test]
+fn declared_locks_and_hot_paths_name_live_code() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = modsram_analyzer::walk::collect(&root);
+    let cfg = Config::workspace();
+    for spec in &cfg.locks {
+        let acquired = files.iter().any(|(path, src)| {
+            let code: String = src.split_whitespace().collect();
+            path.ends_with(spec.file)
+                && [".lock()", ".read()", ".write()"]
+                    .iter()
+                    .any(|call| code.contains(&format!("{}{call}", spec.field)))
+        });
+        assert!(acquired, "no `{}` lock in {}", spec.field, spec.file);
+    }
+    for spec in &cfg.hot_paths {
+        assert!(
+            files.iter().any(|(path, _)| path.starts_with(spec.path)),
+            "hot path {} matches no file",
+            spec.path
+        );
+    }
+}
 
 /// The contract behind the tier-1 CI step: `analyze --deny` over the
 /// repo as committed exits clean. Every suppression must carry a

@@ -126,7 +126,6 @@ fn main() {
         policies: args.policies.clone(),
         jobs_per_tenant: args.jobs_per_tenant,
         per_combo: args.per_combo,
-        submitters: args.submitters,
         workers_per_tile: args.workers,
         seed: 0xC1A5,
     });
@@ -148,13 +147,12 @@ fn main() {
         .collect();
     print_table(
         &format!(
-            "Cluster sweep: {} at {} bits ({} tenants x {} jobs, {} lanes/tile, {} submitters)",
+            "Cluster sweep: {} at {} bits ({} tenants x {} jobs, {} lanes/tile, one producer per tile)",
             args.engine,
             args.bits,
             rows.first().map_or(0, |r| r.tenants),
             args.jobs_per_tenant,
             args.workers,
-            args.submitters
         ),
         &[
             "tiles",

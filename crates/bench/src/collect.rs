@@ -488,8 +488,6 @@ pub struct ClusterSweepSpec {
     /// Tenants per consistent home combination (tenant count is
     /// `per_combo × Π tile_counts`).
     pub per_combo: usize,
-    /// Concurrent submitter threads.
-    pub submitters: usize,
     /// Dispatcher lanes per tile.
     pub workers_per_tile: usize,
     /// Workload RNG seed.
@@ -499,11 +497,14 @@ pub struct ClusterSweepSpec {
 /// Runs the closed-loop cluster sweep over `tile_counts` ×
 /// `policies`: a balanced multi-tenant workload (tenants'
 /// rendezvous homes cover every swept tile count evenly, multiplicands
-/// repeat in runs of 8 per tenant) is streamed by `submitters`
-/// threads through a fresh [`ServiceCluster`] per point, after a
-/// one-job-per-tenant warm-up that pays context preparation and is
-/// then excluded from the latency window via
-/// [`ServiceCluster::reset_window`].
+/// repeat in runs of 8 per tenant) runs through a fresh
+/// [`ServiceCluster`] per point, after a one-job-per-tenant warm-up
+/// that pays context preparation and is then excluded from the
+/// latency window via [`ServiceCluster::reset_window`]. One producer
+/// thread per home tile sends that tile's whole share with one
+/// blocking `submit_many`, so every tile queues its jobs in one fixed
+/// order and forms the same batches in every run: the modelled
+/// makespan and speedup columns are deterministic.
 ///
 /// # Panics
 ///
@@ -516,21 +517,15 @@ pub fn cluster_sweep(spec: &ClusterSweepSpec) -> Vec<ClusterSweepRow> {
         policies,
         jobs_per_tenant,
         per_combo,
-        submitters,
         workers_per_tile,
         seed,
     } = spec;
-    let (bits, jobs_per_tenant, per_combo, submitters, workers_per_tile) = (
-        *bits,
-        *jobs_per_tenant,
-        *per_combo,
-        *submitters,
-        *workers_per_tile,
-    );
+    let (bits, jobs_per_tenant, per_combo, workers_per_tile) =
+        (*bits, *jobs_per_tenant, *per_combo, *workers_per_tile);
     let mut rng = SmallRng::seed_from_u64(*seed);
     let tenants = balanced_tenant_moduli(bits, tile_counts, per_combo, &mut rng);
 
-    // Tenant-interleaved job order: every submitter's slice mixes all
+    // Tenant-interleaved job order: every tile's share mixes its
     // tenants, with multiplicand reuse runs of 8 inside each tenant.
     let mut per_tenant_b: Vec<UBig> = tenants.iter().map(|p| ubig_below(&mut rng, p)).collect();
     let mut jobs: Vec<MulJob> = Vec::with_capacity(tenants.len() * jobs_per_tenant);
@@ -591,20 +586,24 @@ pub fn cluster_sweep(spec: &ClusterSweepSpec) -> Vec<ClusterSweepRow> {
             let warmup_stats = cluster.stats();
             cluster.reset_window();
 
+            let mut shares: Vec<Vec<usize>> = vec![Vec::new(); tiles];
+            for (i, job) in jobs.iter().enumerate() {
+                let home = cluster
+                    .home_tile(&job.modulus)
+                    .expect("every tile routable");
+                shares[home].push(i);
+            }
             let start = Instant::now();
             std::thread::scope(|scope| {
-                for s in 0..submitters {
+                for share in &shares {
                     let handle = cluster.handle();
                     let jobs = &jobs;
                     let oracle = &oracle;
                     scope.spawn(move || {
-                        let mine: Vec<usize> =
-                            (0..jobs.len()).filter(|i| i % submitters == s).collect();
-                        let tickets: Vec<Ticket> = mine
-                            .iter()
-                            .map(|&i| handle.submit(jobs[i].clone()).expect("running"))
-                            .collect();
-                        for (&i, ticket) in mine.iter().zip(&tickets) {
+                        let tickets = handle
+                            .submit_many(share.iter().map(|&i| jobs[i].clone()).collect())
+                            .expect("running");
+                        for (&i, ticket) in share.iter().zip(&tickets) {
                             assert_eq!(
                                 ticket.wait().expect("valid modulus"),
                                 oracle[i],
@@ -1850,18 +1849,19 @@ mod tests {
     fn cluster_sweep_small_run_scales_and_keeps_affinity() {
         // Correctness of every job is asserted inside the sweep; here
         // the headline invariants: more tiles → smaller modelled
-        // makespan, and an uncontended balanced workload never spills.
-        let rows = cluster_sweep(&ClusterSweepSpec {
+        // makespan, an uncontended balanced workload never spills, and
+        // a second run reproduces every modelled makespan.
+        let spec = ClusterSweepSpec {
             engine: "montgomery".to_string(),
             bits: 64,
             tile_counts: vec![1, 2],
             policies: vec!["spill1".to_string()],
             jobs_per_tenant: 4,
             per_combo: 1,
-            submitters: 2,
             workers_per_tile: 2,
             seed: 0xC1A5,
-        });
+        };
+        let rows = cluster_sweep(&spec);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].tiles, 1);
         assert_eq!(rows[1].tiles, 2);
@@ -1875,6 +1875,10 @@ mod tests {
             assert_eq!(row.spilled, 0);
             assert_eq!(row.per_tile_submitted.len(), row.tiles);
         }
+        let makespans = |rows: &[ClusterSweepRow]| -> Vec<u64> {
+            rows.iter().map(|r| r.modelled_makespan_cycles).collect()
+        };
+        assert_eq!(makespans(&cluster_sweep(&spec)), makespans(&rows));
     }
 
     #[test]

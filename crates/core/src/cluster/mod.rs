@@ -23,6 +23,10 @@
 //!   holds in reverse when a tile joins: only the moduli the new tile
 //!   out-scores everywhere move onto it.
 //!
+//! Every placement is one call into a pure, lock-free router. A
+//! submission reads each tile's [`TileHealth`] at most once, and a
+//! spill candidate's only after the home tile has refused the job.
+//!
 //! # Elasticity: membership change at runtime
 //!
 //! Tile membership is an **epoch-versioned snapshot**
@@ -204,11 +208,11 @@
 //! cluster.shutdown();
 //! ```
 
+mod route;
+
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
-use std::time::Duration;
 
 use modsram_bigint::UBig;
 use modsram_modmul::{ModMulError, PreparedModMul};
@@ -218,9 +222,12 @@ use crate::dispatch::{ContextPool, MulJob};
 use crate::error::CoreError;
 use crate::modsram::ModSramConfig;
 use crate::service::{
-    backend_error, ticket_result, ModSramService, ServiceConfig, ServiceStats, SubmitError, Ticket,
-    TileHealth,
+    backend_error, ticket_result, ModSramService, ServiceConfig, ServiceStats, Ticket, TileHealth,
 };
+pub use route::{
+    home_tile_for, rendezvous_ranking, weighted_home_tile_for, weighted_rendezvous_ranking,
+};
+use route::{modulus_key, Fleet, Health};
 
 /// What the router does when a job's home tile refuses it with
 /// `QueueFull` (see the module docs for the trade-off).
@@ -446,173 +453,14 @@ impl TileCell {
     }
 }
 
-/// 64-bit finaliser (splitmix64) — mixes the modulus key with a tile
-/// index into a rendezvous score.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// The prepared-modulus routing key: equal moduli map to equal keys,
-/// so all traffic for one prepared context shares one home tile.
-fn modulus_key(p: &UBig) -> u64 {
-    let mut h = DefaultHasher::new();
-    p.hash(&mut h);
-    h.finish()
-}
-
-/// The weighted rendezvous score of `(modulus key, tile, weight)` —
-/// **the single definition** of both the score and its tie-break,
-/// shared by [`home_tile_for`] / [`weighted_home_tile_for`], the
-/// router's hot-path argmax, and the full ranking, so they can never
-/// drift. Higher is better.
-///
-/// The score uses the logarithmic method for weighted rendezvous
-/// hashing: the mix is mapped to `u ∈ (0, 1)` and the score is
-/// `weight / -ln(u)`, which makes each tile's win probability exactly
-/// proportional to its weight. Because `u` is monotone in the mix,
-/// **equal weights reproduce the unweighted mix ordering exactly** —
-/// a weight-1 cluster places every modulus where the legacy
-/// unweighted router did. Ties (the f64 mapping collapses nearby
-/// mixes) fall back to the raw mix, then to the lower tile index
-/// (`Reverse`), so the ordering stays total and deterministic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct RendezvousScore {
-    score: f64,
-    mix: u64,
-    tie: std::cmp::Reverse<usize>,
-}
-
-impl Eq for RendezvousScore {}
-
-impl Ord for RendezvousScore {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.score
-            .total_cmp(&other.score)
-            .then(self.mix.cmp(&other.mix))
-            .then(self.tie.cmp(&other.tie))
-    }
-}
-
-impl PartialOrd for RendezvousScore {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-fn rendezvous_score(key: u64, tile: usize, weight: u32) -> RendezvousScore {
-    let mix = mix64(key ^ (tile as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    // Top 52 mix bits → odd 53-bit numerator / 2^53: exactly
-    // representable, strictly inside (0, 1) at both ends (so `ln` is
-    // finite and negative), and monotone in the mix — the property the
-    // equal-weights-≡-legacy guarantee rests on.
-    let u = (((mix >> 12) << 1) | 1) as f64 / (1u64 << 53) as f64;
-    RendezvousScore {
-        score: weight as f64 / -u.ln(),
-        mix,
-        tie: std::cmp::Reverse(tile),
-    }
-}
-
-/// The natural home tile for modulus `p` in a cluster of `tiles`
-/// equal-weight tiles — the same deterministic rendezvous placement a
-/// live [`ServiceCluster`] of that size computes (with every tile
-/// active at weight 1), exposed standalone so workload planners
-/// (capacity sizing, sweep generators) can predict placement without
-/// standing a cluster up. `None` when `tiles == 0`, consistent with
-/// [`rendezvous_ranking`] returning the empty ranking (and with the
-/// membership's own `natural_home` when no tile is routable).
-pub fn home_tile_for(p: &UBig, tiles: usize) -> Option<usize> {
-    let key = modulus_key(p);
-    (0..tiles).max_by_key(|&i| rendezvous_score(key, i, 1))
-}
-
-/// Tile indices `0..tiles` in rendezvous order (best score first,
-/// equal weights) for modulus `p` — the full failover ranking behind
-/// [`home_tile_for`] (which is its first element). Drain planners use
-/// the second-ranked tile to predict where a modulus lands when its
-/// home leaves.
-pub fn rendezvous_ranking(p: &UBig, tiles: usize) -> Vec<usize> {
-    let key = modulus_key(p);
-    let mut order: Vec<usize> = (0..tiles).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(rendezvous_score(key, i, 1)));
-    order
-}
-
-/// The weighted natural home for modulus `p` over a fleet described
-/// by one capacity weight per tile: tile `i`'s probability of homing
-/// a random modulus is `weights[i] / Σ weights`. With all weights
-/// equal this is exactly [`home_tile_for`] — the placement the legacy
-/// unweighted router computes. A zero-weight tile scores 0 and never
-/// wins while any positive-weight tile exists (the live cluster
-/// refuses weight 0 outright; see
-/// [`ServiceCluster::set_tile_weight`]). `None` when `weights` is
-/// empty.
-pub fn weighted_home_tile_for(p: &UBig, weights: &[u32]) -> Option<usize> {
-    let key = modulus_key(p);
-    (0..weights.len()).max_by_key(|&i| rendezvous_score(key, i, weights[i]))
-}
-
-/// Tile indices `0..weights.len()` in weighted rendezvous order (best
-/// score first) for modulus `p` — the weighted analogue of
-/// [`rendezvous_ranking`], and the ranking hot-modulus replication
-/// takes its top-k replica tiles from.
-pub fn weighted_rendezvous_ranking(p: &UBig, weights: &[u32]) -> Vec<usize> {
-    let key = modulus_key(p);
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(rendezvous_score(key, i, weights[i])));
-    order
-}
-
-/// One epoch-versioned membership snapshot: which tiles exist and
-/// which are routable. Submissions clone the `Arc` once and route
-/// against a consistent view; membership changes publish a new
-/// snapshot instead of mutating this one.
+/// One epoch-versioned membership snapshot: the tiles, and the
+/// [`Fleet`] (state and weight per tile) the router decides on. A
+/// submission clones the `Arc` once and routes against one consistent
+/// weighted view; [`ClusterShared::publish`] swaps in a new snapshot.
 struct Membership {
     epoch: u64,
     tiles: Vec<Arc<TileCell>>,
-    states: Vec<TileState>,
-    /// Per-tile capacity weight (never 0 — [`ServiceCluster`] refuses
-    /// zero weights). Lives *inside* the snapshot so a weight change
-    /// is one atomic epoch publish and in-flight submissions keep
-    /// routing against a consistent weighted view.
-    weights: Vec<u32>,
-}
-
-impl Membership {
-    fn routable(&self, tile: usize) -> bool {
-        self.states[tile] == TileState::Active
-    }
-
-    fn active_count(&self) -> usize {
-        self.states
-            .iter()
-            .filter(|&&s| s == TileState::Active)
-            .count()
-    }
-
-    fn score(&self, key: u64, tile: usize) -> RendezvousScore {
-        rendezvous_score(key, tile, self.weights[tile])
-    }
-
-    /// Rank-0 routable tile for a modulus key; `None` when no tile is
-    /// routable (all drained/draining).
-    fn natural_home(&self, key: u64) -> Option<usize> {
-        (0..self.tiles.len())
-            .filter(|&i| self.routable(i))
-            .max_by_key(|&i| self.score(key, i))
-    }
-
-    /// Routable tile indices in weighted rendezvous order (best score
-    /// first) — deterministic for a given key and membership.
-    fn ranked(&self, key: u64) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.tiles.len())
-            .filter(|&i| self.routable(i))
-            .collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(self.score(key, i)));
-        order
-    }
+    fleet: Fleet,
 }
 
 /// Bound on the tracked-modulus map: beyond this many distinct moduli
@@ -655,11 +503,7 @@ struct SatWindow {
 /// façades.
 struct ClusterShared {
     membership: RwLock<Arc<Membership>>,
-    spill: SpillPolicy,
-    poison_after: u64,
-    probation_after: u64,
-    replicate_after: u64,
-    replica_tiles: usize,
+    config: ClusterConfig,
     stopped: AtomicBool,
     affinity_hits: AtomicU64,
     spilled: AtomicU64,
@@ -699,27 +543,73 @@ impl ClusterShared {
         )
     }
 
-    /// Whether a tile may be targeted at all: routable in this
-    /// membership, not stopped, not paused, and not poisoned.
-    fn usable(&self, m: &Membership, tile: usize) -> bool {
-        m.routable(tile) && self.usable_health(&m.tiles[tile], &m.tiles[tile].service.health())
-    }
-
-    /// [`ClusterShared::usable`]'s health half over an already-taken
-    /// snapshot, so callers that also need capacity probe each tile
-    /// only once.
-    fn usable_health(&self, cell: &TileCell, health: &TileHealth) -> bool {
-        !health.stopped && !health.paused && !self.poisoned(cell, health)
+    /// Publishes the next membership epoch: applies `change` (which
+    /// returns the tile it changed) to a copy of the current tiles and
+    /// fleet, bumps the epoch and re-homes the tracked moduli. Refused
+    /// once stopped: shutdown() stores the flag before snapshotting the
+    /// tile list, so any change that passes this check under the write
+    /// lock is published in time for that shutdown to reach its tile.
+    fn publish(
+        &self,
+        change: impl FnOnce(&mut Vec<Arc<TileCell>>, &mut Fleet) -> Result<usize, CoreError>,
+    ) -> Result<MembershipChange, CoreError> {
+        let mut guard = self
+            .membership
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        if self.stopped.load(Ordering::Acquire) {
+            return Err(CoreError::ClusterStopped);
+        }
+        let mut tiles = guard.tiles.clone();
+        let mut fleet = guard.fleet.clone();
+        let tile = change(&mut tiles, &mut fleet)?;
+        let next = Arc::new(Membership {
+            epoch: guard.epoch + 1,
+            tiles,
+            fleet,
+        });
+        *guard = Arc::clone(&next);
+        Ok(MembershipChange {
+            epoch: next.epoch,
+            tile,
+            rehomed_moduli: self.rehome_tracked(&next),
+            active_tiles: next.fleet.active_count(),
+        })
     }
 
     /// Poison check with the probation pardon applied.
     fn poisoned(&self, cell: &TileCell, health: &TileHealth) -> bool {
-        self.poison_after != 0
+        self.config.poison_after != 0
             && health
                 .executor_panics
                 // analyzer: allow(relaxed_atomic, monotonic pardon counter; a stale read only delays or hastens one poison verdict by a single probe)
                 .saturating_sub(cell.pardoned_panics.load(Ordering::Relaxed))
-                >= self.poison_after
+                >= self.config.poison_after
+    }
+
+    /// The router's health view of `m`'s tiles: a tile is usable when
+    /// it is live, admitting, and not poisoned.
+    fn health<'a>(&'a self, m: &'a Membership) -> Health<impl FnMut(usize) -> Option<usize> + 'a> {
+        Health::new(m.tiles.len(), move |tile| {
+            let cell = &m.tiles[tile];
+            let health = cell.service.health();
+            let usable = !health.stopped && !health.paused && !self.poisoned(cell, &health);
+            usable.then(|| health.headroom())
+        })
+    }
+
+    /// The replica set of a promoted hot modulus, `None` for every
+    /// other modulus — answered by one atomic load while nothing is
+    /// replicated, the common case.
+    fn replicas_of(&self, key: u64) -> Option<Vec<usize>> {
+        // Acquire pairs with replication_pass's Release store so the
+        // hot path that sees a non-zero count also sees the promoted
+        // entries behind it (this load gates reading the replica map).
+        if self.replicas_active.load(Ordering::Acquire) == 0 {
+            return None;
+        }
+        let replicas = self.replicas.read().unwrap_or_else(PoisonError::into_inner);
+        replicas.get(&key).map(|entry| entry.tiles.clone())
     }
 
     /// Records a first-seen modulus in the tracked-home map (bounded
@@ -758,7 +648,7 @@ impl ClusterShared {
         let mut homes = self.homes.write().unwrap_or_else(PoisonError::into_inner);
         let mut moved = 0u64;
         for (key, home) in homes.iter_mut() {
-            if let Some(natural) = m.natural_home(*key) {
+            if let Some(natural) = m.fleet.natural(*key) {
                 if natural != *home {
                     *home = natural;
                     moved += 1;
@@ -776,11 +666,7 @@ impl ClusterShared {
                 .write()
                 .unwrap_or_else(PoisonError::into_inner);
             for (key, entry) in replicas.iter_mut() {
-                entry.tiles = m
-                    .ranked(*key)
-                    .into_iter()
-                    .take(self.replica_tiles.max(2))
-                    .collect();
+                entry.tiles = m.fleet.replica_set(*key, self.config.replica_tiles);
             }
         }
         moved
@@ -792,7 +678,7 @@ impl ClusterShared {
     /// delta over a probe window against
     /// [`ClusterConfig::replicate_after`].
     fn note_saturation(&self, key: u64, p: &UBig) {
-        if self.replicate_after == 0 {
+        if self.config.replicate_after == 0 {
             return;
         }
         let mut sat = self
@@ -813,37 +699,6 @@ impl ClusterShared {
         }
     }
 
-    /// The usable replica tiles for a replicated modulus, most queue
-    /// headroom first — `None` when the modulus is not replicated (the
-    /// hot path's one `Relaxed` load answers that without a lock) or
-    /// when every replica is unusable (normal routing takes over).
-    fn replica_candidates(&self, m: &Membership, key: u64) -> Option<Vec<usize>> {
-        // Acquire pairs with replication_pass's Release store so the
-        // hot path that sees a non-zero count also sees the promoted
-        // entries behind it (this load gates reading the replica map).
-        if self.replicas_active.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let replicas = self.replicas.read().unwrap_or_else(PoisonError::into_inner);
-        let entry = replicas.get(&key)?;
-        let mut live: Vec<(usize, usize)> = entry
-            .tiles
-            .iter()
-            .copied()
-            .filter(|&t| t < m.tiles.len() && m.routable(t))
-            .filter_map(|t| {
-                let health = m.tiles[t].service.health();
-                self.usable_health(&m.tiles[t], &health)
-                    .then(|| (health.headroom(), t))
-            })
-            .collect();
-        if live.is_empty() {
-            return None;
-        }
-        live.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        Some(live.into_iter().map(|(_, t)| t).collect())
-    }
-
     /// One promotion/demotion pass over the saturation windows, run by
     /// [`ServiceCluster::probe_tiles`]: a modulus whose saturation
     /// delta since the previous pass reaches `replicate_after` is
@@ -859,7 +714,7 @@ impl ClusterShared {
             .replicas
             .write()
             .unwrap_or_else(PoisonError::into_inner);
-        let demote_after = self.probation_after.max(1);
+        let demote_after = self.config.probation_after.max(1);
         let mut demote = Vec::new();
         for (key, window) in sat.iter_mut() {
             let delta = window.events - window.seen;
@@ -873,12 +728,8 @@ impl ClusterShared {
                 } else {
                     entry.calm = 0;
                 }
-            } else if delta >= self.replicate_after {
-                let tiles: Vec<usize> = m
-                    .ranked(*key)
-                    .into_iter()
-                    .take(self.replica_tiles.max(2))
-                    .collect();
+            } else if delta >= self.config.replicate_after {
+                let tiles = m.fleet.replica_set(*key, self.config.replica_tiles);
                 // A replica set needs at least two live tiles to be
                 // more than the home it already has.
                 if tiles.len() >= 2 {
@@ -905,23 +756,6 @@ impl ClusterShared {
             .store(replicas.len() as u64, Ordering::Release);
     }
 
-    /// The home tile for a modulus key under membership `m`: the
-    /// natural (rank-0 routable) tile when it is usable — the common
-    /// case, probed with one health check — otherwise the first usable
-    /// tile in routable rendezvous order. `None` when every routable
-    /// tile is stopped or poisoned (or none is routable).
-    fn route(&self, m: &Membership, key: u64) -> Option<(usize, usize)> {
-        let natural = m.natural_home(key)?;
-        self.track_home(key, natural);
-        if self.usable(m, natural) {
-            return Some((natural, natural));
-        }
-        m.ranked(key)
-            .into_iter()
-            .find(|&i| self.usable(m, i))
-            .map(|home| (home, natural))
-    }
-
     /// Records an accepted job: per-tile tallies plus the cluster's
     /// affinity accounting (`natural` is the rank-0 routable tile the
     /// modulus hashes to, `landed` where the job was actually
@@ -944,34 +778,12 @@ impl ClusterShared {
         }
     }
 
-    /// Spill candidates for a job homed on `home`: usable non-home
-    /// tiles, most queue headroom first, truncated to the policy's hop
-    /// budget. Empty under [`SpillPolicy::Strict`].
-    fn spill_candidates(&self, m: &Membership, home: usize) -> Vec<usize> {
-        let SpillPolicy::Spill { max_hops } = self.spill else {
-            return Vec::new();
-        };
-        let mut others: Vec<(usize, usize)> = (0..m.tiles.len())
-            .filter(|&i| i != home && m.routable(i))
-            .filter_map(|i| {
-                // One health probe per tile covers both liveness and
-                // headroom — this runs on the overloaded path, where
-                // extra lock traffic on tile queues hurts most.
-                let health = m.tiles[i].service.health();
-                self.usable_health(&m.tiles[i], &health)
-                    .then(|| (health.headroom(), i))
-            })
-            .collect();
-        others.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        others.into_iter().map(|(_, i)| i).take(max_hops).collect()
-    }
-
     fn submit_inner(&self, job: MulJob, block: bool) -> Result<Ticket, ClusterSubmitError> {
         let key = modulus_key(&job.modulus);
-        // The blocking path may find its home tile gone (stopped or
+        // The blocking path may find its anchor tile gone (stopped or
         // drained) by the time its queue wait resolves; re-route
         // against a fresh membership/health view instead of reporting
-        // the whole cluster down. Bounded: each retry needs the home
+        // the whole cluster down. Bounded: each retry needs the anchor
         // to have changed state, capped defensively against flapping.
         let mut reroutes = 0usize;
         loop {
@@ -979,39 +791,27 @@ impl ClusterShared {
                 return Err(ClusterSubmitError::Stopped);
             }
             let m = self.snapshot();
-            let Some((home, natural)) = self.route(&m, key) else {
+            let mut health = self.health(&m);
+            let replicas = self.replicas_of(key);
+            let Some(route) = route::route(&m.fleet, &mut health, key, replicas.as_deref()) else {
                 return Err(ClusterSubmitError::Stopped);
             };
-
-            // A replicated hot modulus routes across its replica set,
-            // most headroom first, instead of home-then-spill; the
-            // spill policy is bypassed because every replica already
-            // holds the modulus's prepared context.
-            let replicas = self.replica_candidates(&m, key);
-            let candidates = match &replicas {
-                Some(r) => r.clone(),
-                None => {
-                    let mut c = vec![home];
-                    c.extend(self.spill_candidates(&m, home));
-                    c
-                }
+            self.track_home(key, route.natural);
+            let offer = |tiles: &[usize]| {
+                tiles.iter().find_map(|&tile| {
+                    // A refusal (full, draining, or racing its own
+                    // shutdown) moves on to the next tile offered.
+                    let ticket = m.tiles[tile].service.try_submit(job.clone()).ok()?;
+                    self.record(&m, tile, route.natural, replicas.as_deref());
+                    Some(ticket)
+                })
             };
-            // The tile the blocking fall-through waits on: the best
-            // replica for a replicated modulus, the home otherwise.
-            let anchor = candidates[0];
-            let tried = candidates.len();
-            for tile in candidates {
-                match m.tiles[tile].service.try_submit(job.clone()) {
-                    Ok(ticket) => {
-                        self.record(&m, tile, natural, replicas.as_deref());
-                        return Ok(ticket);
-                    }
-                    // Full, draining, or racing its own shutdown: move
-                    // to the next tile the policy allows.
-                    Err(SubmitError::QueueFull)
-                    | Err(SubmitError::Stopped)
-                    | Err(SubmitError::Paused) => {}
-                }
+            if let Some(ticket) = offer(&route.tiles) {
+                return Ok(ticket);
+            }
+            let spill = route::spill(&m.fleet, &mut health, &route, self.config.spill);
+            if let Some(ticket) = offer(&spill) {
+                return Ok(ticket);
             }
             // Every allowed tile refused without blocking — a
             // saturation event for this modulus either way; enough of
@@ -1020,40 +820,39 @@ impl ClusterShared {
             self.note_saturation(key, &job.modulus);
             if !block {
                 self.saturated_rejections.fetch_add(1, Ordering::Relaxed);
+                let tried = route.tiles.len() + spill.len();
                 return Err(ClusterSubmitError::AllTilesSaturated { tried });
             }
             // Wait for the anchor queue so sustained overload still
             // lands with affinity (and still backpressures the
             // producer).
-            match m.tiles[anchor].service.submit(job.clone()) {
-                Ok(ticket) => {
-                    self.record(&m, anchor, natural, replicas.as_deref());
-                    return Ok(ticket);
-                }
-                Err(_) => {
-                    // The home stopped or paused mid-wait. A fresh
-                    // route() excludes it, so the job lands on the
-                    // next-ranked live tile — the cluster is only down
-                    // when no routable tile remains.
-                    reroutes += 1;
-                    if reroutes > m.tiles.len() + 1 {
-                        return Err(ClusterSubmitError::Stopped);
-                    }
-                }
+            let anchor = route.tiles[0];
+            if let Ok(ticket) = m.tiles[anchor].service.submit(job.clone()) {
+                self.record(&m, anchor, route.natural, replicas.as_deref());
+                return Ok(ticket);
+            }
+            // The anchor stopped or paused mid-wait. A fresh route
+            // excludes it, so the job lands on the next-ranked live
+            // tile — the cluster is only down when no routable tile
+            // remains.
+            reroutes += 1;
+            if reroutes > m.tiles.len() + 1 {
+                return Err(ClusterSubmitError::Stopped);
             }
         }
     }
 
     /// Routes `jobs`, each tagged with its index in the caller's batch,
-    /// to their home tiles under `m` (each distinct modulus once) and
-    /// queues every tile's share under a single lock: waiting for room
-    /// when `block` is set, refusing the rest of the share otherwise.
-    /// Accepted tickets land in `slots`. Returns the jobs left over, in
-    /// batch order: those a tile refused, those with no routable tile,
-    /// and, when not blocking, every job of a replicated modulus, which
-    /// belongs on the per-job replica path. (Blocking bulk submission
-    /// trusts affinity: spilling inside a batch would interleave two
-    /// tiles' completions for one caller.)
+    /// to their home tiles under `m` (each distinct modulus once, all
+    /// against one health view) and queues every tile's share under a
+    /// single lock: waiting for room when `block` is set, refusing the
+    /// rest of the share otherwise. Accepted tickets land in `slots`.
+    /// Returns the jobs left over, in batch order: those a tile
+    /// refused, those with no usable tile, and, when not blocking,
+    /// every job of a replicated modulus, which belongs on the per-job
+    /// replica path. (Blocking bulk submission trusts affinity:
+    /// spilling inside a batch would interleave two tiles' completions
+    /// for one caller.)
     fn enqueue_by_home(
         &self,
         m: &Membership,
@@ -1061,6 +860,7 @@ impl ClusterShared {
         block: bool,
         slots: &mut [Option<Ticket>],
     ) -> Vec<(usize, MulJob)> {
+        let mut health = self.health(m);
         let mut routes: HashMap<u64, Option<(usize, usize)>> = HashMap::new();
         let mut per_tile: Vec<Vec<(usize, usize, MulJob)>> =
             (0..m.tiles.len()).map(|_| Vec::new()).collect();
@@ -1068,11 +868,12 @@ impl ClusterShared {
         for (idx, job) in jobs {
             let key = modulus_key(&job.modulus);
             let route = *routes.entry(key).or_insert_with(|| {
-                if !block && self.replica_candidates(m, key).is_some() {
-                    None
-                } else {
-                    self.route(m, key)
+                if !block && self.replicas_of(key).is_some() {
+                    return None;
                 }
+                let route = route::route(&m.fleet, &mut health, key, None)?;
+                self.track_home(key, route.natural);
+                Some((route.tiles[0], route.natural))
             });
             match route {
                 Some((home, natural)) => per_tile[home].push((idx, natural, job)),
@@ -1129,19 +930,8 @@ impl ClusterShared {
     fn submit_many(&self, jobs: Vec<MulJob>) -> Result<Vec<Ticket>, BulkSubmitFailure> {
         let mut slots: Vec<Option<Ticket>> = (0..jobs.len()).map(|_| None).collect();
         let mut pending: Vec<(usize, MulJob)> = jobs.into_iter().enumerate().collect();
-        let fail = |slots: Vec<Option<Ticket>>, error: ClusterSubmitError| BulkSubmitFailure {
-            error,
-            accepted: slots
-                .into_iter()
-                .enumerate()
-                .filter_map(|(i, t)| t.map(|t| (i, t)))
-                .collect(),
-        };
         let mut stalled_rounds = 0usize;
-        while !pending.is_empty() {
-            if self.stopped.load(Ordering::Acquire) {
-                return Err(fail(slots, ClusterSubmitError::Stopped));
-            }
+        while !pending.is_empty() && !self.stopped.load(Ordering::Acquire) {
             let m = self.snapshot();
             // A tile may stop mid-share, and a modulus may find no
             // routable tile; what was not queued re-routes next round
@@ -1154,15 +944,23 @@ impl ClusterShared {
             } else {
                 stalled_rounds += 1;
                 if stalled_rounds > m.tiles.len() + 1 {
-                    return Err(fail(slots, ClusterSubmitError::Stopped));
+                    break;
                 }
             }
         }
-        Ok(slots
-            .into_iter()
-            // analyzer: allow(no_panic, loop above only breaks when pending is empty and every drained pending entry filled its slot, so None here is a routing-logic bug worth a loud stop)
-            .map(|t| t.expect("every job was queued on exactly one tile"))
-            .collect())
+        // A job still pending has no ticket: the cluster stopped, or
+        // lost its last routable tile, before it could be queued.
+        if slots.iter().all(Option::is_some) {
+            return Ok(slots.into_iter().flatten().collect());
+        }
+        Err(BulkSubmitFailure {
+            error: ClusterSubmitError::Stopped,
+            accepted: slots
+                .into_iter()
+                .enumerate()
+                .filter_map(|(i, t)| t.map(|t| (i, t)))
+                .collect(),
+        })
     }
 }
 
@@ -1349,9 +1147,9 @@ impl core::fmt::Debug for ServiceCluster {
             f,
             "ServiceCluster {{ tiles: {}, active: {}, epoch: {}, policy: {:?} }}",
             m.tiles.len(),
-            m.active_count(),
+            m.fleet.active_count(),
             m.epoch,
-            self.shared.spill
+            self.shared.config.spill
         )
     }
 }
@@ -1385,21 +1183,18 @@ impl ServiceCluster {
             .into_iter()
             .map(|service| Arc::new(TileCell::new(Arc::new(service))))
             .collect();
-        let states = vec![TileState::Active; tiles.len()];
-        let weights = vec![1u32; tiles.len()];
+        let fleet = Fleet {
+            states: vec![TileState::Active; tiles.len()],
+            weights: vec![1; tiles.len()],
+        };
         ServiceCluster {
             shared: Arc::new(ClusterShared {
                 membership: RwLock::new(Arc::new(Membership {
                     epoch: 0,
                     tiles,
-                    states,
-                    weights,
+                    fleet,
                 })),
-                spill: config.spill,
-                poison_after: config.poison_after,
-                probation_after: config.probation_after,
-                replicate_after: config.replicate_after,
-                replica_tiles: config.replica_tiles,
+                config: config.clone(),
                 stopped: AtomicBool::new(false),
                 affinity_hits: AtomicU64::new(0),
                 spilled: AtomicU64::new(0),
@@ -1505,7 +1300,7 @@ impl ServiceCluster {
 
     /// Tiles currently in the routable set.
     pub fn active_tiles(&self) -> usize {
-        self.shared.snapshot().active_count()
+        self.shared.snapshot().fleet.active_count()
     }
 
     /// The current membership epoch (bumped by every add, drain, and
@@ -1517,7 +1312,7 @@ impl ServiceCluster {
     /// A tile's membership lifecycle state, `None` for an out-of-range
     /// index.
     pub fn tile_state(&self, tile: usize) -> Option<TileState> {
-        self.shared.snapshot().states.get(tile).copied()
+        self.shared.snapshot().fleet.states.get(tile).copied()
     }
 
     /// A shared handle to one tile's underlying service, `None` for an
@@ -1544,13 +1339,13 @@ impl ServiceCluster {
     /// on a fully-drained cluster), the state in which the router
     /// refuses submissions with [`ClusterSubmitError::Stopped`].
     pub fn home_tile(&self, p: &UBig) -> Option<usize> {
-        self.shared.snapshot().natural_home(modulus_key(p))
+        self.shared.snapshot().fleet.natural(modulus_key(p))
     }
 
     /// A tile's capacity weight under the current membership, `None`
     /// for an out-of-range index.
     pub fn tile_weight(&self, tile: usize) -> Option<u32> {
-        self.shared.snapshot().weights.get(tile).copied()
+        self.shared.snapshot().fleet.weights.get(tile).copied()
     }
 
     /// Adds a running tile to the cluster at a fresh index with
@@ -1578,44 +1373,18 @@ impl ServiceCluster {
         service: ModSramService,
         weight: u32,
     ) -> Result<MembershipChange, CoreError> {
-        let mut guard = self
-            .shared
-            .membership
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Checked under the write lock: shutdown() stores the flag
-        // before snapshotting the tile list, so any add that passes
-        // this check publishes its tile in time to be drained by that
-        // very shutdown — a stopped cluster can never grow a live,
-        // never-joined tile.
-        if self.shared.stopped.load(Ordering::Acquire) {
-            return Err(CoreError::ClusterStopped);
-        }
-        let tile = guard.tiles.len();
-        if weight == 0 {
-            return Err(CoreError::ZeroTileWeight { tile });
-        }
-        let mut tiles = guard.tiles.clone();
-        let mut states = guard.states.clone();
-        let mut weights = guard.weights.clone();
-        tiles.push(Arc::new(TileCell::new(Arc::new(service))));
-        states.push(TileState::Active);
-        weights.push(weight);
-        let next = Arc::new(Membership {
-            epoch: guard.epoch + 1,
-            tiles,
-            states,
-            weights,
-        });
-        *guard = Arc::clone(&next);
+        let change = self.shared.publish(|tiles, fleet| {
+            let tile = tiles.len();
+            if weight == 0 {
+                return Err(CoreError::ZeroTileWeight { tile });
+            }
+            tiles.push(Arc::new(TileCell::new(Arc::new(service))));
+            fleet.states.push(TileState::Active);
+            fleet.weights.push(weight);
+            Ok(tile)
+        })?;
         self.shared.tiles_added.fetch_add(1, Ordering::Relaxed);
-        let rehomed = self.shared.rehome_tracked(&next);
-        Ok(MembershipChange {
-            epoch: next.epoch,
-            tile,
-            rehomed_moduli: rehomed,
-            active_tiles: next.active_count(),
-        })
+        Ok(change)
     }
 
     /// Re-weights one tile live: publishes a new membership epoch with
@@ -1641,32 +1410,13 @@ impl ServiceCluster {
         if weight == 0 {
             return Err(CoreError::ZeroTileWeight { tile });
         }
-        let mut guard = self
-            .shared
-            .membership
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        if self.shared.stopped.load(Ordering::Acquire) {
-            return Err(CoreError::ClusterStopped);
-        }
-        if tile >= guard.tiles.len() {
-            return Err(CoreError::UnknownTile { tile });
-        }
-        let mut weights = guard.weights.clone();
-        weights[tile] = weight;
-        let next = Arc::new(Membership {
-            epoch: guard.epoch + 1,
-            tiles: guard.tiles.clone(),
-            states: guard.states.clone(),
-            weights,
-        });
-        *guard = Arc::clone(&next);
-        let rehomed = self.shared.rehome_tracked(&next);
-        Ok(MembershipChange {
-            epoch: next.epoch,
-            tile,
-            rehomed_moduli: rehomed,
-            active_tiles: next.active_count(),
+        self.shared.publish(|_, fleet| {
+            let slot = fleet
+                .weights
+                .get_mut(tile)
+                .ok_or(CoreError::UnknownTile { tile })?;
+            *slot = weight;
+            Ok(tile)
         })
     }
 
@@ -1687,79 +1437,35 @@ impl ServiceCluster {
     ///
     /// [`CoreError::UnknownTile`] for an out-of-range index,
     /// [`CoreError::TileDraining`] if the tile is already draining or
-    /// drained, [`CoreError::ClusterStopped`] after shutdown.
+    /// drained, [`CoreError::ClusterStopped`] after shutdown (also when
+    /// a shutdown lands mid-drain).
     pub fn drain_tile(&self, tile: usize) -> Result<MembershipChange, CoreError> {
-        // Phase 1: atomically publish the tile as non-routable and
-        // pause its admissions, so no submission — racing or future —
-        // can land on it past this point.
-        let (cell, rehomed) = {
-            let mut guard = self
-                .shared
-                .membership
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            // Under the write lock, like add_tile: a drain racing
-            // shutdown() either errors here or completes its pause
-            // before the shutdown snapshot fans out.
-            if self.shared.stopped.load(Ordering::Acquire) {
-                return Err(CoreError::ClusterStopped);
-            }
-            if tile >= guard.tiles.len() {
-                return Err(CoreError::UnknownTile { tile });
-            }
-            if guard.states[tile] != TileState::Active {
+        // Phase 1: publish the tile as non-routable and pause its
+        // admissions under the same write lock, so no submission —
+        // racing or future — can land on it past this point.
+        let paused = self.shared.publish(|tiles, fleet| {
+            let cell = tiles.get(tile).ok_or(CoreError::UnknownTile { tile })?;
+            if fleet.states[tile] != TileState::Active {
                 return Err(CoreError::TileDraining { tile });
             }
-            let mut states = guard.states.clone();
-            states[tile] = TileState::Draining;
-            let next = Arc::new(Membership {
-                epoch: guard.epoch + 1,
-                tiles: guard.tiles.clone(),
-                states,
-                weights: guard.weights.clone(),
-            });
-            *guard = Arc::clone(&next);
-            let cell = Arc::clone(&next.tiles[tile]);
+            fleet.states[tile] = TileState::Draining;
             cell.service.pause_admissions();
-            let rehomed = self.shared.rehome_tracked(&next);
-            (cell, rehomed)
-        };
-        // Phase 2: the existing ticket machinery drains the tile —
-        // admissions are paused, so delivered == submitted is a
-        // monotone barrier.
-        while !cell.service.quiesced() {
-            if self.shared.stopped.load(Ordering::Acquire) {
-                // A concurrent shutdown drains every tile itself.
-                break;
-            }
-            // analyzer: allow(no_sleep, the tile exposes no quiesce signal to block on; an admin-path poll)
-            std::thread::sleep(Duration::from_micros(200));
+            Ok(tile)
+        })?;
+        // Phase 2: with admissions paused the tile signals once every
+        // accepted job is delivered; a concurrent shutdown ends the wait.
+        if let Some(service) = self.tile_service(tile) {
+            service.wait_quiesced();
         }
         // Phase 3: mark the empty tile Drained (probation-eligible).
-        let (epoch, active_tiles) = {
-            let mut guard = self
-                .shared
-                .membership
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            if guard.states[tile] == TileState::Draining {
-                let mut states = guard.states.clone();
-                states[tile] = TileState::Drained;
-                *guard = Arc::new(Membership {
-                    epoch: guard.epoch + 1,
-                    tiles: guard.tiles.clone(),
-                    states,
-                    weights: guard.weights.clone(),
-                });
-            }
-            (guard.epoch, guard.active_count())
-        };
+        let drained = self.shared.publish(|_, fleet| {
+            fleet.states[tile] = TileState::Drained;
+            Ok(tile)
+        })?;
         self.shared.tiles_drained.fetch_add(1, Ordering::Relaxed);
         Ok(MembershipChange {
-            epoch,
-            tile,
-            rehomed_moduli: rehomed,
-            active_tiles,
+            rehomed_moduli: paused.rehomed_moduli,
+            ..drained
         })
     }
 
@@ -1782,17 +1488,29 @@ impl ServiceCluster {
         let m = self.shared.snapshot();
         // Hot-modulus promotion/demotion rides the same cadence as
         // tile probation: each pass closes one saturation window.
-        if self.shared.replicate_after > 0 {
+        if self.shared.config.replicate_after > 0 {
             self.shared.replication_pass(&m, &mut report);
         }
-        if self.probation() == 0 {
+        if self.shared.config.probation_after == 0 {
             return report;
         }
         for (tile, cell) in m.tiles.iter().enumerate() {
-            match m.states[tile] {
+            match m.fleet.states[tile] {
                 TileState::Draining => continue,
                 TileState::Drained => {
-                    if self.probe_cell(cell) && self.readmit(tile) {
+                    // Probation complete: resume admissions and publish
+                    // the tile Active, unless a racing probe or
+                    // shutdown moved it out of Drained first.
+                    let readmit = |tiles: &mut Vec<Arc<TileCell>>, fleet: &mut Fleet| {
+                        if fleet.states[tile] != TileState::Drained {
+                            return Err(CoreError::TileDraining { tile });
+                        }
+                        fleet.states[tile] = TileState::Active;
+                        tiles[tile].service.resume_admissions();
+                        Ok(tile)
+                    };
+                    if self.probe_cell(cell) && self.shared.publish(readmit).is_ok() {
+                        self.shared.tiles_readmitted.fetch_add(1, Ordering::Relaxed);
                         report.readmitted.push(tile);
                     }
                 }
@@ -1815,10 +1533,6 @@ impl ServiceCluster {
         report
     }
 
-    fn probation(&self) -> u64 {
-        self.shared.probation_after
-    }
-
     /// One probe of one sidelined tile: pass ⇔ live and no new panics
     /// since the previous probe. Returns `true` when the tile has just
     /// completed its probation window.
@@ -1832,41 +1546,13 @@ impl ServiceCluster {
             return false;
         }
         let ok = cell.probe_ok.fetch_add(1, Ordering::Relaxed) + 1;
-        if ok < self.probation() {
+        if ok < self.shared.config.probation_after {
             return false;
         }
         cell.probe_ok.store(0, Ordering::Relaxed);
         cell.pardoned_panics
             // analyzer: allow(relaxed_atomic, pardon level only trails the monotonic panic counter; a stale read re-poisons for at most one probe round)
             .store(health.executor_panics, Ordering::Relaxed);
-        true
-    }
-
-    /// Re-admits a drained tile that completed probation: resumes its
-    /// admissions and publishes a new epoch with the tile Active.
-    /// Returns `false` if the tile was concurrently moved out of
-    /// `Drained` (e.g. by a racing shutdown).
-    fn readmit(&self, tile: usize) -> bool {
-        let mut guard = self
-            .shared
-            .membership
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        if guard.states.get(tile) != Some(&TileState::Drained) {
-            return false;
-        }
-        let mut states = guard.states.clone();
-        states[tile] = TileState::Active;
-        let next = Arc::new(Membership {
-            epoch: guard.epoch + 1,
-            tiles: guard.tiles.clone(),
-            states,
-            weights: guard.weights.clone(),
-        });
-        *guard = Arc::clone(&next);
-        next.tiles[tile].service.resume_admissions();
-        self.shared.tiles_readmitted.fetch_add(1, Ordering::Relaxed);
-        self.shared.rehome_tracked(&next);
         true
     }
 
@@ -1882,9 +1568,9 @@ impl ServiceCluster {
                 TileStats {
                     routed: cell.routed.load(Ordering::Relaxed),
                     spilled_in: cell.spilled_in.load(Ordering::Relaxed),
-                    weight: m.weights[i],
+                    weight: m.fleet.weights[i],
                     poisoned: self.shared.poisoned(cell, &health),
-                    state: m.states[i],
+                    state: m.fleet.states[i],
                     health,
                     service: cell.service.stats(),
                 }
@@ -1915,7 +1601,7 @@ impl ServiceCluster {
         }
         ClusterStats {
             membership_epoch: m.epoch,
-            active_tiles: m.active_count(),
+            active_tiles: m.fleet.active_count(),
             tiles_added: self.shared.tiles_added.load(Ordering::Relaxed),
             tiles_drained: self.shared.tiles_drained.load(Ordering::Relaxed),
             tiles_readmitted: self.shared.tiles_readmitted.load(Ordering::Relaxed),
@@ -2025,6 +1711,7 @@ impl PreparedModMul for ClusterPrepared {
 
 #[cfg(test)]
 mod tests {
+    use super::route::{rendezvous_score, RendezvousScore};
     use super::*;
     use crate::test_util::{gated_pool, saturate_gated_home, slow_pool, FailureMode, Gate};
     use std::time::Duration;
@@ -2169,7 +1856,7 @@ mod tests {
             assert_eq!(Some(home), home_tile_for(&p, 4));
             let order = rendezvous_ranking(&p, 4);
             assert_eq!(order[0], home, "ranking rank-0 is the home");
-            let live = cluster.shared.snapshot().ranked(modulus_key(&p));
+            let live = cluster.shared.snapshot().fleet.ranked(modulus_key(&p));
             assert_eq!(order, live, "standalone ranking == live ranking");
             let mut sorted = order.clone();
             sorted.sort_unstable();
@@ -2810,5 +2497,163 @@ mod tests {
         );
         let stats = cluster.shutdown();
         assert_eq!(stats.completed, 7);
+    }
+
+    #[test]
+    fn a_submission_probes_a_tile_once_and_spill_tiles_only_after_a_refusal() {
+        for spill in [SpillPolicy::Strict, SpillPolicy::Spill { max_hops: 1 }] {
+            let config = ClusterConfig {
+                spill,
+                ..small_config()
+            };
+            let cluster = ServiceCluster::for_engine_name("barrett", 3, config).unwrap();
+            // Service stats read the probe counter without probing.
+            let probes = || -> u64 {
+                (0..3)
+                    .map(|t| cluster.tile_service(t).unwrap().stats().health_probes)
+                    .sum()
+            };
+            let before = probes();
+            let p = UBig::from(1_000_003u64);
+            let job = MulJob::new(UBig::from(5u64), UBig::from(7u64), p.clone());
+            let ticket = cluster.try_submit(job).unwrap();
+            assert_eq!(probes() - before, 1, "{spill:?}: the home accepted");
+            assert_eq!(ticket.wait().unwrap(), UBig::from(35u64));
+            let jobs: Vec<MulJob> = (0..32u64)
+                .map(|i| MulJob::new(UBig::from(i + 2), UBig::from(3u64), UBig::from(2 * i + 101)))
+                .collect();
+            let before = probes();
+            let outcomes = cluster.handle().try_submit_many(jobs.clone());
+            assert!(probes() - before <= 3, "{spill:?}: one probe per tile");
+            for (job, outcome) in jobs.iter().zip(outcomes) {
+                let want = &(&job.a * &job.b) % &job.modulus;
+                assert_eq!(outcome.unwrap().wait().unwrap(), want);
+            }
+            cluster.shutdown();
+        }
+    }
+
+    #[test]
+    fn drain_waits_on_the_tile_and_a_shutdown_ends_the_wait() {
+        for shutdown in [false, true] {
+            let gate = Gate::new();
+            let config = ClusterConfig {
+                service: ServiceConfig {
+                    workers: 1,
+                    queue_capacity: 4,
+                    max_batch: 1,
+                },
+                ..Default::default()
+            };
+            let cluster = ServiceCluster::new(vec![gated_pool(&gate), gated_pool(&gate)], config);
+            let held = cluster
+                .submit(MulJob::new(
+                    UBig::from(2u64),
+                    UBig::from(3u64),
+                    UBig::from(97u64),
+                ))
+                .unwrap();
+            gate.wait_entered(1);
+            let tile = cluster.home_tile(&UBig::from(97u64)).unwrap();
+            std::thread::scope(|scope| {
+                let drain = scope.spawn(|| cluster.drain_tile(tile));
+                while cluster.tile_state(tile) != Some(TileState::Draining) {
+                    std::thread::yield_now();
+                }
+                assert!(!drain.is_finished(), "the held job keeps the tile busy");
+                if shutdown {
+                    // The tile's shutdown joins the executor held at
+                    // the gate, but it closes the queue first, and that
+                    // alone must end the drain's wait.
+                    let stopper = scope.spawn(|| cluster.shutdown());
+                    assert_eq!(drain.join().unwrap(), Err(CoreError::ClusterStopped));
+                    gate.open();
+                    stopper.join().unwrap();
+                } else {
+                    gate.open();
+                    let change = drain.join().unwrap().unwrap();
+                    assert_eq!(change.active_tiles, 1);
+                    assert_eq!(cluster.tile_state(tile), Some(TileState::Drained));
+                }
+            });
+            assert_eq!(held.wait().unwrap(), UBig::from(6u64));
+            cluster.shutdown();
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The live cluster places every job on the pure router's first
+        /// tile for the membership and health it routed against, over
+        /// random sequences of grows, reweighs, drains, probation
+        /// probes, tile stops (a routable tile that is not usable) and
+        /// submissions. One thread drives each case and
+        /// every job is waited on, so no thread races the check.
+        #[test]
+        fn live_placement_is_the_pure_routers_first_tile(
+            ops in proptest::prop::collection::vec((0u8..6, 0usize..8, 1u32..5, 0u64..24), 1..24),
+        ) {
+            let config = ClusterConfig {
+                probation_after: 1,
+                ..small_config()
+            };
+            let cluster = ServiceCluster::for_engine_name("barrett", 2, config).unwrap();
+            for (op, tile, weight, m) in ops {
+                let tile = tile % cluster.tiles();
+                match op {
+                    0 => {
+                        let service =
+                            ModSramService::for_engine_name("barrett", small_config().service)
+                                .unwrap();
+                        cluster.add_tile_weighted(service, weight).unwrap();
+                    }
+                    1 => {
+                        cluster.set_tile_weight(tile, weight).unwrap();
+                    }
+                    2 => {
+                        let _ = cluster.drain_tile(tile);
+                    }
+                    3 => {
+                        cluster.probe_tiles();
+                    }
+                    4 => {
+                        cluster.tile_service(tile).unwrap().shutdown();
+                    }
+                    _ => {
+                        let p = UBig::from(2 * m + 1_000_003);
+                        let before = cluster.stats();
+                        let fleet = Fleet {
+                            states: before.tiles.iter().map(|t| t.state).collect(),
+                            weights: before.tiles.iter().map(|t| t.weight).collect(),
+                        };
+                        let mut health = Health::new(fleet.states.len(), |t| {
+                            let tile = &before.tiles[t];
+                            let usable = !tile.health.stopped && !tile.health.paused && !tile.poisoned;
+                            usable.then(|| tile.health.headroom())
+                        });
+                        let key = modulus_key(&p);
+                        let want = route::route(&fleet, &mut health, key, None).map(|r| r.tiles[0]);
+                        proptest::prop_assert_eq!(cluster.home_tile(&p), fleet.natural(key));
+                        let job = MulJob::new(UBig::from(m + 2), UBig::from(3u64), p.clone());
+                        let landed = match cluster.try_submit(job) {
+                            Ok(ticket) => {
+                                ticket.wait().unwrap();
+                                let after = cluster.stats();
+                                after.tiles.iter().zip(&before.tiles).position(|(a, b)| {
+                                    a.service.submitted > b.service.submitted
+                                })
+                            }
+                            Err(e) => {
+                                proptest::prop_assert_eq!(e, ClusterSubmitError::Stopped);
+                                None
+                            }
+                        };
+                        proptest::prop_assert_eq!(landed, want);
+                    }
+                }
+            }
+            cluster.shutdown();
+        }
     }
 }

@@ -1,0 +1,295 @@
+//! The cluster's one routing decision, as pure functions: no lock, no
+//! atomic. Every placement — per-job and bulk submission,
+//! `ServiceCluster::home_tile`, re-home accounting and hot-modulus
+//! replica sets — is computed here from a [`Fleet`] (state and weight
+//! per tile), a [`Health`] view (which tiles are usable, with what
+//! queue headroom), the modulus key, the replica set and the
+//! [`SpillPolicy`]. The live cluster gathers those inputs and applies
+//! the answer, so placement can be tested without threads.
+//!
+//! **The probe rule.** Reading a tile's health takes its queue lock,
+//! so [`Health`] probes each tile at most once per decision, on first
+//! need: [`route`] stops at the first usable tile in rank order, and
+//! [`spill`] probes the other tiles only after every tile of the route
+//! has refused. A job its home accepts costs one probe under either
+//! policy; a bulk batch sharing one view costs at most one per tile.
+//!
+//! **One ranking.** The natural home, the failover order, the replica
+//! set and the four public planners all read [`ranking`], so they
+//! cannot drift apart.
+
+use std::cmp::Reverse;
+use std::hash::{DefaultHasher, Hash, Hasher};
+
+use modsram_bigint::UBig;
+
+use super::{SpillPolicy, TileState};
+
+/// 64-bit finaliser (splitmix64) — mixes the modulus key with a tile
+/// index into a rendezvous score.
+fn mix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The prepared-modulus routing key: equal moduli map to equal keys,
+/// so all traffic for one prepared context shares one home tile.
+pub(super) fn modulus_key(p: &UBig) -> u64 {
+    let mut h = DefaultHasher::new();
+    p.hash(&mut h);
+    h.finish()
+}
+
+/// The weighted rendezvous score of `(modulus key, tile, weight)` —
+/// **the single definition** of both the score and its tie-break.
+/// Higher is better.
+///
+/// The score uses the logarithmic method for weighted rendezvous
+/// hashing: the mix is mapped to `u ∈ (0, 1)` and the score is
+/// `weight / -ln(u)`, which makes each tile's win probability exactly
+/// proportional to its weight. Because `u` is monotone in the mix,
+/// **equal weights reproduce the unweighted mix ordering exactly** —
+/// a weight-1 cluster places every modulus where the legacy
+/// unweighted router did. Ties (the f64 mapping collapses nearby
+/// mixes) fall back to the raw mix, then to the lower tile index
+/// (`Reverse`), so the ordering stays total and deterministic.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(super) struct RendezvousScore {
+    pub(super) score: f64,
+    pub(super) mix: u64,
+    pub(super) tie: Reverse<usize>,
+}
+
+impl Eq for RendezvousScore {}
+
+impl Ord for RendezvousScore {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.score
+            .total_cmp(&other.score)
+            .then(self.mix.cmp(&other.mix))
+            .then(self.tie.cmp(&other.tie))
+    }
+}
+
+impl PartialOrd for RendezvousScore {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+pub(super) fn rendezvous_score(key: u64, tile: usize, weight: u32) -> RendezvousScore {
+    let mix = mix64(key ^ (tile as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    // Top 52 mix bits → odd 53-bit numerator / 2^53: exactly
+    // representable, strictly inside (0, 1) at both ends (so `ln` is
+    // finite and negative), and monotone in the mix — the property the
+    // equal-weights-≡-legacy guarantee rests on.
+    let u = (((mix >> 12) << 1) | 1) as f64 / (1u64 << 53) as f64;
+    RendezvousScore {
+        score: weight as f64 / -u.ln(),
+        mix,
+        tie: Reverse(tile),
+    }
+}
+
+/// **The one ranking function**: the tiles `member` admits, out of
+/// `0..weights.len()`, in weighted rendezvous order for `key` (best
+/// score first). Scores are distinct per tile (the tile index breaks
+/// the last tie), so the order is total.
+pub(super) fn ranking(key: u64, weights: &[u32], member: impl Fn(usize) -> bool) -> Vec<usize> {
+    let mut scored: Vec<(RendezvousScore, usize)> = weights
+        .iter()
+        .enumerate()
+        .filter(|&(tile, _)| member(tile))
+        .map(|(tile, &weight)| (rendezvous_score(key, tile, weight), tile))
+        .collect();
+    scored.sort_unstable_by_key(|&(score, _)| Reverse(score));
+    scored.into_iter().map(|(_, tile)| tile).collect()
+}
+
+/// The natural home tile for modulus `p` in a cluster of `tiles`
+/// equal-weight tiles — the same deterministic rendezvous placement a
+/// live [`ServiceCluster`](super::ServiceCluster) of that size computes
+/// (with every tile active at weight 1), exposed standalone so workload
+/// planners (capacity sizing, sweep generators) can predict placement
+/// without standing a cluster up. `None` when `tiles == 0`, consistent
+/// with [`rendezvous_ranking`] returning the empty ranking (and with
+/// the live cluster's answer when no tile is routable).
+pub fn home_tile_for(p: &UBig, tiles: usize) -> Option<usize> {
+    rendezvous_ranking(p, tiles).first().copied()
+}
+
+/// Tile indices `0..tiles` in rendezvous order (best score first,
+/// equal weights) for modulus `p` — the full failover ranking behind
+/// [`home_tile_for`] (which is its first element). Drain planners use
+/// the second-ranked tile to predict where a modulus lands when its
+/// home leaves.
+pub fn rendezvous_ranking(p: &UBig, tiles: usize) -> Vec<usize> {
+    weighted_rendezvous_ranking(p, &vec![1; tiles])
+}
+
+/// The weighted natural home for modulus `p` over a fleet described
+/// by one capacity weight per tile: tile `i`'s probability of homing
+/// a random modulus is `weights[i] / Σ weights`. With all weights
+/// equal this is exactly [`home_tile_for`] — the placement the legacy
+/// unweighted router computes. A zero-weight tile scores 0 and never
+/// wins while any positive-weight tile exists (the live cluster
+/// refuses weight 0 outright; see
+/// [`ServiceCluster::set_tile_weight`](super::ServiceCluster::set_tile_weight)).
+/// `None` when `weights` is empty.
+pub fn weighted_home_tile_for(p: &UBig, weights: &[u32]) -> Option<usize> {
+    weighted_rendezvous_ranking(p, weights).first().copied()
+}
+
+/// Tile indices `0..weights.len()` in weighted rendezvous order (best
+/// score first) for modulus `p` — the weighted analogue of
+/// [`rendezvous_ranking`], and the ranking hot-modulus replication
+/// takes its top-k replica tiles from.
+pub fn weighted_rendezvous_ranking(p: &UBig, weights: &[u32]) -> Vec<usize> {
+    ranking(modulus_key(p), weights, |_| true)
+}
+
+/// The membership half of a routing decision: one lifecycle state and
+/// one capacity weight (never 0) per tile, indexed by tile id.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(super) struct Fleet {
+    pub(super) states: Vec<TileState>,
+    pub(super) weights: Vec<u32>,
+}
+
+impl Fleet {
+    /// Whether `tile` is in the routable set.
+    pub(super) fn routable(&self, tile: usize) -> bool {
+        self.states.get(tile) == Some(&TileState::Active)
+    }
+
+    pub(super) fn active_count(&self) -> usize {
+        self.states
+            .iter()
+            .filter(|&&s| s == TileState::Active)
+            .count()
+    }
+
+    /// Routable tiles in weighted rendezvous order for `key`.
+    pub(super) fn ranked(&self, key: u64) -> Vec<usize> {
+        ranking(key, &self.weights, |tile| self.routable(tile))
+    }
+
+    /// The rank-0 routable tile for `key`, health ignored — where the
+    /// modulus's traffic lands in steady state. `None` when no tile is
+    /// routable.
+    pub(super) fn natural(&self, key: u64) -> Option<usize> {
+        self.ranked(key).first().copied()
+    }
+
+    /// The replica set a promoted hot modulus gets: its top-`k`
+    /// routable tiles (`k` below 2 counts as 2 — one replica is just
+    /// the home again).
+    pub(super) fn replica_set(&self, key: u64, k: usize) -> Vec<usize> {
+        let mut tiles = self.ranked(key);
+        tiles.truncate(k.max(2));
+        tiles
+    }
+}
+
+/// The health half of a routing decision: a tile's queue headroom
+/// when it is usable (live, admitting, not poisoned), `None` when it
+/// is not. Each tile is probed at most once per decision (one job, or
+/// one bulk batch), the first time the router needs it.
+pub(super) struct Health<F> {
+    probe: F,
+    seen: Vec<Option<Option<usize>>>,
+}
+
+impl<F: FnMut(usize) -> Option<usize>> Health<F> {
+    pub(super) fn new(tiles: usize, probe: F) -> Self {
+        Health {
+            probe,
+            seen: vec![None; tiles],
+        }
+    }
+
+    fn headroom(&mut self, tile: usize) -> Option<usize> {
+        let probe = &mut self.probe;
+        *self.seen[tile].get_or_insert_with(|| probe(tile))
+    }
+
+    /// The usable `tiles`, most headroom first (lower index on a tie).
+    fn by_headroom(&mut self, tiles: impl IntoIterator<Item = usize>) -> Vec<usize> {
+        let mut live: Vec<(usize, usize)> = tiles
+            .into_iter()
+            .filter_map(|tile| Some((self.headroom(tile)?, tile)))
+            .collect();
+        live.sort_by_key(|&(headroom, tile)| (Reverse(headroom), tile));
+        live.into_iter().map(|(_, tile)| tile).collect()
+    }
+}
+
+/// Where one job goes under one membership snapshot.
+pub(super) struct Route {
+    /// The rank-0 routable tile, health ignored: where the modulus's
+    /// prepared context lives, and the tile affinity is scored against.
+    pub(super) natural: usize,
+    /// The tiles to offer the job, in order; a blocking submission
+    /// waits on the first once all refused. For a replicated modulus,
+    /// its usable replicas, most headroom first; otherwise the home
+    /// tile alone: the natural tile when usable, else the first usable
+    /// tile in rendezvous order.
+    pub(super) tiles: Vec<usize>,
+    /// `true` when `tiles` is a replica set. Every replica holds the
+    /// modulus's prepared context, so the spill policy does not apply.
+    pub(super) replicated: bool,
+}
+
+/// Routes a job for modulus `key`: `None` when no routable tile is
+/// usable (the cluster then reports itself stopped). A replicated
+/// modulus whose replicas are all unusable routes as an ordinary one.
+pub(super) fn route<F: FnMut(usize) -> Option<usize>>(
+    fleet: &Fleet,
+    health: &mut Health<F>,
+    key: u64,
+    replicas: Option<&[usize]>,
+) -> Option<Route> {
+    let ranked = fleet.ranked(key);
+    let natural = *ranked.first()?;
+    let live = replicas.map_or_else(Vec::new, |replicas| {
+        health.by_headroom(replicas.iter().copied().filter(|&t| fleet.routable(t)))
+    });
+    if !live.is_empty() {
+        return Some(Route {
+            natural,
+            tiles: live,
+            replicated: true,
+        });
+    }
+    let home = ranked
+        .into_iter()
+        .find(|&tile| health.headroom(tile).is_some())?;
+    Some(Route {
+        natural,
+        tiles: vec![home],
+        replicated: false,
+    })
+}
+
+/// The tiles to try after every tile of `route` refused the job: the
+/// other usable routable tiles, most headroom first, at most the
+/// policy's `max_hops`. Empty under [`SpillPolicy::Strict`] and for a
+/// replicated modulus.
+pub(super) fn spill<F: FnMut(usize) -> Option<usize>>(
+    fleet: &Fleet,
+    health: &mut Health<F>,
+    route: &Route,
+    policy: SpillPolicy,
+) -> Vec<usize> {
+    match policy {
+        SpillPolicy::Spill { max_hops } if !route.replicated => {
+            let home = route.tiles[0];
+            let others = (0..fleet.states.len()).filter(|&t| t != home && fleet.routable(t));
+            let mut tiles = health.by_headroom(others);
+            tiles.truncate(max_hops);
+            tiles
+        }
+        _ => Vec::new(),
+    }
+}

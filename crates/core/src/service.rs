@@ -454,6 +454,9 @@ struct Shared {
     inner: Mutex<QueueInner>,
     not_empty: Condvar,
     not_full: Condvar,
+    /// Wakes [`ModSramService::wait_quiesced`]: notified by shutdown and
+    /// by the executor before each take while admissions are paused.
+    quiesced: Condvar,
     capacity: usize,
     /// Queued jobs that release a batch unasked: 1 on a one-lane tile,
     /// `max_batch.min(capacity)` on a multi-lane one.
@@ -722,11 +725,6 @@ impl TileHealth {
     pub fn headroom(&self) -> usize {
         self.queue_capacity.saturating_sub(self.queue_depth)
     }
-
-    /// `true` while the tile can accept a non-blocking submission.
-    pub fn accepting(&self) -> bool {
-        !self.stopped && !self.paused && self.headroom() > 0
-    }
 }
 
 /// The streaming modular-multiplication service (see the module docs).
@@ -804,6 +802,7 @@ impl ModSramService {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            quiesced: Condvar::new(),
             capacity: config.queue_capacity,
             release_at: if config.workers > 1 {
                 config.max_batch.min(config.queue_capacity)
@@ -994,7 +993,7 @@ impl ModSramService {
     /// queue keeps draining and every already-accepted ticket still
     /// completes. This is the drain seam a
     /// [`ServiceCluster`](crate::cluster::ServiceCluster) uses: pause,
-    /// wait for [`ModSramService::quiesced`], and the tile is empty
+    /// [`ModSramService::wait_quiesced`], and the tile is empty
     /// without ever being shut down — so it can
     /// [`resume_admissions`](ModSramService::resume_admissions) after a
     /// probation window instead of being rebuilt. Idempotent.
@@ -1026,14 +1025,19 @@ impl ModSramService {
         self.shared.lock_inner().paused
     }
 
-    /// `true` once every accepted job has been delivered (completed or
-    /// failed) — with admissions paused, the moment the tile is fully
-    /// drained. Meaningful as a drain barrier only while no new
-    /// submissions can land (paused or stopped).
-    pub fn quiesced(&self) -> bool {
+    /// Blocks until every accepted job has been delivered (completed or
+    /// failed) or the service has shut down — with admissions paused,
+    /// until the tile is fully drained.
+    pub fn wait_quiesced(&self) {
         let s = &self.shared.stats;
-        let delivered = s.completed.load(Ordering::Acquire) + s.failed.load(Ordering::Acquire);
-        delivered == s.submitted.load(Ordering::Acquire)
+        // The executor bumps the delivery counters before it takes this
+        // lock to notify, so reading them under it misses no wake-up.
+        let busy = |inner: &mut QueueInner| {
+            let delivered = s.completed.load(Ordering::Relaxed) + s.failed.load(Ordering::Relaxed);
+            !inner.closed && delivered != s.submitted.load(Ordering::Relaxed)
+        };
+        let inner = self.shared.lock_inner();
+        drop(self.shared.quiesced.wait_while(inner, busy));
     }
 
     /// Gracefully stops the service: refuses new submissions, lets the
@@ -1046,6 +1050,7 @@ impl ModSramService {
         }
         self.shared.not_empty.notify_all();
         self.shared.not_full.notify_all();
+        self.shared.quiesced.notify_all();
         // The executor keeps taking batches until the closed queue is
         // empty, so joining it completes every accepted ticket.
         let executor = self
@@ -1074,6 +1079,11 @@ impl Drop for ModSramService {
 /// `wanted`: a waited-on job may be left behind a full batch.
 fn next_batch(shared: &Shared, max_batch: usize) -> Option<Vec<Queued>> {
     let mut inner = shared.lock_inner();
+    // Every earlier batch is delivered by now: a drain may be waiting
+    // for exactly that.
+    if inner.paused || inner.closed {
+        shared.quiesced.notify_all();
+    }
     loop {
         let queued = inner.jobs.len();
         let release = inner.wanted || inner.paused || inner.closed || queued >= shared.release_at;
