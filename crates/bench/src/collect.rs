@@ -10,7 +10,7 @@ use modsram_core::cluster::{
 };
 use modsram_core::dispatch::MulJob;
 use modsram_core::service::{ModSramService, ServiceConfig, Ticket};
-use modsram_core::test_util::slow_pool;
+use modsram_core::test_util::{gated_pool, slow_pool, Gate};
 use modsram_core::{BankedModSram, ModSram, ModSramConfig, RunStats};
 use modsram_modmul::{engine_by_name, CycleModel, LutOverflow, R4CsaLutEngine};
 use modsram_phys::{AreaModel, Component, FreqModel};
@@ -678,21 +678,21 @@ pub struct SpillProbeRow {
 }
 
 /// The policy trade-off made measurable: one hot tenant bursts
-/// `offered` non-blocking submissions at a 2-tile cluster of
-/// deliberately slow tiles with tiny queues. `Strict` sheds everything
-/// beyond the home queue while the other tile idles; `Spill` fills the
-/// neighbour first and sheds less. Every accepted job is verified
-/// against the oracle.
+/// `offered` non-blocking submissions at a 2-tile cluster of gated
+/// tiles with tiny queues. Each tile's one-lane executor holds the
+/// first job it takes at the shut gate, so a tile admits exactly one
+/// job plus a full queue, whatever the scheduler does. `Strict` sheds
+/// everything beyond the home tile while the other tile idles; `Spill`
+/// fills the neighbour first and sheds less. The gate opens after the
+/// burst, and every accepted job is verified against the oracle.
 pub fn cluster_spill_probe(offered: u64, policies: &[String]) -> Vec<SpillProbeRow> {
     policies
         .iter()
         .map(|label| {
             let spill = parse_policy_label(label);
+            let gate = Gate::new();
             let cluster = ServiceCluster::new(
-                vec![
-                    slow_pool(Duration::from_millis(2)),
-                    slow_pool(Duration::from_millis(2)),
-                ],
+                vec![gated_pool(&gate), gated_pool(&gate)],
                 ClusterConfig {
                     spill,
                     service: ServiceConfig {
@@ -715,13 +715,25 @@ pub fn cluster_spill_probe(offered: u64, policies: &[String]) -> Vec<SpillProbeR
             for i in 0..offered {
                 let job = MulJob::new(UBig::from(i + 2), UBig::from(i + 3), p.clone());
                 match cluster.try_submit(job) {
-                    Ok(t) => tickets.push((i, t)),
+                    Ok(t) => {
+                        tickets.push((i, t));
+                        // Every tile that has a job holds one at the
+                        // gate before its queue fills any further.
+                        let busy = cluster
+                            .stats()
+                            .tiles
+                            .iter()
+                            .filter(|t| t.service.submitted > 0)
+                            .count();
+                        gate.wait_entered(busy as u64);
+                    }
                     Err(_) => shed += 1,
                 }
             }
+            gate.open();
             for (i, ticket) in &tickets {
                 assert_eq!(
-                    ticket.wait().expect("slow tile is correct"),
+                    ticket.wait().expect("gated tile is correct"),
                     &UBig::from((i + 2) * (i + 3)) % &p,
                     "probe job {i} diverged"
                 );
@@ -1939,16 +1951,9 @@ mod tests {
     #[test]
     fn spill_probe_shows_the_policy_tradeoff() {
         let rows = cluster_spill_probe(24, &["strict".to_string(), "spill1".to_string()]);
-        let strict = &rows[0];
-        let spill = &rows[1];
-        assert_eq!(strict.spilled, 0, "Strict never spills");
-        assert!(strict.shed > 0, "tiny queues must shed under the burst");
-        assert!(spill.spilled > 0, "Spill fills the idle neighbour");
-        assert!(
-            spill.accepted > strict.accepted,
-            "spilling accepts more of the burst ({} vs {})",
-            spill.accepted,
-            strict.accepted
-        );
+        let (strict, spill) = (&rows[0], &rows[1]);
+        // Each tile admits one job at the gate plus a 4-job queue.
+        assert_eq!((strict.accepted, strict.spilled, strict.shed), (5, 0, 19));
+        assert_eq!((spill.accepted, spill.spilled, spill.shed), (10, 5, 14));
     }
 }

@@ -3,18 +3,18 @@
 //! parallel (the shape of an MSM/NTT accelerator built from ModSRAM
 //! tiles).
 //!
-//! Since the sharded-dispatcher refactor, a bank is **any**
-//! [`PreparedModMul`] context, obtained from the engine registry or
-//! wrapped around a cycle-accurate device — the hardware model is one
-//! pluggable backend among the engines, not a special case. Batches are
-//! routed through [`crate::dispatch::Dispatcher`]: chunks are costed by
-//! multiplicand changes (a LUT refill is not free), seeded onto banks
-//! by least-loaded assignment, and executed by real scoped threads —
-//! one per bank, matching the device model where each macro has a
-//! private queue. The banked path pins [`StealPolicy::Static`] so the
-//! modelled per-bank cycle and energy attribution is deterministic;
-//! host-throughput callers that prefer work stealing can pass their own
-//! dispatcher to [`BankedModSram::mod_mul_batch_with`].
+//! A bank is **any** [`PreparedModMul`] context, obtained from the
+//! engine registry or wrapped around a cycle-accurate device — the
+//! hardware model is one pluggable backend among the engines, not a
+//! special case. A batch is cut into chunks costed by multiplicand
+//! changes (a LUT refill is not free) and seeded onto banks by
+//! least-loaded assignment ([`crate::dispatch::plan_mul_chunks`],
+//! [`crate::dispatch::seed_assignments`]). Each bank then runs its own
+//! chunks front to back, as a macro with a private queue does. The
+//! banks are modelled, not spawned: they run one after another on the
+//! caller's thread, and the parallel makespan comes from the per-bank
+//! cycle meters, so per-bank cycle and energy attribution is
+//! deterministic.
 //!
 //! Energy is attributed **per bank** (before/after deltas on each
 //! device, not one global sum), so holding a bank's device handle and
@@ -26,8 +26,8 @@
 //! request at a time, put a [`crate::service::ModSramService`] in
 //! front — each free executor takes whatever has queued up (at most
 //! [`crate::service::ServiceConfig::max_batch`] jobs), sorts it into a
-//! multiplicand-major batch, and hands it to the same dispatcher
-//! machinery used here.
+//! multiplicand-major batch, and executes it the same way, on one
+//! thread.
 //!
 //! # Examples
 //!
@@ -47,11 +47,12 @@
 //! ```
 
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use modsram_bigint::UBig;
 use modsram_modmul::{engine_by_name, ModMulEngine, PreparedModMul};
 
-use crate::dispatch::{DispatchStats, Dispatcher, StealPolicy};
+use crate::dispatch::{auto_chunk_size, plan_mul_chunks, seed_assignments};
 use crate::error::CoreError;
 use crate::modsram::{ModSram, ModSramConfig, PreparedModSram};
 
@@ -78,9 +79,6 @@ pub struct BatchStats {
     /// gives `energy_pj`; direct use of a bank's device **between**
     /// batches lands outside every window and is charged to no batch.
     pub per_bank_energy_pj: Vec<f64>,
-    /// Chunks executed away from their seeded bank (0 on the default
-    /// static-policy path).
-    pub steals: u64,
     /// Host wall-clock for the batch, nanoseconds.
     pub elapsed_ns: u64,
 }
@@ -107,7 +105,6 @@ struct BankShard {
 /// A tile of independent banks sharing a modulus.
 pub struct BankedModSram {
     shards: Vec<BankShard>,
-    dispatcher: Dispatcher,
     /// Serialises *metered* batches: per-bank cycle/energy attribution
     /// reads each device's meters before and after the dispatch, so two
     /// concurrent batches on one device-backed tile would land inside
@@ -211,10 +208,8 @@ impl BankedModSram {
     }
 
     fn from_shards(shards: Vec<BankShard>) -> Self {
-        let dispatcher = Dispatcher::new(shards.len()).policy(StealPolicy::Static);
         BankedModSram {
             shards,
-            dispatcher,
             meter_lock: Mutex::new(()),
         }
     }
@@ -264,9 +259,11 @@ impl BankedModSram {
             .collect()
     }
 
-    /// Executes a batch of multiplications across the banks through the
-    /// tile's deterministic static-assignment dispatcher. Returns
-    /// results in input order plus the aggregate statistics.
+    /// Executes a batch of multiplications across the banks: chunks
+    /// are seeded onto banks by least-loaded assignment, and each bank
+    /// runs its chunks front to back, bank after bank, on the calling
+    /// thread. Returns results in input order plus the aggregate
+    /// statistics.
     ///
     /// # Errors
     ///
@@ -274,24 +271,6 @@ impl BankedModSram {
     pub fn mod_mul_batch(
         &self,
         pairs: &[(UBig, UBig)],
-    ) -> Result<(Vec<UBig>, BatchStats), CoreError> {
-        self.mod_mul_batch_with(pairs, &self.dispatcher)
-    }
-
-    /// As [`BankedModSram::mod_mul_batch`], but through a caller-owned
-    /// dispatcher — e.g. a [`StealPolicy::WorkStealing`] one when host
-    /// wall-clock matters more than deterministic per-bank attribution.
-    ///
-    /// Worker `w` of the dispatcher executes on bank
-    /// `w % self.banks()`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first backend error encountered.
-    pub fn mod_mul_batch_with(
-        &self,
-        pairs: &[(UBig, UBig)],
-        dispatcher: &Dispatcher,
     ) -> Result<(Vec<UBig>, BatchStats), CoreError> {
         // Device-backed tiles serialise whole batches so the per-bank
         // meter windows of concurrent callers cannot overlap (which
@@ -301,37 +280,50 @@ impl BankedModSram {
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner)
         });
-        let shards: Vec<Arc<dyn PreparedModMul>> =
-            self.shards.iter().map(|s| Arc::clone(&s.ctx)).collect();
+        let started = Instant::now();
+        let chunks = plan_mul_chunks(pairs, auto_chunk_size(pairs.len(), self.shards.len()));
+        let mut parts: Vec<Vec<UBig>> = vec![Vec::new(); chunks.len()];
+        let mut per_bank_items = vec![0u64; self.shards.len()];
         let before = self.bank_meters();
-        let (results, dstats) = dispatcher.dispatch_sharded(&shards, pairs)?;
+        let assignments = seed_assignments(&chunks, self.shards.len());
+        for (bank, ids) in assignments.iter().enumerate() {
+            for &id in ids {
+                let chunk = &pairs[chunks[id].range.clone()];
+                let out = self.shards[bank]
+                    .ctx
+                    .mod_mul_batch(chunk)
+                    .map_err(CoreError::ModMul)?;
+                assert_eq!(
+                    out.len(),
+                    chunk.len(),
+                    "a bank returned a wrong-sized chunk result"
+                );
+                per_bank_items[bank] += out.len() as u64;
+                parts[id] = out;
+            }
+        }
         let after = self.bank_meters();
-        Ok((results, self.aggregate(&before, &after, &dstats)))
+        let results = parts.into_iter().flatten().collect();
+        let mut stats = self.aggregate(&before, &after, &per_bank_items);
+        stats.elapsed_ns = started.elapsed().as_nanos() as u64;
+        Ok((results, stats))
     }
 
-    /// Folds per-worker dispatch tallies and per-bank meter deltas into
-    /// the tile-level [`BatchStats`].
+    /// Folds per-bank item counts and meter deltas into the tile-level
+    /// [`BatchStats`].
     fn aggregate(
         &self,
         before: &[Option<(u64, f64)>],
         after: &[Option<(u64, f64)>],
-        dstats: &DispatchStats,
+        per_bank_items: &[u64],
     ) -> BatchStats {
         let n_banks = self.shards.len();
         let mut stats = BatchStats {
-            multiplications: dstats.items,
+            multiplications: per_bank_items.iter().sum(),
             per_bank_cycles: vec![0; n_banks],
             per_bank_energy_pj: vec![0.0; n_banks],
-            steals: dstats.steals,
-            elapsed_ns: dstats.elapsed_ns,
             ..Default::default()
         };
-        // Fold per-worker items onto banks (worker w drives bank
-        // w % n_banks, and a dispatcher may run more workers than banks).
-        let mut per_bank_items = vec![0u64; n_banks];
-        for (w, items) in dstats.per_worker_items.iter().enumerate() {
-            per_bank_items[w % n_banks] += items;
-        }
         for (bank, (b, a)) in before.iter().zip(after).enumerate() {
             match (b, a) {
                 (Some((c0, e0)), Some((c1, e1))) => {
@@ -385,7 +377,6 @@ mod tests {
         assert_eq!(stats.multiplications, 13);
         assert_eq!(stats.per_bank_cycles.len(), 4);
         assert_eq!(stats.per_bank_energy_pj.len(), 4);
-        assert_eq!(stats.steals, 0, "static policy never steals");
     }
 
     #[test]

@@ -42,10 +42,13 @@ pub fn modelled_engine_mul_cycles(engine_name: &str, bits: usize) -> u64 {
 }
 
 /// Modelled makespan, in device cycles, of executing `jobs` as one
-/// coalesced batch over `workers` lanes: chunks are planned and seeded
-/// exactly as the dispatcher would, each chunk is costed with
+/// coalesced batch over `workers` modelled lanes: chunks of at most
+/// `chunk_target` jobs are planned (never spanning a modulus) and
+/// seeded least-loaded onto the lanes, each chunk is costed with
 /// [`modelled_mul_cycles`] per job plus [`MODELLED_REFILL_CYCLES`] per
 /// multiplicand change, and the makespan is the busiest lane's total.
+/// The lanes exist only here: a service tile executes the whole batch
+/// on its one executor thread.
 pub fn modelled_batch_cycles(jobs: &[MulJob], workers: usize, chunk_target: usize) -> u64 {
     if jobs.is_empty() {
         return 0;

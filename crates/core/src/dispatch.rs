@@ -13,12 +13,12 @@
 //! * [`Dispatcher`] — real `std::thread::scope` workers over the
 //!   chunked queue (worker 0 is the calling thread, so a one-worker
 //!   dispatch spawns nothing). Chunks are seeded onto per-worker deques by
-//!   **least-loaded** greedy assignment over the cost estimates; under
-//!   [`StealPolicy::WorkStealing`] an idle worker then steals from the
-//!   *back* of the most recently seeded victim ranges (owners drain
-//!   front-to-back, preserving multiplicand-run locality). Results are
-//!   stitched back in input order and per-worker tallies (items, busy
-//!   nanoseconds, steals) are aggregated into [`DispatchStats`].
+//!   **least-loaded** greedy assignment over the cost estimates; an idle
+//!   worker then steals from the *back* of the most recently seeded
+//!   victim ranges (owners drain front-to-back, preserving
+//!   multiplicand-run locality). Results are stitched back in input
+//!   order and per-worker tallies (items, busy nanoseconds, steals) are
+//!   aggregated into [`DispatchStats`].
 //! * [`ContextPool`] — a thread-safe cache of prepared contexts keyed
 //!   by modulus, so mixed-modulus batches (ECDSA verify over `n` and
 //!   `p`, Pedersen over two curves) reuse Montgomery/Barrett/LUT
@@ -29,13 +29,14 @@
 //! that exactly one worker can win, whether it arrives as the owner or
 //! as a thief.
 //!
-//! This module is the **staged** half of the serving story: callers
-//! materialise a whole batch and dispatch it in one call. The
-//! **streaming** half lives in [`crate::service`]: a
-//! [`crate::service::ModSramService`] owns a bounded submission queue
-//! whose one executor takes whatever has queued up, at most
-//! [`crate::service::ServiceConfig::max_batch`] jobs, as one
-//! multiplicand-major batch handed to this dispatcher.
+//! The dispatcher is the **staged** fan-out: a caller that holds a
+//! whole batch spreads it over host threads in one call (the
+//! [`crate::service::Staged`] backend, `run_items` in the ECDSA and MSM
+//! consumers). The streaming tile ([`crate::service::ModSramService`])
+//! and the banked tile ([`crate::BankedModSram`]) model their lanes and
+//! banks instead: they reuse the chunk planner and least-loaded seeding
+//! here to assign chunks to modelled lanes and banks, but execute on
+//! one thread.
 //!
 //! # Examples
 //!
@@ -172,21 +173,6 @@ pub fn seed_assignments(chunks: &[Chunk], workers: usize) -> Vec<Vec<usize>> {
     assignments
 }
 
-/// Whether idle workers may take chunks seeded onto other workers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// Idle workers steal from the back of victims' queues — maximum
-    /// host throughput; which worker executes a chunk depends on OS
-    /// scheduling.
-    #[default]
-    WorkStealing,
-    /// Every worker executes exactly its seeded chunks. Deterministic
-    /// worker-to-chunk mapping — what a tile of physical macros with
-    /// private queues does, and what cycle-accurate per-bank statistics
-    /// require (see [`crate::BankedModSram`]).
-    Static,
-}
-
 /// Per-run tallies aggregated from the workers.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DispatchStats {
@@ -195,7 +181,7 @@ pub struct DispatchStats {
     /// Chunks the batch was cut into.
     pub chunks: u64,
     /// Chunks executed by a worker other than the one they were seeded
-    /// on (always 0 under [`StealPolicy::Static`]).
+    /// on.
     pub steals: u64,
     /// Items executed per worker.
     pub per_worker_items: Vec<u64>,
@@ -492,7 +478,6 @@ impl ContextPool {
 pub struct Dispatcher {
     workers: usize,
     chunk_size: Option<usize>,
-    policy: StealPolicy,
 }
 
 impl Dispatcher {
@@ -507,19 +492,12 @@ impl Dispatcher {
         Dispatcher {
             workers,
             chunk_size: None,
-            policy: StealPolicy::default(),
         }
     }
 
     /// Overrides the automatic chunk size.
     pub fn chunk_size(mut self, items: usize) -> Self {
         self.chunk_size = Some(items.max(1));
-        self
-    }
-
-    /// Sets the steal policy.
-    pub fn policy(mut self, policy: StealPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -586,7 +564,6 @@ impl Dispatcher {
         let worker_busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
         let started = Instant::now();
 
-        let policy = self.policy;
         let run_worker = |w: usize| {
             let mut state = init(w);
             let mut local: Vec<(usize, Vec<R>)> = Vec::new();
@@ -629,28 +606,26 @@ impl Dispatcher {
             }
             // Steal from victims, back to front, until a full sweep
             // finds nothing unclaimed.
-            if policy == StealPolicy::WorkStealing {
-                loop {
-                    if abort.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let mut found = false;
-                    for offset in 1..workers {
-                        let victim = (w + offset) % workers;
-                        for &id in assignments[victim].iter().rev() {
-                            if abort.load(Ordering::Acquire) {
-                                break;
-                            }
-                            if !claimed[id].swap(true, Ordering::AcqRel) {
-                                steals.fetch_add(1, Ordering::Relaxed);
-                                found = true;
-                                execute(id, &mut state);
-                            }
+            loop {
+                if abort.load(Ordering::Acquire) {
+                    break;
+                }
+                let mut found = false;
+                for offset in 1..workers {
+                    let victim = (w + offset) % workers;
+                    for &id in assignments[victim].iter().rev() {
+                        if abort.load(Ordering::Acquire) {
+                            break;
+                        }
+                        if !claimed[id].swap(true, Ordering::AcqRel) {
+                            steals.fetch_add(1, Ordering::Relaxed);
+                            found = true;
+                            execute(id, &mut state);
                         }
                     }
-                    if !found {
-                        break;
-                    }
+                }
+                if !found {
+                    break;
                 }
             }
             parts
@@ -727,62 +702,6 @@ impl Dispatcher {
                 .map(|i| task(state, i))
                 .collect::<Result<Vec<R>, E>>()
         })
-    }
-
-    /// Dispatches one batch over a single shared context (the pure
-    /// functional engines are `Sync`, so every worker multiplies
-    /// through the same preparation).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first engine error.
-    pub fn dispatch(
-        &self,
-        ctx: &dyn PreparedModMul,
-        pairs: &[(UBig, UBig)],
-    ) -> Result<(Vec<UBig>, DispatchStats), CoreError> {
-        let chunks = plan_mul_chunks(pairs, self.chunk_size_for(pairs.len()));
-        self.run_chunks(
-            chunks,
-            |_| (),
-            |(), chunk| {
-                ctx.mod_mul_batch(&pairs[chunk.range.clone()])
-                    .map_err(CoreError::ModMul)
-            },
-        )
-    }
-
-    /// Dispatches one batch over per-worker shard contexts: worker `w`
-    /// multiplies through `shards[w % shards.len()]`. This is the
-    /// banked path — each shard is typically a modulus-loaded device or
-    /// an independently prepared engine context.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first engine error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty or the shards disagree on modulus.
-    pub fn dispatch_sharded(
-        &self,
-        shards: &[Arc<dyn PreparedModMul>],
-        pairs: &[(UBig, UBig)],
-    ) -> Result<(Vec<UBig>, DispatchStats), CoreError> {
-        assert!(!shards.is_empty(), "need at least one shard");
-        assert!(
-            shards.iter().all(|s| s.modulus() == shards[0].modulus()),
-            "shards must share one modulus"
-        );
-        let chunks = plan_mul_chunks(pairs, self.chunk_size_for(pairs.len()));
-        self.run_chunks(
-            chunks,
-            |w| Arc::clone(&shards[w % shards.len()]),
-            |ctx, chunk| {
-                ctx.mod_mul_batch(&pairs[chunk.range.clone()])
-                    .map_err(CoreError::ModMul)
-            },
-        )
     }
 
     /// Dispatches a mixed-modulus batch: chunks never span a modulus
@@ -884,15 +803,15 @@ mod tests {
     #[test]
     fn dispatch_preserves_input_order() {
         let p = UBig::from(1_000_003u64);
-        let ctx = DirectEngine::new().prepare(&p).unwrap();
-        let pairs: Vec<(UBig, UBig)> = (0..37u64)
-            .map(|i| (UBig::from(i * 7 + 1), UBig::from(i * 13 + 2)))
+        let pool = ContextPool::for_engine_ctor(|| Box::new(DirectEngine::new()));
+        let jobs: Vec<MulJob> = (0..37u64)
+            .map(|i| MulJob::new(UBig::from(i * 7 + 1), UBig::from(i * 13 + 2), p.clone()))
             .collect();
         for workers in [1usize, 2, 8] {
             let d = Dispatcher::new(workers).chunk_size(3);
-            let (results, stats) = d.dispatch(ctx.as_ref(), &pairs).unwrap();
-            for ((a, b), c) in pairs.iter().zip(&results) {
-                assert_eq!(c, &(&(a * b) % &p), "workers={workers}");
+            let (results, stats) = d.dispatch_jobs(&pool, &jobs).unwrap();
+            for (job, c) in jobs.iter().zip(&results) {
+                assert_eq!(c, &(&(&job.a * &job.b) % &p), "workers={workers}");
             }
             assert_eq!(stats.items, 37);
             assert_eq!(stats.per_worker_items.iter().sum::<u64>(), 37);
@@ -947,24 +866,9 @@ mod tests {
     }
 
     #[test]
-    fn static_policy_reports_zero_steals() {
-        let p = UBig::from(97u64);
-        let ctx = DirectEngine::new().prepare(&p).unwrap();
-        let pairs: Vec<(UBig, UBig)> = (0..16u64)
-            .map(|i| (UBig::from(i), UBig::from(i + 1)))
-            .collect();
-        let d = Dispatcher::new(4).chunk_size(1).policy(StealPolicy::Static);
-        let (results, stats) = d.dispatch(ctx.as_ref(), &pairs).unwrap();
-        assert_eq!(results.len(), 16);
-        assert_eq!(stats.steals, 0);
-        assert_eq!(stats.chunks, 16);
-    }
-
-    #[test]
     fn empty_batch_is_fine() {
-        let p = UBig::from(97u64);
-        let ctx = DirectEngine::new().prepare(&p).unwrap();
-        let (results, stats) = Dispatcher::new(4).dispatch(ctx.as_ref(), &[]).unwrap();
+        let pool = ContextPool::for_engine_ctor(|| Box::new(DirectEngine::new()));
+        let (results, stats) = Dispatcher::new(4).dispatch_jobs(&pool, &[]).unwrap();
         assert!(results.is_empty());
         assert_eq!(stats.items, 0);
         assert_eq!(stats.busy_speedup(), 1.0);
@@ -1059,41 +963,5 @@ mod tests {
             ..Default::default()
         };
         assert!((stats.busy_speedup() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn static_busy_speedup_scales_with_workers() {
-        // The static-assignment lane model must put roughly equal work
-        // on each worker, so the modelled speedup tracks the worker
-        // count even on a single-core host. Best of three passes.
-        use modsram_bigint::ubig_below;
-        use rand::{rngs::SmallRng, SeedableRng};
-        let p = UBig::from_hex("fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f")
-            .unwrap();
-        let mut rng = SmallRng::seed_from_u64(9);
-        let pairs: Vec<(UBig, UBig)> = (0..96)
-            .map(|_| (ubig_below(&mut rng, &p), ubig_below(&mut rng, &p)))
-            .collect();
-        let oracle: Vec<UBig> = pairs.iter().map(|(a, b)| &(a * b) % &p).collect();
-        let ctx = modsram_modmul::engine_by_name("montgomery")
-            .unwrap()
-            .prepare(&p)
-            .unwrap();
-        let best_speedup = |workers: usize| {
-            (0..3)
-                .map(|_| {
-                    let d = Dispatcher::new(workers).policy(StealPolicy::Static);
-                    let (results, stats) = d.dispatch(ctx.as_ref(), &pairs).unwrap();
-                    assert_eq!(results, oracle, "{workers} workers diverged");
-                    stats.busy_speedup()
-                })
-                .fold(0.0f64, f64::max)
-        };
-        assert!(
-            (best_speedup(1) - 1.0).abs() < 1e-9,
-            "one lane is its own critical path"
-        );
-        let at4 = best_speedup(4);
-        assert!(at4 > 2.0, "modelled speedup at 4 workers was {at4:.2}");
     }
 }

@@ -28,10 +28,12 @@
 //!   charge, per-engine latency models) shared by the service,
 //!   dispatcher, and benches.
 //! * [`dispatch`] — the staged serving layer: a work-stealing
-//!   [`dispatch::Dispatcher`] over chunked batches, a per-modulus
-//!   (optionally LRU-bounded) [`dispatch::ContextPool`], and the
-//!   cost-aware chunk planner that [`BankedModSram`] seeds its banks
-//!   with.
+//!   [`dispatch::Dispatcher`] that fans a staged batch out over host
+//!   threads, a per-modulus (optionally LRU-bounded)
+//!   [`dispatch::ContextPool`], and the cost-aware chunk planner and
+//!   least-loaded seeding from which [`BankedModSram`] and the
+//!   service's modelled makespan assign chunks to modelled banks and
+//!   lanes.
 //! * [`autotune`] — self-tuning engine selection: an
 //!   [`autotune::AutoTuner`] behind [`dispatch::ContextPool::auto`]
 //!   picks the fastest registry engine per modulus (pinned, cached
@@ -40,7 +42,9 @@
 //! * [`service`] — the streaming front-end: a [`service::ModSramService`]
 //!   with cloneable submission handles, bounded-queue backpressure,
 //!   completion tickets, and one executor per tile that takes whatever
-//!   has queued up as one multiplicand-major batch for the dispatcher.
+//!   has queued up as one multiplicand-major batch and runs it on its
+//!   own thread, one `mod_mul_batch` per modulus run (the tile's lanes
+//!   are modelled, not spawned).
 //!   Its [`service::MulBackend`] trait is the one seam batch
 //!   consumers execute through: a [`service::Staged`] dispatcher +
 //!   pool, a service, or a cluster.
@@ -96,7 +100,7 @@ pub use cycles::{
     modelled_batch_cycles, modelled_engine_mul_cycles, modelled_mul_cycles, LUT_REFILL_COST,
     MODELLED_REFILL_CYCLES,
 };
-pub use dispatch::{ContextPool, DispatchStats, Dispatcher, MulJob, StealPolicy};
+pub use dispatch::{ContextPool, DispatchStats, Dispatcher, MulJob};
 pub use error::CoreError;
 pub use isa::{Executor, MicroOp, Program, ProgramError};
 pub use memmap::{MemoryMap, PointAddWorkingSet};

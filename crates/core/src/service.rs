@@ -1,8 +1,8 @@
 //! The streaming front-end of the serving stack: a [`ModSramService`]
 //! accepts individual [`MulJob`]s from any number of threads and keeps
-//! the dispatch layer saturated without callers ever staging a batch.
+//! the tile saturated without callers ever staging a batch.
 //!
-//! The ROADMAP's staged path ([`Dispatcher::dispatch_jobs`]) forces
+//! The staged path ([`Dispatcher::dispatch_jobs`]) forces
 //! every consumer to materialise a `Vec<MulJob>` before anything runs —
 //! fine for a solver that owns its whole workload, wrong for a server
 //! multiplexing ECDSA verifications, Pedersen commitments, and NTT
@@ -29,10 +29,12 @@
 //!   or the tile pauses or stops. So streamed single jobs fill the
 //!   lanes together, whatever the scheduler does. Each batch is sorted
 //!   **multiplicand-major** (modulus-major, then by `b`) so the
-//!   paper's Table 1b reuse survives interleaved tenants, and executes
-//!   through the existing [`Dispatcher`] over a shared
-//!   [`ContextPool`]. Results are routed back to tickets in
-//!   submission order regardless of the coalesced execution order.
+//!   paper's Table 1b reuse survives interleaved tenants, and the
+//!   executor runs each run of one modulus as one `mod_mul_batch` on
+//!   its own thread, through a shared [`ContextPool`]. A tile's lanes
+//!   ([`ServiceConfig::workers`]) are modelled, not spawned. Results
+//!   are routed back to tickets in submission order regardless of the
+//!   coalesced execution order.
 //!
 //! [`ModSramService::shutdown`] closes the queue, lets the executor
 //! drain every in-flight ticket, and returns the final
@@ -71,17 +73,18 @@ use modsram_modmul::{ModMulError, PreparedModMul};
 use crate::autotune::{AutotuneStats, TunePolicy};
 use crate::cluster::ServiceCluster;
 use crate::cycles::modelled_batch_cycles;
-use crate::dispatch::{ContextPool, Dispatcher, MulJob};
+use crate::dispatch::{auto_chunk_size, ContextPool, Dispatcher, MulJob};
 use crate::error::CoreError;
 use crate::modsram::ModSramConfig;
 
 /// Tuning knobs of a [`ModSramService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Dispatcher workers (lanes) executing each coalesced batch. The
-    /// executor's [`Dispatcher`] uses its defaults otherwise: automatic
-    /// chunk sizing and work stealing. With more than one lane, queued
-    /// jobs wait for a producer to release them (see the module docs).
+    /// Modelled lanes of the tile. The executor runs every batch on
+    /// its own thread; the lane count shapes the modelled makespan
+    /// ([`modelled_batch_cycles`] over the least-loaded chunk plan) and
+    /// the release rule: with more than one lane, queued jobs wait for
+    /// a producer to release them (see the module docs).
     pub workers: usize,
     /// Bound on queued-but-not-yet-drained jobs: `submit` blocks and
     /// `try_submit` returns [`SubmitError::QueueFull`] beyond it.
@@ -1020,11 +1023,6 @@ impl ModSramService {
         self.shared.not_full.notify_all();
     }
 
-    /// `true` while admissions are paused.
-    pub fn admissions_paused(&self) -> bool {
-        self.shared.lock_inner().paused
-    }
-
     /// Blocks until every accepted job has been delivered (completed or
     /// failed) or the service has shut down — with admissions paused,
     /// until the tile is fully drained.
@@ -1107,19 +1105,18 @@ fn next_batch(shared: &Shared, max_batch: usize) -> Option<Vec<Queued>> {
     Some(batch)
 }
 
-/// An executor thread: takes, sorts, plans, dispatches, and delivers
-/// batches until the queue is closed and empty.
+/// An executor thread: takes, sorts, executes, and delivers batches
+/// until the queue is closed and empty.
 ///
-/// Execution runs under an unwind guard: if anything in the dispatch
+/// Execution runs under an unwind guard: if anything in the execution
 /// path panics, the batch's undelivered tickets fail with
 /// [`ServiceError::Stopped`] instead of hanging their waiters, and the
 /// executor keeps serving later batches.
 fn executor_loop(shared: Arc<Shared>, pool: Arc<ContextPool>, config: ServiceConfig) {
-    let dispatcher = Dispatcher::new(config.workers);
     while let Some(batch) = next_batch(&shared, config.max_batch) {
         let tickets: Vec<Arc<TicketState>> = batch.iter().map(|q| Arc::clone(&q.ticket)).collect();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_batch(&shared, &pool, &dispatcher, &config, batch);
+            execute_batch(&shared, &pool, &config, batch);
         }));
         if outcome.is_err() {
             // Release so a monitor that observes the bumped count also
@@ -1142,8 +1139,8 @@ fn executor_loop(shared: Arc<Shared>, pool: Arc<ContextPool>, config: ServiceCon
 /// produces the contiguous shared-multiplicand runs the LUT engines
 /// amortise — without O(n log n) big-integer comparisons on the
 /// executor's critical path. (A hash collision merely places two
-/// unrelated runs next to each other; the chunk planner still splits
-/// at real modulus boundaries, so correctness never depends on the
+/// unrelated runs next to each other; runs are still split where the
+/// modulus actually changes, so correctness never depends on the
 /// key.)
 fn group_key(job: &MulJob) -> (u64, u64) {
     use std::hash::{DefaultHasher, Hash, Hasher};
@@ -1155,12 +1152,13 @@ fn group_key(job: &MulJob) -> (u64, u64) {
     (modulus, h.finish())
 }
 
-/// Sorts a drained batch multiplicand-major, executes it through the
-/// dispatcher, and delivers each result to its ticket.
+/// Sorts a drained batch multiplicand-major, executes each run of one
+/// modulus as one `mod_mul_batch` on the executor's own thread, and
+/// delivers each result to its ticket. The tile's lanes are modelled,
+/// not spawned: `config.workers` only shapes the modelled makespan.
 fn execute_batch(
     shared: &Shared,
     pool: &ContextPool,
-    dispatcher: &Dispatcher,
     config: &ServiceConfig,
     mut batch: Vec<Queued>,
 ) {
@@ -1187,26 +1185,21 @@ fn execute_batch(
         meta.push((queued.ticket, queued.submitted));
     }
 
-    let chunk_target = dispatcher.chunk_size_for(jobs.len());
+    let chunk_target = auto_chunk_size(jobs.len(), config.workers);
     let makespan_cycles = modelled_batch_cycles(&jobs, config.workers, chunk_target);
     stats
         .modelled_cycles_total
         .fetch_add(makespan_cycles, Ordering::Relaxed);
 
-    let outcomes: Vec<Result<UBig, ServiceError>> = match dispatcher.dispatch_jobs(pool, &jobs) {
-        Ok((results, _)) => results.into_iter().map(Ok).collect(),
-        // A whole-batch failure (one bad modulus, say) must not take
-        // innocent coalesced neighbours down with it: fall back to
-        // per-job execution and give every ticket its own verdict.
-        Err(_) => jobs
-            .iter()
-            .map(|job| {
-                pool.context(&job.modulus)
-                    .and_then(|ctx| ctx.mod_mul(&job.a, &job.b).map_err(CoreError::ModMul))
-                    .map_err(ServiceError::Mul)
-            })
-            .collect(),
-    };
+    let mut outcomes: Vec<Result<UBig, ServiceError>> = Vec::with_capacity(jobs.len());
+    let mut jobs = jobs.into_iter().peekable();
+    while let Some(first) = jobs.next() {
+        let mut pairs = vec![(first.a, first.b)];
+        while let Some(job) = jobs.next_if(|j| j.modulus == first.modulus) {
+            pairs.push((job.a, job.b));
+        }
+        outcomes.extend(execute_run(pool, &first.modulus, &pairs));
+    }
 
     // Record the samples first and drop both reservoir guards, so
     // `stats()` never waits on a whole batch of deliveries.
@@ -1229,6 +1222,36 @@ fn execute_batch(
     }
     stats.completed.fetch_add(ok, Ordering::Relaxed);
     stats.failed.fetch_add(errs, Ordering::Relaxed);
+}
+
+/// Executes one run of jobs on modulus `p` as one batch. Verdicts are
+/// per run: a context error fails only this run's jobs, and a batch
+/// error (one poisoned pair, say) falls back to per-job execution so
+/// the run's innocent neighbours still complete.
+fn execute_run(
+    pool: &ContextPool,
+    p: &UBig,
+    pairs: &[(UBig, UBig)],
+) -> Vec<Result<UBig, ServiceError>> {
+    let ctx = match pool.context(p) {
+        Ok(ctx) => ctx,
+        Err(e) => return vec![Err(ServiceError::Mul(e)); pairs.len()],
+    };
+    match ctx.mod_mul_batch(pairs) {
+        Ok(results) => {
+            // A wrong-sized result breaks the batch contract; the panic
+            // reaches the executor's unwind guard, which fails the batch.
+            assert_eq!(results.len(), pairs.len(), "wrong-sized batch result");
+            results.into_iter().map(Ok).collect()
+        }
+        Err(_) => pairs
+            .iter()
+            .map(|(a, b)| {
+                ctx.mod_mul(a, b)
+                    .map_err(|e| ServiceError::Mul(CoreError::ModMul(e)))
+            })
+            .collect(),
+    }
 }
 
 /// A [`PreparedModMul`] whose every multiplication streams through a

@@ -1,14 +1,14 @@
 //! Dispatcher correctness under concurrency: dispatched batches must
-//! equal the per-call oracle for any worker count, chunking, steal
-//! policy, and modulus mix, and a [`ContextPool`] must be safely
-//! shareable across scoped threads.
+//! equal the per-call oracle for any worker count, chunking, and
+//! modulus mix, and a [`ContextPool`] must be safely shareable across
+//! scoped threads.
 
 use std::sync::Arc;
 
 use modsram_bigint::UBig;
-use modsram_core::dispatch::{ContextPool, Dispatcher, MulJob, StealPolicy};
+use modsram_core::dispatch::{ContextPool, Dispatcher, MulJob};
 use modsram_core::{BankedModSram, ModSramConfig};
-use modsram_modmul::{BarrettEngine, ModMulEngine, MontgomeryEngine};
+use modsram_modmul::{BarrettEngine, MontgomeryEngine};
 use proptest::prelude::*;
 
 /// Oracle: plain big-integer multiply-and-reduce.
@@ -33,26 +33,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Same-modulus batches: dispatched == per-call oracle for every
-    /// worker count and both steal policies.
+    /// worker count and chunk size.
     #[test]
     fn dispatched_equals_oracle(
         seeds in prop::collection::vec((any::<u64>(), any::<u64>()), 1..40),
         chunk in 1usize..7,
     ) {
         let p = UBig::from(0xffff_fffb_u64);
-        let ctx = MontgomeryEngine::new().prepare(&p).unwrap();
-        let pairs: Vec<(UBig, UBig)> = seeds
+        let pool = ContextPool::for_engine_ctor(|| Box::new(MontgomeryEngine::new()));
+        let jobs: Vec<MulJob> = seeds
             .iter()
-            .map(|&(a, b)| (&UBig::from(a) % &p, &UBig::from(b) % &p))
+            .map(|&(a, b)| MulJob::new(&UBig::from(a) % &p, &UBig::from(b) % &p, p.clone()))
             .collect();
-        let want: Vec<UBig> = pairs.iter().map(|(a, b)| oracle(a, b, &p)).collect();
+        let want: Vec<UBig> = jobs.iter().map(|j| oracle(&j.a, &j.b, &p)).collect();
         for workers in [1usize, 2, 8] {
-            for policy in [StealPolicy::WorkStealing, StealPolicy::Static] {
-                let d = Dispatcher::new(workers).chunk_size(chunk).policy(policy);
-                let (got, stats) = d.dispatch(ctx.as_ref(), &pairs).unwrap();
-                prop_assert_eq!(&got, &want, "workers={} policy={:?}", workers, policy);
-                prop_assert_eq!(stats.items as usize, pairs.len());
-            }
+            let d = Dispatcher::new(workers).chunk_size(chunk);
+            let (got, stats) = d.dispatch_jobs(&pool, &jobs).unwrap();
+            prop_assert_eq!(&got, &want, "workers={}", workers);
+            prop_assert_eq!(stats.items as usize, jobs.len());
         }
     }
 
@@ -184,29 +182,4 @@ fn banked_tile_from_pooled_contexts() {
         assert_eq!(c, &oracle(a, b, &p));
     }
     assert_eq!(stats.multiplications, 9);
-}
-
-#[test]
-fn banked_device_tile_through_work_stealing_dispatcher() {
-    // The host-throughput path: a caller-owned work-stealing dispatcher
-    // over device banks still returns ordered, correct results (the
-    // modelled per-bank attribution is then nondeterministic, which is
-    // exactly why the default banked path pins StealPolicy::Static).
-    let p = UBig::from(0xffff_fffb_u64);
-    let config = ModSramConfig {
-        n_bits: 32,
-        ..Default::default()
-    };
-    let tile = BankedModSram::new(4, config, &p).unwrap();
-    let pairs: Vec<(UBig, UBig)> = (0..20u64)
-        .map(|i| (UBig::from(i * 3 + 1), UBig::from(i * 5 + 2)))
-        .collect();
-    let d = Dispatcher::new(4).chunk_size(2);
-    let (got, stats) = tile.mod_mul_batch_with(&pairs, &d).unwrap();
-    for ((a, b), c) in pairs.iter().zip(&got) {
-        assert_eq!(c, &oracle(a, b, &p));
-    }
-    assert_eq!(stats.multiplications, 20);
-    let total_energy: f64 = stats.per_bank_energy_pj.iter().sum();
-    assert!((total_energy - stats.energy_pj).abs() < 1e-9);
 }

@@ -174,8 +174,8 @@ fn backpressure_try_submit_reports_queue_full() {
 
 #[test]
 fn executor_panic_fails_tickets_instead_of_hanging() {
-    /// A context that violates the dispatcher's batch contract
-    /// (wrong-length result vector), which panics the executing worker
+    /// A context that violates the batch contract (wrong-length result
+    /// vector), which panics the executor
     /// — the executor's unwind guard must fail the tickets rather than
     /// leave their waiters blocked forever.
     struct BrokenCtx {
@@ -199,7 +199,7 @@ fn executor_panic_fails_tickets_instead_of_hanging() {
             &self,
             _pairs: &[(UBig, UBig)],
         ) -> Result<Vec<UBig>, modsram_modmul::ModMulError> {
-            Ok(Vec::new()) // wrong size: trips the dispatcher's assert
+            Ok(Vec::new()) // wrong size: trips the executor's assert
         }
     }
 

@@ -319,12 +319,13 @@
 //!
 //! When the caller already holds a whole batch, the staged layer
 //! ([`modsram_core::dispatch`]) runs it directly: batches are chunked
-//! with LUT-refill-aware cost estimates, seeded least-loaded onto real
-//! scoped-thread workers (with optional work stealing), and mixed-
-//! modulus request streams share per-modulus preparations through a
-//! [`arch::ContextPool`] (optionally LRU-bounded via
-//! `ContextPool::with_capacity`). A [`arch::BankedModSram`] tile
-//! routes the same machinery over per-bank prepared contexts:
+//! with LUT-refill-aware cost estimates, seeded least-loaded onto
+//! scoped-thread workers that steal from each other when idle, and
+//! mixed-modulus request streams share per-modulus preparations
+//! through a [`arch::ContextPool`] (optionally LRU-bounded via
+//! `ContextPool::with_capacity`). A [`arch::BankedModSram`] tile seeds
+//! the same chunk plan onto per-bank prepared contexts, and runs its
+//! modelled banks one after another on the calling thread:
 //!
 //! ```
 //! use modsram::arch::{BankedModSram, ContextPool, Dispatcher, MulJob};
