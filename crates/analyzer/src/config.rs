@@ -13,7 +13,7 @@
 //! | 0 | `membership` | `core/src/cluster/mod.rs` | epoch-versioned tile snapshot (RwLock) |
 //! | 1 | `homes`, `saturation`, `replicas` | `core/src/cluster/mod.rs` | router maps |
 //! | 2 | `inner`, `executor` | `core/src/service.rs` | tile queue / executor join handle |
-//! | 2 | `state`, `conns` | `net/src/server.rs` | pending queue, conn writer, handles |
+//! | 2 | `state`, `conns` | `net/src/server.rs` | outbox, conn writer, connections |
 //! | 2 | `cache` | `core/src/dispatch.rs` | context-pool cache |
 //! | 3 | `wall_ns`, `cycles` | `core/src/service.rs` | stats reservoirs |
 //! | 3 | `first_error`, `parts` | `core/src/dispatch.rs` | worker result stitching |

@@ -23,13 +23,7 @@ pub const RULE: &str = "lock_order";
 const ACQUIRE_METHODS: &[&str] = &["lock", "read", "write", "try_lock", "try_read", "try_write"];
 
 /// Blocking park calls checked for the held-across-wait rule.
-const WAIT_METHODS: &[&str] = &[
-    "wait",
-    "wait_timeout",
-    "wait_deadline",
-    "wait_while",
-    "wait_timeout_while",
-];
+const WAIT_METHODS: &[&str] = &["wait", "wait_timeout", "wait_while", "wait_timeout_while"];
 
 /// One live lock guard.
 struct Guard {

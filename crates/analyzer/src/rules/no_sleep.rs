@@ -7,14 +7,28 @@
 //!
 //! `thread::yield_now` outside test code is a finding too: a loop that
 //! yields until something changes is a guess about the scheduler.
-//! Test code (a `#[cfg(test)]` region or a file under a `tests/`
-//! directory) may yield in a counter wait with a stall limit.
+//! So is a timed wait outside test code (`wait_timeout`,
+//! `wait_timeout_while`, `set_read_timeout`, `set_write_timeout`,
+//! `recv_timeout`, `park_timeout`): its timeout is a timer standing in
+//! for an event. Test code (a `#[cfg(test)]` region or a file under a
+//! `tests/` directory) may yield in a counter wait, and bound a wait
+//! with a stall limit.
 
 use crate::findings::{apply_allows, Allow, Finding};
 use crate::lexer::Lexed;
 use crate::rules::{in_test, test_regions};
 
 pub const RULE: &str = "no_sleep";
+
+/// Calls that wait with a timeout, flagged outside test code.
+const TIMED_WAITS: &[&str] = &[
+    "wait_timeout",
+    "wait_timeout_while",
+    "set_read_timeout",
+    "set_write_timeout",
+    "recv_timeout",
+    "park_timeout",
+];
 
 pub fn check(file: &str, lexed: &Lexed, allows: &[Allow], findings: &mut Vec<Finding>) {
     let tokens = &lexed.tokens;
@@ -24,14 +38,18 @@ pub fn check(file: &str, lexed: &Lexed, allows: &[Allow], findings: &mut Vec<Fin
         let in_thread = tokens[i - 1].is_punct(':')
             && tokens[i - 2].is_punct(':')
             && tokens[i - 3].is_ident("thread");
+        let outside_tests = || !test_file && !in_test(&regions, i);
+        // A method call or a path, not a definition of the same name.
+        let called = tokens[i - 1].is_punct('.') || tokens[i - 1].is_punct(':');
         let message = if in_thread && tokens[i].is_ident("sleep") {
-            "`thread::sleep` in serving-stack or test code"
-        } else if in_thread
-            && tokens[i].is_ident("yield_now")
-            && !test_file
-            && !in_test(&regions, i)
+            "`thread::sleep` in serving-stack or test code".to_string()
+        } else if in_thread && tokens[i].is_ident("yield_now") && outside_tests() {
+            "`thread::yield_now` outside test code".to_string()
+        } else if let Some(name) = TIMED_WAITS
+            .iter()
+            .find(|name| called && tokens[i].is_ident(name) && outside_tests())
         {
-            "`thread::yield_now` outside test code"
+            format!("timed wait `{name}` outside test code")
         } else {
             continue;
         };
@@ -39,7 +57,7 @@ pub fn check(file: &str, lexed: &Lexed, allows: &[Allow], findings: &mut Vec<Fin
             rule: RULE,
             file: file.to_string(),
             line: tokens[i].line,
-            message: message.into(),
+            message,
             hint: "block on the event being waited for (a condvar, a blocking call), \
                    or annotate `// analyzer: allow(no_sleep, <why a timer is right here>)`"
                 .into(),
@@ -91,5 +109,28 @@ mod tests {
         let spin = "fn f() { while !done() { std::thread::yield_now(); } }";
         assert_eq!(run(spin).iter().filter(|f| f.denied()).count(), 1);
         assert!(run("fn f() { executor.yield_now(); }").is_empty());
+    }
+
+    #[test]
+    fn timed_waits_are_caught_outside_test_code() {
+        let waits = "fn f() {\n\
+                     cv.wait_timeout(g, d);\n\
+                     cv.wait_timeout_while(g, d, p);\n\
+                     s.set_read_timeout(Some(d));\n\
+                     s.set_write_timeout(Some(d));\n\
+                     rx.recv_timeout(d);\n\
+                     std::thread::park_timeout(d);\n\
+                     }";
+        let found = run(waits);
+        assert_eq!(found.iter().filter(|f| f.denied()).count(), 6);
+        assert!(found.iter().all(|f| f.message.starts_with("timed wait")));
+        // Test code may bound its waits; a definition is not a call.
+        let in_test = format!("#[cfg(test)]\nmod tests {{ {waits} }}");
+        assert!(run(&in_test).is_empty());
+        assert!(run("fn wait_timeout(d: Duration) {}").is_empty());
+        let allowed = "fn f() {\n\
+                       // analyzer: allow(no_sleep, a peer that never answers must not pin this thread)\n\
+                       s.set_read_timeout(Some(d));\n}";
+        assert!(run(allowed).iter().all(|f| !f.denied()));
     }
 }

@@ -206,6 +206,35 @@ fn no_sleep_catches_seeded_yield_outside_test_code() {
     assert!(denied_rules(&legal, &rules_config()).is_empty());
 }
 
+#[test]
+fn no_sleep_catches_seeded_timed_waits_outside_test_code() {
+    for call in [
+        "self.wake.wait_timeout(state, d)",
+        "self.wake.wait_timeout_while(state, d, |s| s.busy)",
+        "stream.set_read_timeout(Some(d))",
+        "stream.set_write_timeout(Some(d))",
+        "rx.recv_timeout(d)",
+        "std::thread::park_timeout(d)",
+    ] {
+        let src = format!("fn f() {{ let _ = {call}; }}");
+        for path in ["crates/net/src/server.rs", "crates/core/src/service.rs"] {
+            assert!(
+                denied_rules(&[(path, &src)], &rules_config()).contains(&"no_sleep"),
+                "{call} in {path}"
+            );
+        }
+        // Test files and test regions may bound a wait with a stall
+        // limit.
+        let in_module = format!("#[cfg(test)]\nmod tests {{ {src} }}");
+        let legal = [
+            ("crates/net/tests/loopback.rs", src.as_str()),
+            ("tests/service_streaming.rs", src.as_str()),
+            ("crates/core/src/cluster/mod.rs", in_module.as_str()),
+        ];
+        assert!(denied_rules(&legal, &rules_config()).is_empty(), "{call}");
+    }
+}
+
 // ---- allow machinery (allow_syntax) -----------------------------------
 
 #[test]

@@ -10,7 +10,7 @@ use modsram_core::cluster::{
 };
 use modsram_core::dispatch::MulJob;
 use modsram_core::service::{ModSramService, ServiceConfig, Ticket};
-use modsram_core::test_util::{gated_pool, slow_pool, Gate};
+use modsram_core::test_util::{gated_pool, Gate};
 use modsram_core::{BankedModSram, ModSram, ModSramConfig, RunStats};
 use modsram_modmul::{engine_by_name, CycleModel, LutOverflow, R4CsaLutEngine};
 use modsram_phys::{AreaModel, Component, FreqModel};
@@ -1453,15 +1453,17 @@ fn weighted_fleet_run(
 
 /// One hot-modulus run: `rounds` bursts of `burst` non-blocking
 /// submissions of a single tile-0-homed modulus at a 2-tile Strict
-/// cluster of slow tiles, with a probe (the replication cadence)
-/// closing each round. Returns accepted jobs, wall seconds,
+/// cluster of gated tiles, with a probe (the replication cadence)
+/// closing each round. As in [`cluster_spill_probe`], each tile's
+/// one-lane executor holds the first job it takes at the shut gate, so
+/// a tile admits exactly one job plus a full queue per round, whatever
+/// the scheduler does; the gate opens after the burst and shuts again
+/// for the next round. Returns accepted jobs, wall seconds,
 /// replica-routed jobs, and whether promotion happened.
 fn hot_modulus_run(rounds: usize, burst: u64, replicate_after: u64) -> (u64, f64, u64, bool) {
+    let gate = Gate::new();
     let cluster = ServiceCluster::new(
-        vec![
-            slow_pool(Duration::from_millis(2)),
-            slow_pool(Duration::from_millis(2)),
-        ],
+        vec![gated_pool(&gate), gated_pool(&gate)],
         ClusterConfig {
             spill: SpillPolicy::Strict,
             service: ServiceConfig {
@@ -1481,25 +1483,38 @@ fn hot_modulus_run(rounds: usize, burst: u64, replicate_after: u64) -> (u64, f64
         .map(|i| UBig::from(1_000_003u64 + 2 * i))
         .find(|p| home_tile_for(p, 2) == Some(0))
         .expect("some modulus homes on tile 0");
+    let submitted = |cluster: &ServiceCluster| -> Vec<u64> {
+        let stats = cluster.stats();
+        stats.tiles.iter().map(|t| t.service.submitted).collect()
+    };
     let mut accepted = 0u64;
     let mut promoted = false;
     let start = Instant::now();
     for round in 0..rounds {
+        let (before, entered) = (submitted(&cluster), gate.entered());
         let mut tickets = Vec::new();
         for i in 0..burst {
             let n = round as u64 * burst + i;
             let job = MulJob::new(UBig::from(n + 2), UBig::from(n + 3), p.clone());
             if let Ok(t) = cluster.try_submit(job) {
                 tickets.push((n, t));
+                // Every tile that took a job this round holds one at
+                // the gate before its queue fills any further.
+                let now = submitted(&cluster);
+                let busy = now.iter().zip(&before).filter(|(n, b)| n > b).count();
+                gate.wait_entered(entered + busy as u64);
             }
         }
+        gate.open();
         for (n, ticket) in &tickets {
             assert_eq!(
-                ticket.wait().expect("slow tile is correct"),
+                ticket.wait().expect("gated tile is correct"),
                 &UBig::from((n + 2) * (n + 3)) % &p,
                 "hot-modulus job {n} diverged"
             );
         }
+        // Every job of the round has passed the gate.
+        gate.close();
         accepted += tickets.len() as u64;
         // The probe cadence is what closes a saturation window; after
         // the first saturated round the modulus is promoted.
@@ -1935,11 +1950,14 @@ mod tests {
             "uniform weights are the legacy planner"
         );
         assert!(sweep.hot.promoted, "the hot modulus was promoted");
-        assert!(
-            sweep.hot.accepted_with > sweep.hot.accepted_without,
-            "replication accepts more of the burst ({} vs {})",
-            sweep.hot.accepted_with,
-            sweep.hot.accepted_without
+        // Each gated tile admits one job at the gate plus a 4-job queue
+        // per round: the home tile alone for 3 rounds without
+        // replication; with it, both replicas once the first saturated
+        // round has promoted the modulus.
+        let hot = &sweep.hot;
+        assert_eq!(
+            (hot.accepted_without, hot.accepted_with, hot.replica_routed),
+            (15, 25, 10)
         );
         assert_eq!(sweep.reweigh.lost_tickets, 0, "reweigh loses nothing");
         assert_eq!(

@@ -12,7 +12,8 @@
 //! * **Submission handles** — [`ModSramService::handle`] returns a
 //!   cloneable [`SubmitHandle`]; [`SubmitHandle::submit`] enqueues one
 //!   job and returns a [`Ticket`] redeemable for the product
-//!   (blocking [`Ticket::wait`] or non-blocking [`Ticket::try_poll`]).
+//!   (blocking [`Ticket::wait`], non-blocking [`Ticket::try_poll`], or
+//!   pushed to a completion hook with [`Ticket::on_done`]).
 //! * **Backpressure** — the queue is bounded
 //!   ([`ServiceConfig::queue_capacity`]). `submit` blocks until space
 //!   frees; [`SubmitHandle::try_submit`] refuses immediately with
@@ -23,7 +24,7 @@
 //!   stragglers; jobs pile up while the executor is busy, and that is
 //!   when batching saves LUT refills. A one-lane tile takes queued jobs
 //!   at once; a multi-lane tile holds them until a producer waits on,
-//!   polls or drops a pending [`Ticket`], submits in bulk
+//!   polls, hooks or drops a pending [`Ticket`], submits in bulk
 //!   ([`SubmitHandle::submit_many`], [`SubmitHandle::try_submit_many`],
 //!   a wire `SubmitBatch` frame) or fills `max_batch` (or the queue),
 //!   or the tile pauses or stops. So streamed single jobs fill the
@@ -165,16 +166,27 @@ impl From<ServiceError> for CoreError {
     }
 }
 
+/// What an [`Ticket::on_done`] hook receives: the job's result.
+type DoneHook = Box<dyn FnOnce(Result<UBig, ServiceError>) + Send>;
+
 /// One ticket's completion slot.
 struct TicketState {
-    slot: Mutex<Option<Result<UBig, ServiceError>>>,
+    slot: Mutex<Slot>,
     ready: Condvar,
+}
+
+/// The slot's contents: the result once delivered, and the hook a
+/// consumed ticket left to receive it.
+#[derive(Default)]
+struct Slot {
+    result: Option<Result<UBig, ServiceError>>,
+    hook: Option<DoneHook>,
 }
 
 impl TicketState {
     fn new() -> Arc<Self> {
         Arc::new(TicketState {
-            slot: Mutex::new(None),
+            slot: Mutex::new(Slot::default()),
             ready: Condvar::new(),
         })
     }
@@ -182,28 +194,39 @@ impl TicketState {
     /// Delivers a result if none has been delivered yet; returns
     /// whether this call won the slot (later calls are no-ops, which
     /// makes the executor's panic guard idempotent with normal
-    /// delivery).
+    /// delivery). A registered hook runs after the slot lock is
+    /// released, so it may take locks the slot outranks.
     fn complete(&self, result: Result<UBig, ServiceError>) -> bool {
         let mut slot = self.lock_slot();
-        let won = slot.is_none();
-        if won {
-            *slot = Some(result);
+        if slot.result.is_some() {
+            return false;
         }
-        self.ready.notify_all();
-        won
+        let hook = slot.hook.take();
+        if let Some(hook) = hook {
+            // The hook's ticket is consumed, so nobody waits here.
+            slot.result = Some(result.clone());
+            drop(slot);
+            hook(result);
+        } else {
+            slot.result = Some(result);
+            drop(slot);
+            self.ready.notify_all();
+        }
+        true
     }
 
-    fn lock_slot(&self) -> MutexGuard<'_, Option<Result<UBig, ServiceError>>> {
+    fn lock_slot(&self) -> MutexGuard<'_, Slot> {
         self.slot.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 /// A claim on one submitted job's eventual product.
 ///
-/// Redeem with [`Ticket::wait`] (blocking) or poll with
-/// [`Ticket::try_poll`]; both may be called repeatedly and from the
-/// thread of your choice. On a multi-lane tile, waiting on, polling or
-/// dropping a pending ticket releases the batch the tile holds.
+/// Redeem with [`Ticket::wait`] (blocking), poll with
+/// [`Ticket::try_poll`], or hand the ticket a completion hook with
+/// [`Ticket::on_done`]. On a multi-lane tile, waiting on, polling,
+/// hooking or dropping a pending ticket releases the batch the tile
+/// holds.
 pub struct Ticket {
     state: Arc<TicketState>,
     /// The multi-lane tile holding the job; `None` on a one-lane tile.
@@ -233,7 +256,7 @@ impl Ticket {
         if self.asked.load(Ordering::Relaxed) {
             return;
         }
-        if self.state.lock_slot().is_none() && !self.asked.swap(true, Ordering::Relaxed) {
+        if self.state.lock_slot().result.is_none() && !self.asked.swap(true, Ordering::Relaxed) {
             tile.want();
         }
     }
@@ -243,7 +266,7 @@ impl Ticket {
         self.ask();
         let mut slot = self.state.lock_slot();
         loop {
-            if let Some(result) = slot.as_ref() {
+            if let Some(result) = slot.result.as_ref() {
                 return result.clone();
             }
             slot = self
@@ -254,36 +277,10 @@ impl Ticket {
         }
     }
 
-    /// Blocks until the job completes or `deadline` passes; `None` on
-    /// timeout, and the ticket may be waited on again. The deadline is
-    /// absolute, so callers iterating many tickets toward one shared
-    /// deadline don't accumulate per-ticket timeout drift.
-    pub fn wait_deadline(&self, deadline: Instant) -> Option<Result<UBig, ServiceError>> {
-        self.ask();
-        let mut slot = self.state.lock_slot();
-        loop {
-            if let Some(result) = slot.as_ref() {
-                return Some(result.clone());
-            }
-            let remaining = deadline
-                .checked_duration_since(Instant::now())
-                .filter(|d| !d.is_zero())?;
-            let (guard, timed_out) = self
-                .state
-                .ready
-                .wait_timeout(slot, remaining)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = guard;
-            if timed_out.timed_out() && slot.is_none() {
-                return None;
-            }
-        }
-    }
-
     /// Returns the result if the job has completed, `None` while it is
     /// still queued or executing.
     pub fn try_poll(&self) -> Option<Result<UBig, ServiceError>> {
-        let result = self.state.lock_slot().clone();
+        let result = self.state.lock_slot().result.clone();
         if result.is_none() {
             self.ask();
         }
@@ -293,6 +290,27 @@ impl Ticket {
     /// `true` once a result (success or failure) is available.
     pub fn is_done(&self) -> bool {
         self.try_poll().is_some()
+    }
+
+    /// Consumes the ticket and calls `f` with the job's result exactly
+    /// once: at once on this thread if the job is already done,
+    /// otherwise on the thread that completes it (the executor, or its
+    /// panic guard with [`ServiceError::Stopped`]), after that thread
+    /// releases the ticket's lock. `f` should be short: it delays the
+    /// rest of the executor's batch. Registering releases a held batch,
+    /// as a wait does.
+    pub fn on_done(self, f: impl FnOnce(Result<UBig, ServiceError>) + Send + 'static) {
+        let mut slot = self.state.lock_slot();
+        // Cloned, not taken: a filled slot is how a later panic-guard
+        // `complete` knows the job was already delivered.
+        match slot.result.clone() {
+            Some(result) => {
+                drop(slot);
+                f(result);
+            }
+            None => slot.hook = Some(Box::new(f)),
+        }
+        // Dropping `self` here asks for the held batch.
     }
 }
 
@@ -1414,7 +1432,7 @@ mod tests {
     use super::*;
     use crate::cycles::{modelled_mul_cycles, MODELLED_REFILL_CYCLES};
     use crate::test_util::SATURATE_STALL_LIMIT;
-    use std::time::Duration;
+    use std::sync::mpsc;
 
     fn jobs_mod(p: u64, count: u64) -> Vec<MulJob> {
         (0..count)
@@ -1570,72 +1588,91 @@ mod tests {
     }
 
     #[test]
-    fn wait_deadline_on_time_path_returns_result() {
-        let service = ModSramService::for_engine_name("direct", tiny_config()).unwrap();
-        let ticket = service
-            .submit(MulJob::new(
-                UBig::from(6u64),
-                UBig::from(7u64),
-                UBig::from(97u64),
-            ))
-            .unwrap();
-        // Generous budget: the job completes well inside it.
-        let got = ticket.wait_deadline(Instant::now() + Duration::from_secs(30));
-        assert_eq!(got, Some(Ok(UBig::from(42u64))));
-        // A completed ticket keeps answering instantly, even with a
-        // zero budget or an already-expired deadline.
-        assert_eq!(
-            ticket.wait_deadline(Instant::now()),
-            Some(Ok(UBig::from(42u64)))
-        );
-        assert_eq!(
-            ticket.wait_deadline(Instant::now() - Duration::from_secs(1)),
-            Some(Ok(UBig::from(42u64)))
-        );
-        service.shutdown();
-    }
-
-    #[test]
-    fn wait_deadline_expires_on_pending_ticket_then_redeems() {
-        // A hand-built pending ticket: nothing completes it until the
-        // test does, so the timeout path is deterministic.
+    fn on_done_runs_its_hook_exactly_once() {
+        // Pending: the completing thread runs the hook, once; a second
+        // completion (the panic guard's) is a no-op. The hook owns the
+        // only sender, so a closed channel means it ran and was dropped.
         let state = TicketState::new();
         let ticket = Ticket {
             state: Arc::clone(&state),
             tile: None,
             asked: AtomicBool::new(false),
         };
-        let start = Instant::now();
-        assert_eq!(
-            ticket.wait_deadline(Instant::now() + Duration::from_millis(20)),
-            None
-        );
-        assert!(
-            start.elapsed() >= Duration::from_millis(20),
-            "timeout returned early"
-        );
-        assert_eq!(ticket.wait_deadline(Instant::now()), None);
-        assert!(!ticket.is_done(), "timing out must not consume the ticket");
-        // Late delivery still redeems: the same ticket can be waited on
-        // again after any number of timeouts, whether the delivery lands
-        // before or during that wait.
-        let deliverer = std::thread::spawn(move || {
-            state.complete(Ok(UBig::from(9u64)));
+        let (tx, rx) = mpsc::channel();
+        ticket.on_done(move |r| tx.send((r, std::thread::current().id())).unwrap());
+        assert!(rx.try_recv().is_err(), "the hook ran before completion");
+        let completer = std::thread::spawn(move || {
+            let won = state.complete(Ok(UBig::from(9u64)));
+            let again = state.complete(Err(ServiceError::Stopped));
+            (won, again, std::thread::current().id())
         });
+        let (won, again, completer_id) = completer.join().unwrap();
+        assert!(won && !again);
+        assert_eq!(rx.recv().unwrap(), (Ok(UBig::from(9u64)), completer_id));
+        assert!(rx.recv().is_err(), "the hook ran once");
+
+        // Done: the hook runs at once, on the caller's thread.
+        let service = ModSramService::for_engine_name("direct", tiny_config()).unwrap();
+        let ticket = service.submit(jobs_mod(97, 1).remove(0)).unwrap();
+        let product = ticket.wait().unwrap();
+        let (tx, rx) = mpsc::channel();
+        ticket.on_done(move |r| tx.send((r, std::thread::current().id())).unwrap());
         assert_eq!(
-            ticket.wait_deadline(Instant::now() + Duration::from_secs(30)),
-            Some(Ok(UBig::from(9u64)))
+            rx.try_recv(),
+            Ok((Ok(product), std::thread::current().id()))
         );
-        deliverer.join().unwrap();
+        service.shutdown();
+
+        // Pending on a two-lane tile: registering releases the held job.
+        let service = ModSramService::for_engine_name("barrett", tiny_config()).unwrap();
+        let job = jobs_mod(97, 1).remove(0);
+        let ticket = service.submit(job.clone()).unwrap();
+        assert_eq!(service.queue_depth(), 1, "the job is held");
+        assert_eq!(redeem(ticket), &(&job.a * &job.b) % &job.modulus);
+        service.shutdown();
+
+        // A panicking batch: the unwind guard calls the hook with
+        // `Stopped`, and counts the job failed once.
+        use crate::test_util::{failing_pool, FailureMode};
+        let config = ServiceConfig {
+            workers: 1,
+            ..tiny_config()
+        };
+        let service = ModSramService::new(failing_pool(1, FailureMode::Panic), config);
+        let (tx, rx) = mpsc::channel();
+        let ticket = service.submit(jobs_mod(97, 1).remove(0)).unwrap();
+        ticket.on_done(move |r| tx.send(r).unwrap());
+        assert_eq!(
+            rx.recv_timeout(SATURATE_STALL_LIMIT),
+            Ok(Err(ServiceError::Stopped))
+        );
+        let stats = service.shutdown();
+        assert_eq!((stats.executor_panics, stats.failed), (1, 1));
     }
 
-    /// Redeems `ticket`, failing instead of hanging if the tile never
-    /// releases its batch.
-    fn redeem(ticket: &Ticket) -> UBig {
-        ticket
-            .wait_deadline(Instant::now() + SATURATE_STALL_LIMIT)
+    /// Takes a redemption's result from `rx`, failing instead of hanging
+    /// if the tile never releases its batch.
+    fn received(rx: mpsc::Receiver<Result<UBig, ServiceError>>) -> UBig {
+        rx.recv_timeout(SATURATE_STALL_LIMIT)
             .expect("the held batch was never released")
             .unwrap()
+    }
+
+    /// Redeems `ticket` through [`Ticket::on_done`].
+    fn redeem(ticket: Ticket) -> UBig {
+        let (tx, rx) = mpsc::channel();
+        ticket.on_done(move |r| drop(tx.send(r)));
+        received(rx)
+    }
+
+    /// Redeems `ticket` through a blocking [`Ticket::wait`] on a helper
+    /// thread, with the same stall limit as [`redeem`].
+    fn redeem_by_wait(ticket: Ticket) -> UBig {
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || tx.send(ticket.wait()));
+        let product = received(rx);
+        waiter.join().unwrap().unwrap();
+        product
     }
 
     /// Spins until `service` has completed `jobs` jobs, failing after
@@ -1666,7 +1703,13 @@ mod tests {
             .map(|j| service.submit(j.clone()).unwrap())
             .collect();
         assert_eq!(service.queue_depth(), jobs.len(), "the stream is held");
-        for (job, ticket) in jobs.iter().zip(&tickets) {
+        let mut tickets = tickets.into_iter();
+        let first = tickets.next().expect("five tickets");
+        assert_eq!(
+            redeem_by_wait(first),
+            &(&jobs[0].a * &jobs[0].b) % &jobs[0].modulus
+        );
+        for (job, ticket) in jobs[1..].iter().zip(tickets) {
             assert_eq!(redeem(ticket), &(&job.a * &job.b) % &job.modulus);
         }
         let stats = service.shutdown();
@@ -1693,11 +1736,16 @@ mod tests {
             .collect();
         // Ask before opening the gate, assert after, so a failure
         // cannot leave the executor parked.
-        let asked = queued[10].try_poll();
+        let mut queued = queued;
+        let last = queued.pop().expect("eleven queued");
+        let asked = last.try_poll();
         gate.open();
         assert_eq!(asked, None);
-        redeem(&queued[10]);
-        for (job, ticket) in jobs.iter().zip(std::iter::once(&first).chain(&queued)) {
+        assert_eq!(
+            redeem(last),
+            &(&jobs[11].a * &jobs[11].b) % &jobs[11].modulus
+        );
+        for (job, ticket) in jobs.iter().zip(std::iter::once(first).chain(queued)) {
             assert_eq!(redeem(ticket), &(&job.a * &job.b) % &job.modulus);
         }
         let stats = service.shutdown();
@@ -1736,7 +1784,7 @@ mod tests {
             wait_for_completed(&service, full);
             let stats = service.stats();
             assert_eq!((stats.batches, stats.coalesce_max), (1, full));
-            for (job, ticket) in jobs.iter().zip(&tickets) {
+            for (job, ticket) in jobs.iter().zip(tickets) {
                 assert_eq!(redeem(ticket), &(&job.a * &job.b) % &job.modulus);
             }
             service.shutdown();

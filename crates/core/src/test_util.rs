@@ -262,7 +262,8 @@ impl PreparedModMul for SlowPrepared {
 }
 
 /// A latch shared by [`GatedPrepared`] contexts: closed until
-/// [`Gate::open`], counting every multiplication that reaches it.
+/// [`Gate::open`] (and again after [`Gate::close`]), counting every
+/// multiplication that reaches it.
 #[derive(Debug, Default)]
 pub struct Gate {
     /// `(open, entered)`.
@@ -280,6 +281,13 @@ impl Gate {
     pub fn open(&self) {
         self.state.lock().unwrap_or_else(PoisonError::into_inner).0 = true;
         self.wake.notify_all();
+    }
+
+    /// Shuts the gate again, so a test can hold its tiles round after
+    /// round: later multiplications park until the next
+    /// [`Gate::open`]. The entered count keeps counting.
+    pub fn close(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).0 = false;
     }
 
     /// Multiplications that have reached the gate so far.

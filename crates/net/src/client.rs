@@ -10,10 +10,9 @@
 //! the overhead a closed-loop load generator exists to measure.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::ops::Range;
-use std::time::{Duration, Instant};
 
 use modsram_bigint::UBig;
 use modsram_core::dispatch::MulJob;
@@ -234,63 +233,6 @@ impl WireClient {
                 return Err(WireError::ConnectionClosed);
             }
             self.read_one();
-        }
-    }
-
-    /// [`WireClient::wait`] with a deadline; `Ok(None)` on timeout
-    /// (the response may still arrive later).
-    ///
-    /// # Errors
-    ///
-    /// As [`WireClient::wait`].
-    pub fn wait_timeout(
-        &mut self,
-        req_id: u64,
-        timeout: Duration,
-    ) -> Result<Option<WireResponse>, WireError> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(response) = self.responses.remove(&req_id) {
-                return Ok(Some(response));
-            }
-            if self.closed {
-                return Err(WireError::ConnectionClosed);
-            }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return Ok(None);
-            };
-            // Wait for readable bytes without consuming them, then
-            // read one whole frame in blocking mode (the server writes
-            // frames atomically, so the frame completes promptly once
-            // its first byte is in).
-            self.reader
-                .get_ref()
-                .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))
-                .map_err(WireError::Io)?;
-            let ready = match self.reader.fill_buf() {
-                Ok([]) => {
-                    self.closed = true;
-                    continue;
-                }
-                Ok(_) => true,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    false
-                }
-                Err(_) => {
-                    self.closed = true;
-                    continue;
-                }
-            };
-            self.reader
-                .get_ref()
-                .set_read_timeout(None)
-                .map_err(WireError::Io)?;
-            if ready {
-                self.read_one();
-            }
         }
     }
 

@@ -16,13 +16,17 @@
 //!   limits and in-flight caps, enforced across all of a tenant's
 //!   connections.
 //! * [`server`] — [`WireServer`]: an acceptor plus a per-connection
-//!   reader/completer thread pair bridging
-//!   [`Ticket`](modsram_core::service::Ticket) completions back onto
-//!   the socket through one shared, coalescing writer. Admission control maps `QueueFull` / `Paused` /
-//!   `AllTilesSaturated` / tenant refusals to typed
-//!   [`Frame::RetryAfter`] responses instead of dropped connections;
-//!   [`WireServer::shutdown`] drains gracefully (listener refused,
-//!   in-flight responses delivered).
+//!   reader/completer thread pair. Each accepted
+//!   [`Ticket`](modsram_core::service::Ticket) pushes its result into
+//!   the connection's outbox when done
+//!   ([`Ticket::on_done`](modsram_core::service::Ticket::on_done)), and
+//!   the completer writes whatever the outbox holds as one coalesced
+//!   send; no thread waits on a timer. Admission control maps
+//!   `QueueFull` / `Paused` / `AllTilesSaturated` / tenant refusals to
+//!   typed [`Frame::RetryAfter`] responses instead of dropped
+//!   connections; [`WireServer::shutdown`] drains gracefully (listener
+//!   refused, every socket's read half shut, in-flight responses
+//!   delivered).
 //! * [`stats`] — [`NetStats`]: per-tenant frames/bytes/outcomes and
 //!   reservoir-sampled request-to-response latency percentiles.
 //! * [`client`] — [`WireClient`]: the blocking single-threaded client

@@ -1,26 +1,31 @@
 //! The threaded serving runtime: an acceptor thread plus, per
-//! connection, a reader / completer pair that bridges [`Ticket`]
+//! connection, a reader / completer pair that pushes [`Ticket`]
 //! completions back onto the socket.
 //!
-//! The division of labour keeps every blocking point bounded:
+//! No thread on the wire path waits on a timer:
 //!
-//! * the **reader** parses frames and runs admission control (the
-//!   drain and tenant limits per job, then one `try_submit_many` per
-//!   frame into the backend), so a saturated cluster answers with a
-//!   typed [`Frame::RetryAfter`] instead of a stalled or dropped
-//!   connection. A [`Frame::SubmitBatch`] thus reaches its tile whole:
-//!   the client's batch is the tile's batch too;
-//! * the **completer** owns the connection's in-flight tickets and
-//!   delivers terminal frames **out of submission order** — it parks
-//!   on the oldest ticket with [`Ticket::wait_deadline`] in short
-//!   slices and sweeps the rest with `try_poll`, so one slow job never
-//!   blocks a finished one behind it.
+//! * the **reader** blocks in `read`, parses frames and runs admission
+//!   control (the drain and tenant limits per job, then one
+//!   `try_submit_many` per frame into the backend), so a saturated
+//!   cluster answers with a typed [`Frame::RetryAfter`] instead of a
+//!   stalled or dropped connection. A [`Frame::SubmitBatch`] thus
+//!   reaches its tile whole: the client's batch is the tile's batch
+//!   too. Each accepted ticket gets a [`Ticket::on_done`] hook;
+//! * the hook runs on the thread that completes the job and appends
+//!   the result to the connection's **outbox**, waking the completer
+//!   only when the outbox was empty. Results therefore leave **out of
+//!   submission order**, as they finish: one slow job never blocks a
+//!   finished one behind it;
+//! * the **completer** blocks on the outbox, takes everything in it
+//!   and writes it as one coalesced send. Whatever finished while the
+//!   previous send was in progress is the next send, so bursts batch
+//!   themselves on the way out as they do on the way in.
 //!
 //! Both sides write through one [`ConnWriter`] mutex, each call
-//! coalescing its frames into a single `write` — a sweep's burst of
-//! completions costs one syscall (and one packet on the nodelay
-//! socket), and partial writes never interleave. A peer that stops
-//! reading eventually blocks the writer mid-send; that backpressure
+//! coalescing its frames into a single `write` — a burst of completions
+//! costs one syscall (and one packet on the nodelay socket), and
+//! partial writes never interleave. A peer that stops reading
+//! eventually blocks the writer mid-send; that backpressure
 //! deliberately propagates to the reader rather than growing an
 //! unbounded frame queue.
 //!
@@ -29,22 +34,25 @@
 //! sees the drain flag, drops that stream unmetered and exits.
 //!
 //! Graceful drain ([`WireServer::shutdown`]): the acceptor stops
-//! (listener refused), readers refuse new submissions with
-//! [`RetryReason::Draining`], completers deliver every accepted
-//! in-flight ticket, then each connection says [`Frame::Bye`] and
-//! closes. Zero accepted responses are lost.
+//! (listener refused), then the drain shuts the read half of every
+//! connection's socket, so a reader blocked in `read` (in the
+//! handshake too) sees end-of-stream at once. A reader that still
+//! finds a buffered frame refuses its jobs with
+//! [`RetryReason::Draining`] and stops. The completer delivers every
+//! accepted in-flight ticket, then the connection says [`Frame::Bye`]
+//! and closes. Zero accepted responses are lost.
 
-use std::collections::VecDeque;
 use std::io::{self, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use modsram_bigint::UBig;
 use modsram_core::cluster::{ClusterHandle, ClusterSubmitError};
 use modsram_core::dispatch::MulJob;
-use modsram_core::service::{SubmitError, SubmitHandle, Ticket};
+use modsram_core::service::{ServiceError, SubmitError, SubmitHandle, Ticket};
 
 use crate::frame::{read_frame_into, write_frame, Frame, RetryReason, DEFAULT_MAX_PAYLOAD};
 use crate::stats::{NetMeter, NetStats};
@@ -122,22 +130,6 @@ pub struct WireConfig {
     /// refusals (rate-limit refusals compute their own from the token
     /// deficit).
     pub retry_after_hint: Duration,
-    /// Socket read timeout — the granularity at which idle readers
-    /// notice a server drain.
-    pub read_timeout: Duration,
-    /// How long the completer parks on the *oldest* in-flight ticket
-    /// before re-sweeping the others for out-of-order completions.
-    pub completion_slice: Duration,
-    /// After the first completion of a burst, how long the completer
-    /// keeps accumulating further completions before flushing them as
-    /// one coalesced write. Engine workers retire a batch's tickets a
-    /// few microseconds apart; without the linger each would go out as
-    /// its own syscall and client wake-up.
-    pub delivery_linger: Duration,
-    /// Flush a coalesced delivery once it holds this many frames even
-    /// if completions are still streaming in (bounds both response
-    /// latency and the write size under sustained load).
-    pub max_delivery_batch: usize,
 }
 
 impl Default for WireConfig {
@@ -145,17 +137,6 @@ impl Default for WireConfig {
         WireConfig {
             max_frame_bytes: DEFAULT_MAX_PAYLOAD,
             retry_after_hint: Duration::from_millis(1),
-            read_timeout: Duration::from_millis(20),
-            // The park almost always ends early (the oldest ticket's
-            // condvar fires on completion, and near-FIFO execution
-            // makes the oldest finish first); the slice only bounds
-            // how long a younger out-of-order completion can sit
-            // before a sweep picks it up.
-            completion_slice: Duration::from_millis(2),
-            delivery_linger: Duration::from_micros(300),
-            // Big enough that a client's whole submission window plus
-            // out-of-order stragglers fits one coalesced write.
-            max_delivery_batch: 128,
         }
     }
 }
@@ -168,25 +149,88 @@ struct ServerShared {
     draining: AtomicBool,
 }
 
-/// One accepted job awaiting its terminal frame.
-struct Pending {
+/// One finished job, pushed by its ticket's completion hook.
+struct Delivery {
     req_id: u64,
-    ticket: Ticket,
     t0: Instant,
+    result: Result<UBig, ServiceError>,
 }
 
-struct PendingQueue {
-    state: Mutex<PendingState>,
+/// Finished jobs waiting for the connection's completer.
+struct Outbox {
+    state: Mutex<OutboxState>,
     wake: Condvar,
 }
 
-struct PendingState {
-    queue: VecDeque<Pending>,
-    /// Reader finished (Goodbye, EOF, error) — no more pushes.
+struct OutboxState {
+    done: Vec<Delivery>,
+    /// Accepted jobs the completer has not taken yet.
+    outstanding: usize,
+    /// Reader finished (Goodbye, end of stream, drain, error): no more
+    /// accepted jobs.
     reads_done: bool,
-    /// Reader has observed the server drain and refuses all further
-    /// submissions — no more pushes, even though reads continue.
-    drain_observed: bool,
+}
+
+impl Outbox {
+    fn new() -> Self {
+        Outbox {
+            state: Mutex::new(OutboxState {
+                done: Vec::new(),
+                outstanding: 0,
+                reads_done: false,
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Counts `n` accepted jobs, before their hooks can push.
+    fn add_outstanding(&self, n: usize) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .outstanding += n;
+    }
+
+    /// A completion hook's push. Only the push that makes the outbox
+    /// non-empty wakes the completer: it takes everything at once.
+    fn push(&self, delivery: Delivery) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let was_empty = state.done.is_empty();
+        state.done.push(delivery);
+        drop(state);
+        if was_empty {
+            self.wake.notify_one();
+        }
+    }
+
+    fn reads_done(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .reads_done = true;
+        self.wake.notify_one();
+    }
+
+    /// Blocks until deliveries are ready and swaps them all into
+    /// `batch` (which must be empty); `false` once reads are done and
+    /// every accepted job has been taken.
+    fn take(&self, batch: &mut Vec<Delivery>) -> bool {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            if !state.done.is_empty() {
+                std::mem::swap(&mut state.done, batch);
+                state.outstanding = state.outstanding.saturating_sub(batch.len());
+                return true;
+            }
+            if state.reads_done && state.outstanding == 0 {
+                return false;
+            }
+            state = self
+                .wake
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
 }
 
 /// The connection's shared write half. Reader (refusals, failures)
@@ -243,7 +287,7 @@ impl ConnWriter {
     fn close(&self) {
         let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let _ = state.stream.flush();
-        let _ = state.stream.shutdown(std::net::Shutdown::Both);
+        let _ = state.stream.shutdown(Shutdown::Both);
         state.dead = true;
     }
 }
@@ -257,8 +301,15 @@ pub struct WireServer {
     shared: Arc<ServerShared>,
     local_addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
     stopped: bool,
+}
+
+/// One live connection as the drain sees it.
+struct Conn {
+    thread: JoinHandle<()>,
+    /// A clone of the socket, whose read half the drain shuts.
+    stream: TcpStream,
 }
 
 impl WireServer {
@@ -284,7 +335,7 @@ impl WireServer {
             meter: NetMeter::new(),
             draining: AtomicBool::new(false),
         });
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let conns = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = Arc::clone(&shared);
             let conns = Arc::clone(&conns);
@@ -319,8 +370,9 @@ impl WireServer {
     }
 
     /// Graceful drain: wake the blocked acceptor with one loopback
-    /// connect and refuse the listener, refuse new submissions with
-    /// [`RetryReason::Draining`], deliver every accepted in-flight
+    /// connect and refuse the listener, end every connection's reads
+    /// (a frame still buffered is refused with
+    /// [`RetryReason::Draining`]), deliver every accepted in-flight
     /// response, close every connection, and return the final
     /// metering snapshot. Neither the wake connection nor a client
     /// that connects mid-drain is counted in
@@ -344,14 +396,18 @@ impl WireServer {
                 let _ = acceptor.join();
             }
         }
-        // Connection threads join their own completer and writer, so
-        // draining the vector drains the whole runtime. New handles
-        // can't appear: the acceptor is gone, or (after a failed wake)
-        // meters nothing it accepts from here on.
-        let handles: Vec<JoinHandle<()>> =
-            std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
-        for handle in handles {
-            let _ = handle.join();
+        // Connection threads join their own completer, so joining them
+        // drains the whole runtime. New entries can't appear: the
+        // acceptor is gone, or (after a failed wake) meters nothing it
+        // accepts from here on.
+        let conns = std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
+        // A reader blocked in `read`, in the handshake too, sees the
+        // end of its stream at once.
+        for conn in &conns {
+            let _ = conn.stream.shutdown(Shutdown::Read);
+        }
+        for conn in conns {
+            let _ = conn.thread.join();
         }
     }
 }
@@ -378,11 +434,7 @@ fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
     addr
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    shared: Arc<ServerShared>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+fn accept_loop(listener: TcpListener, shared: Arc<ServerShared>, conns: Arc<Mutex<Vec<Conn>>>) {
     loop {
         if shared.draining.load(Ordering::Acquire) {
             // Dropping the listener refuses new connections at the OS
@@ -398,15 +450,28 @@ fn accept_loop(
                     return;
                 }
                 shared.meter.connection_accepted();
+                // Without a clone the drain could not end this
+                // connection's reads; shed it (the dropped stream
+                // closes the socket).
+                let Ok(drain_half) = stream.try_clone() else {
+                    shared.meter.connection_closed();
+                    continue;
+                };
                 let conn_shared = Arc::clone(&shared);
                 let spawned = std::thread::Builder::new()
                     .name("wire-conn".into())
                     .spawn(move || connection_main(stream, conn_shared));
                 match spawned {
-                    Ok(handle) => conns
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .push(handle),
+                    Ok(thread) => {
+                        let mut conns = conns.lock().unwrap_or_else(PoisonError::into_inner);
+                        // Forget finished connections, so their socket
+                        // clones close now rather than at the drain.
+                        conns.retain(|conn| !conn.thread.is_finished());
+                        conns.push(Conn {
+                            thread,
+                            stream: drain_half,
+                        });
+                    }
                     // Thread exhaustion sheds this connection (the
                     // dropped stream closes the socket) instead of
                     // killing the acceptor for everyone.
@@ -419,55 +484,21 @@ fn accept_loop(
     }
 }
 
-/// Reads one frame, treating read timeouts as "check the drain flag
-/// and keep waiting". `Ok(None)` is a clean EOF.
-///
-/// With `bail_on_drain` (the handshake phase, where no completer
-/// exists yet to close the socket) a drain aborts the read instead of
-/// marking `drain_observed`.
-fn read_frame_patient(
-    stream: &mut TcpStream,
-    shared: &ServerShared,
-    pending: &PendingQueue,
-    bail_on_drain: bool,
-    payload: &mut Vec<u8>,
-) -> Result<Option<(Frame, usize)>, crate::frame::WireError> {
-    loop {
-        match read_frame_into(stream, shared.config.max_frame_bytes, payload) {
-            Ok(got) => return Ok(got),
-            Err(crate::frame::WireError::Io(e))
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle sockets still observe the drain promptly.
-                if shared.draining.load(Ordering::Acquire) {
-                    if bail_on_drain {
-                        return Err(crate::frame::WireError::ConnectionClosed);
-                    }
-                    let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    state.drain_observed = true;
-                    pending.wake.notify_all();
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
+fn connection_main(mut stream: TcpStream, shared: Arc<ServerShared>) {
+    serve_connection(&mut stream, &shared);
+    // The drain holds a clone of this socket, so dropping `stream`
+    // alone would leave it open.
+    let _ = stream.shutdown(Shutdown::Both);
+    shared.meter.connection_closed();
 }
 
-fn connection_main(mut stream: TcpStream, shared: Arc<ServerShared>) {
+/// Runs one connection: the handshake, then the reader on this thread
+/// and the completer on its own, until both are done.
+fn serve_connection(stream: &mut TcpStream, shared: &Arc<ServerShared>) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
-
-    let pending = Arc::new(PendingQueue {
-        state: Mutex::new(PendingState {
-            queue: VecDeque::new(),
-            reads_done: false,
-            drain_observed: false,
-        }),
-        wake: Condvar::new(),
-    });
 
     // ---- handshake: first frame must be Hello -------------------------
-    let hello = read_frame_patient(&mut stream, &shared, &pending, true, &mut Vec::new());
+    let hello = read_frame_into(stream, shared.config.max_frame_bytes, &mut Vec::new());
     let tenant: Arc<TenantCell> = match hello {
         Ok(Some((Frame::Hello { tenant, key }, bytes))) => {
             shared.meter.frame_in(None, bytes);
@@ -476,12 +507,9 @@ fn connection_main(mut stream: TcpStream, shared: Arc<ServerShared>) {
                     let ok = Frame::HelloOk {
                         max_inflight: cell.limits().max_inflight,
                     };
-                    match write_frame(&mut stream, &ok) {
+                    match write_frame(stream, &ok) {
                         Ok(n) => shared.meter.frame_out(Some(cell.name()), n),
-                        Err(_) => {
-                            shared.meter.connection_closed();
-                            return;
-                        }
+                        Err(_) => return,
                     }
                     cell
                 }
@@ -490,10 +518,9 @@ fn connection_main(mut stream: TcpStream, shared: Arc<ServerShared>) {
                     let frame = Frame::HelloErr {
                         reason: why.to_string(),
                     };
-                    if let Ok(n) = write_frame(&mut stream, &frame) {
+                    if let Ok(n) = write_frame(stream, &frame) {
                         shared.meter.frame_out(None, n);
                     }
-                    shared.meter.connection_closed();
                     return;
                 }
             }
@@ -504,16 +531,12 @@ fn connection_main(mut stream: TcpStream, shared: Arc<ServerShared>) {
             let frame = Frame::HelloErr {
                 reason: "expected Hello as the first frame".into(),
             };
-            if let Ok(n) = write_frame(&mut stream, &frame) {
+            if let Ok(n) = write_frame(stream, &frame) {
                 shared.meter.frame_out(None, n);
             }
-            shared.meter.connection_closed();
             return;
         }
-        Ok(None) | Err(_) => {
-            shared.meter.connection_closed();
-            return;
-        }
+        Ok(None) | Err(_) => return,
     };
 
     // ---- completer ----------------------------------------------------
@@ -521,88 +544,84 @@ fn connection_main(mut stream: TcpStream, shared: Arc<ServerShared>) {
     // before any job is admitted rather than panic the acceptor's
     // child and strand the tenant session.
     let Ok(write_half) = stream.try_clone() else {
-        shared.meter.connection_closed();
         return;
     };
     let writer = Arc::new(ConnWriter::new(write_half));
+    let outbox = Arc::new(Outbox::new());
     let completer = {
-        let conn_shared = Arc::clone(&shared);
-        let pending = Arc::clone(&pending);
+        let conn_shared = Arc::clone(shared);
+        let outbox = Arc::clone(&outbox);
         let tenant = Arc::clone(&tenant);
         let writer = Arc::clone(&writer);
         let spawned = std::thread::Builder::new()
             .name("wire-completer".into())
-            .spawn(move || completer_loop(conn_shared, pending, tenant, writer));
+            .spawn(move || completer_loop(conn_shared, outbox, tenant, writer));
         match spawned {
             Ok(handle) => handle,
             // Without a completer no response can ever be delivered;
             // shed the connection while nothing is in flight yet.
-            Err(_) => {
-                shared.meter.connection_closed();
-                return;
-            }
+            Err(_) => return,
         }
     };
 
     // ---- reader loop (this thread) ------------------------------------
-    reader_loop(&mut stream, &shared, &pending, &tenant, &writer);
-
+    reader_loop(stream, shared, &outbox, &tenant, &writer);
     let _ = completer.join();
-    shared.meter.connection_closed();
 }
 
+/// Reads and admits frames until `Goodbye`, the end of the stream (the
+/// peer's, or the drain's read shutdown), an error, or a frame that met
+/// the drain; then tells the completer no more jobs are coming.
 fn reader_loop(
     stream: &mut TcpStream,
     shared: &ServerShared,
-    pending: &PendingQueue,
+    outbox: &Arc<Outbox>,
     tenant: &Arc<TenantCell>,
     writer: &ConnWriter,
 ) {
     let mut payload = Vec::new();
     while let Ok(Some((frame, bytes))) =
-        read_frame_patient(stream, shared, pending, false, &mut payload)
+        read_frame_into(stream, shared.config.max_frame_bytes, &mut payload)
     {
         shared.meter.frame_in(Some(tenant.name()), bytes);
-        match frame {
+        let drained = match frame {
             Frame::Submit { req_id, job } => {
-                admit(shared, pending, tenant, writer, req_id, vec![job]);
+                admit(shared, outbox, tenant, writer, req_id, vec![job])
             }
             Frame::SubmitBatch { first_req_id, jobs } => {
-                admit(shared, pending, tenant, writer, first_req_id, jobs);
+                admit(shared, outbox, tenant, writer, first_req_id, jobs)
             }
-            Frame::Goodbye => break,
-            // Anything else from a client is a protocol error; close
-            // rather than guess.
+            // Goodbye ends the session; anything else from a client is
+            // a protocol error, so close rather than guess.
             _ => break,
+        };
+        if drained {
+            break;
         }
     }
-    let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-    state.reads_done = true;
-    pending.wake.notify_all();
+    outbox.reads_done();
 }
 
 /// Admits the jobs of one `Submit` or `SubmitBatch` frame, with ids
 /// counting up from `first_req_id`. Each job passes the drain check and
 /// the tenant's limits; the survivors reach the backend in one
-/// non-blocking `try_submit_many`.
+/// non-blocking `try_submit_many`, and each accepted ticket pushes its
+/// result to `outbox` when done. Returns whether the drain refused any
+/// job, after which the reader admits nothing more.
 fn admit(
     shared: &ServerShared,
-    pending: &PendingQueue,
+    outbox: &Arc<Outbox>,
     tenant: &Arc<TenantCell>,
     writer: &ConnWriter,
     first_req_id: u64,
     jobs: Vec<MulJob>,
-) {
+) -> bool {
     let t0 = Instant::now();
     let hint = shared.config.retry_after_hint.as_millis() as u32;
     let mut drained = false;
     let (mut ids, mut offered) = (Vec::with_capacity(jobs.len()), Vec::new());
     for (i, job) in jobs.into_iter().enumerate() {
         let req_id = first_req_id.wrapping_add(i as u64);
-        // Drain check first: once observed, this reader never admits
-        // again, which is what lets the completer exit safely. The
-        // completer learns of it below, after this frame's accepted
-        // tickets are queued for it.
         drained = drained || shared.draining.load(Ordering::Acquire);
         let refusal = if drained {
             Some((RetryReason::Draining, hint))
@@ -624,38 +643,42 @@ fn admit(
             }
         }
     }
-    let mut accepted = Vec::with_capacity(ids.len());
-    if !offered.is_empty() {
-        let admissions = shared.backend.try_submit_many(offered);
-        for (req_id, admission) in ids.into_iter().zip(admissions) {
-            match admission {
-                Admission::Accepted(ticket) => {
-                    shared.meter.job_accepted(tenant.name());
-                    accepted.push(Pending { req_id, ticket, t0 });
-                }
-                Admission::Retry(reason) => {
-                    tenant.end_job();
-                    reject(shared, tenant, writer, req_id, reason, hint);
-                }
-                Admission::Dead(why) => {
-                    tenant.end_job();
-                    shared.meter.job_dead(tenant.name());
-                    let failed = Frame::JobFailed {
-                        req_id,
-                        reason: why.to_string(),
-                    };
-                    writer.send(&shared.meter, Some(tenant.name()), &[failed]);
-                }
+    if offered.is_empty() {
+        return drained;
+    }
+    let admissions = shared.backend.try_submit_many(offered);
+    // Counted before any hook can push, so the completer never sees
+    // more deliveries than accepted jobs.
+    let accepted = admissions
+        .iter()
+        .filter(|a| matches!(a, Admission::Accepted(_)))
+        .count();
+    outbox.add_outstanding(accepted);
+    for (req_id, admission) in ids.into_iter().zip(admissions) {
+        match admission {
+            Admission::Accepted(ticket) => {
+                shared.meter.job_accepted(tenant.name());
+                let outbox = Arc::clone(outbox);
+                ticket.on_done(move |result| {
+                    outbox.push(Delivery { req_id, t0, result });
+                });
+            }
+            Admission::Retry(reason) => {
+                tenant.end_job();
+                reject(shared, tenant, writer, req_id, reason, hint);
+            }
+            Admission::Dead(why) => {
+                tenant.end_job();
+                shared.meter.job_dead(tenant.name());
+                let failed = Frame::JobFailed {
+                    req_id,
+                    reason: why.to_string(),
+                };
+                writer.send(&shared.meter, Some(tenant.name()), &[failed]);
             }
         }
     }
-    if !accepted.is_empty() || drained {
-        let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-        state.queue.extend(accepted);
-        state.drain_observed |= drained;
-        drop(state);
-        pending.wake.notify_all();
-    }
+    drained
 }
 
 fn reject(
@@ -678,106 +701,21 @@ fn reject(
     );
 }
 
-/// Moves every completed ticket out of `queue` into `batch`, keeping
-/// arrival order among the remainder.
-fn sweep_ready(queue: &mut VecDeque<Pending>, batch: &mut Vec<Pending>) {
-    let mut i = 0;
-    while let Some(p) = queue.get(i) {
-        if p.ticket.is_done() {
-            if let Some(done) = queue.remove(i) {
-                batch.push(done);
-            }
-        } else {
-            i += 1;
-        }
-    }
-}
-
 fn completer_loop(
     shared: Arc<ServerShared>,
-    pending: Arc<PendingQueue>,
+    outbox: Arc<Outbox>,
     tenant: Arc<TenantCell>,
     writer: Arc<ConnWriter>,
 ) {
     let mut delivered: u64 = 0;
+    let mut batch: Vec<Delivery> = Vec::new();
     let mut frames: Vec<Frame> = Vec::new();
     let mut outcomes = DeliveryOutcomes::default();
-    loop {
-        // Sweep: collect everything already complete, out of order.
-        let (mut batch, oldest, quiescent) = {
-            let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut batch = Vec::new();
-            sweep_ready(&mut state.queue, &mut batch);
-            let oldest = if batch.is_empty() {
-                // Park on the oldest remaining ticket outside the
-                // lock; take it out so the sweep above stays O(n).
-                state.queue.pop_front()
-            } else {
-                None
-            };
-            let no_more_pushes = state.reads_done || state.drain_observed;
-            let quiescent = state.queue.is_empty() && oldest.is_none() && no_more_pushes;
-            (batch, oldest, quiescent)
-        };
-        if batch.is_empty() {
-            let Some(front) = oldest else {
-                if quiescent {
-                    break;
-                }
-                // Nothing in flight: sleep until the reader pushes or
-                // ends.
-                let state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-                if state.queue.is_empty() && !state.reads_done && !state.drain_observed {
-                    let _ = pending
-                        .wake
-                        .wait_timeout(state, shared.config.read_timeout)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                continue;
-            };
-            match front
-                .ticket
-                .wait_deadline(Instant::now() + shared.config.completion_slice)
-            {
-                Some(_) => batch.push(front),
-                None => {
-                    // Not done yet: put it back at the front and
-                    // re-sweep (a younger ticket may have finished).
-                    let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    state.queue.push_front(front);
-                    continue;
-                }
-            }
-        }
-        // Linger: engine workers retire a batch's tickets microseconds
-        // apart and near-FIFO, so keep parking on the (new) oldest
-        // ticket and folding further completions into this delivery —
-        // one lock per fold, no re-sweep. The first park that times
-        // out ends the burst; a single sweep then catches whatever
-        // completed out of order during the linger.
-        while batch.len() < shared.config.max_delivery_batch {
-            let next = {
-                let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-                state.queue.pop_front()
-            };
-            let Some(front) = next else { break };
-            match front
-                .ticket
-                .wait_deadline(Instant::now() + shared.config.delivery_linger)
-            {
-                Some(_) => batch.push(front),
-                None => {
-                    let mut state = pending.state.lock().unwrap_or_else(PoisonError::into_inner);
-                    state.queue.push_front(front);
-                    sweep_ready(&mut state.queue, &mut batch);
-                    break;
-                }
-            }
-        }
-        // The whole burst goes out as one write, with one metering
-        // pass covering all of it.
+    // Whatever finished since the last take goes out as one write, with
+    // one metering pass covering all of it.
+    while outbox.take(&mut batch) {
         frames.clear();
-        for done in batch {
+        for done in batch.drain(..) {
             delivered += 1;
             frames.push(resolve_unmetered(&tenant, done, &mut outcomes));
         }
@@ -817,29 +755,19 @@ impl DeliveryOutcomes {
     }
 }
 
-/// Redeems one completed ticket without touching the shared meter;
-/// the caller tallies the burst into `outcomes` and meters it once.
+/// Turns one finished job into its terminal frame without touching the
+/// shared meter; the caller tallies the burst into `outcomes` and
+/// meters it once.
 fn resolve_unmetered(
     tenant: &Arc<TenantCell>,
-    done: Pending,
+    done: Delivery,
     outcomes: &mut DeliveryOutcomes,
 ) -> Frame {
-    // sweep_ready only queues tickets whose is_done() returned true,
-    // so a None here is a ticket-state bug — fail the request instead
-    // of taking the whole connection's completer down with a panic.
-    let Some(result) = done.ticket.try_poll() else {
-        outcomes.failed += 1;
-        tenant.end_job();
-        return Frame::JobFailed {
-            req_id: done.req_id,
-            reason: "internal: ticket incomplete at delivery".into(),
-        };
-    };
     outcomes
         .latencies_ns
         .push(done.t0.elapsed().as_nanos() as u64);
     tenant.end_job();
-    match result {
+    match done.result {
         Ok(product) => {
             outcomes.completed += 1;
             Frame::Done {

@@ -12,8 +12,8 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use modsram_bigint::UBig;
-use modsram_core::cluster::{ClusterConfig, ServiceCluster, SpillPolicy};
-use modsram_core::dispatch::MulJob;
+use modsram_core::cluster::{home_tile_for, ClusterConfig, ServiceCluster, SpillPolicy};
+use modsram_core::dispatch::{ContextPool, MulJob};
 use modsram_core::service::{ModSramService, ServiceConfig};
 use modsram_core::test_util::{gated_pool, Gate};
 use modsram_net::frame::{read_frame, write_frame, DEFAULT_MAX_PAYLOAD};
@@ -46,6 +46,20 @@ fn recv(stream: &mut TcpStream) -> Frame {
         Ok(Some((frame, _))) => frame,
         other => panic!("expected a frame, got {other:?}"),
     }
+}
+
+/// A raw connection that has said `Hello` as `tenant` and read
+/// `HelloOk`; reads fail after [`STALL_LIMIT`] instead of hanging.
+fn authenticated(server: &WireServer, tenant: &str, key: u64) -> TcpStream {
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream.set_read_timeout(Some(STALL_LIMIT)).unwrap();
+    let hello = Frame::Hello {
+        tenant: tenant.into(),
+        key,
+    };
+    write_frame(&mut stream, &hello).unwrap();
+    assert!(matches!(recv(&mut stream), Frame::HelloOk { .. }));
+    stream
 }
 
 /// Spins until the server has accepted `jobs` jobs, failing after
@@ -671,4 +685,132 @@ fn live_drain_mid_stream_delivers_every_job_exactly_once() {
     assert_eq!(stats.accepted, stats.completed + stats.failed);
     let jobs = (clients * jobs_per_client) as u64;
     assert_eq!(stats.completed, jobs, "each job delivered once");
+}
+
+/// Results leave as they finish, and a hooked ticket releases its
+/// multi-lane tile's held batch. On a 2-tile cluster of 2-lane tiles, a
+/// single-job frame homed on gate-held tile 0 stays unanswered while a
+/// later one homed on tile 1 is answered; once the gate opens the first
+/// is answered too. Neither single job would leave its tile's queue
+/// unless its hook asked for it.
+#[test]
+fn a_later_job_on_a_free_tile_is_answered_first_and_each_job_once() {
+    let gate = Gate::new();
+    let config = ClusterConfig {
+        service: ServiceConfig {
+            workers: 2,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let pools = vec![
+        gated_pool(&gate),
+        ContextPool::for_engine_name("barrett").unwrap(),
+    ];
+    let cluster = ServiceCluster::new(pools, config);
+    let homed_on = |tile| {
+        (0..64u64)
+            .map(|i| 1_000_003 + 2 * i)
+            .find(|&p| home_tile_for(&UBig::from(p), 2) == Some(tile))
+            .expect("some modulus homes on each tile")
+    };
+    let (held, free) = (job(6, 7, homed_on(0)), job(8, 9, homed_on(1)));
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        NetBackend::Cluster(cluster.handle()),
+        registry_with("order", 4, TenantLimits::default()),
+        WireConfig::default(),
+    )
+    .unwrap();
+    // Dropped before the server on a failing test's unwind, so jobs a
+    // tile still holds run and the server's drain can finish.
+    let _stop_first = StopOnDrop(&cluster);
+    let mut stream = authenticated(&server, "order", 4);
+    for (req_id, job) in [(1, &held), (2, &free)] {
+        let submit = Frame::Submit {
+            req_id,
+            job: job.clone(),
+        };
+        write_frame(&mut stream, &submit).unwrap();
+    }
+    // Read before opening the gate, assert after, so a failure cannot
+    // leave tile 0's executor parked.
+    let first = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD);
+    gate.open();
+    match first {
+        Ok(Some((frame, _))) => assert_eq!(
+            frame,
+            Frame::Done {
+                req_id: 2,
+                product: oracle(&free)
+            },
+            "tile 1's job is answered while tile 0's is held"
+        ),
+        other => panic!("expected tile 1's Done, got {other:?}"),
+    }
+    let second = Frame::Done {
+        req_id: 1,
+        product: oracle(&held),
+    };
+    assert_eq!(recv(&mut stream), second);
+    // Nothing else before `Bye`: each job was answered exactly once.
+    write_frame(&mut stream, &Frame::Goodbye).unwrap();
+    assert_eq!(recv(&mut stream), Frame::Bye { completed: 2 });
+    let stats = server.shutdown();
+    assert_eq!((stats.accepted, stats.completed), (2, 2));
+    assert_eq!(gate.entered(), 1, "tile 0 ran its job once");
+}
+
+/// Shuts its cluster down when dropped.
+struct StopOnDrop<'a>(&'a ServiceCluster);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.shutdown();
+    }
+}
+
+/// The drain reaches connections that send nothing: one that never
+/// said `Hello`, and one that authenticated and went quiet. `shutdown`
+/// returns, the quiet client reads `Bye`, the silent one reads the end
+/// of its stream, and both connections are torn down.
+#[test]
+fn drain_reaches_connections_that_send_nothing() {
+    let cluster = ServiceCluster::for_engine_name("barrett", 1, ClusterConfig::default()).unwrap();
+    let server = WireServer::bind(
+        "127.0.0.1:0",
+        NetBackend::Cluster(cluster.handle()),
+        registry_with("quiet", 2, TenantLimits::default()),
+        WireConfig::default(),
+    )
+    .unwrap();
+    let mut silent = TcpStream::connect(server.local_addr()).unwrap();
+    silent.set_read_timeout(Some(STALL_LIMIT)).unwrap();
+    // The silent connection has reached its handshake read, not just
+    // the listen backlog (a drain drops backlogged ones unmetered).
+    let start = Instant::now();
+    while server.stats().connections_accepted < 1 {
+        assert!(
+            start.elapsed() < STALL_LIMIT,
+            "the connection was never accepted"
+        );
+        std::thread::yield_now();
+    }
+    let mut quiet = authenticated(&server, "quiet", 2);
+
+    let (done, stats) = mpsc::channel();
+    let stopper = std::thread::spawn(move || done.send(server.shutdown()).unwrap());
+    let stats = stats
+        .recv_timeout(STALL_LIMIT)
+        .expect("the drain hung on an idle connection");
+    stopper.join().unwrap();
+
+    assert_eq!(recv(&mut quiet), Frame::Bye { completed: 0 });
+    assert!(
+        matches!(read_frame(&mut silent, DEFAULT_MAX_PAYLOAD), Ok(None)),
+        "the connection without a Hello was closed"
+    );
+    assert_eq!(stats.connections_accepted, 2);
+    assert_eq!(stats.connections_accepted, stats.connections_closed);
+    cluster.shutdown();
 }
