@@ -488,10 +488,46 @@ pub struct ClusterSweepSpec {
     /// Tenants per consistent home combination (tenant count is
     /// `per_combo × Π tile_counts`).
     pub per_combo: usize,
-    /// Dispatcher lanes per tile.
+    /// Modelled lanes per tile.
     pub workers_per_tile: usize,
     /// Workload RNG seed.
     pub seed: u64,
+}
+
+/// Sends every job to its home tile and checks each product against
+/// `oracle`. One producer thread per home tile sends that tile's whole
+/// share with one blocking `submit_many`, so every tile queues its jobs
+/// in one fixed order and forms the same batches in every run: the
+/// modelled makespans are deterministic.
+///
+/// # Panics
+///
+/// Panics on a stopped cluster or a diverged result.
+fn send_home_shares(cluster: &ServiceCluster, jobs: &[MulJob], oracle: &[UBig]) {
+    let mut shares: Vec<Vec<usize>> = vec![Vec::new(); cluster.tiles()];
+    for (i, job) in jobs.iter().enumerate() {
+        let home = cluster
+            .home_tile(&job.modulus)
+            .expect("every tile routable");
+        shares[home].push(i);
+    }
+    std::thread::scope(|scope| {
+        for share in &shares {
+            let handle = cluster.handle();
+            scope.spawn(move || {
+                let tickets = handle
+                    .submit_many(share.iter().map(|&i| jobs[i].clone()).collect())
+                    .expect("running");
+                for (&i, ticket) in share.iter().zip(&tickets) {
+                    assert_eq!(
+                        ticket.wait().expect("valid modulus"),
+                        oracle[i],
+                        "cluster job {i} diverged"
+                    );
+                }
+            });
+        }
+    });
 }
 
 /// Runs the closed-loop cluster sweep over `tile_counts` ×
@@ -500,11 +536,9 @@ pub struct ClusterSweepSpec {
 /// repeat in runs of 8 per tenant) runs through a fresh
 /// [`ServiceCluster`] per point, after a one-job-per-tenant warm-up
 /// that pays context preparation and is then excluded from the
-/// latency window via [`ServiceCluster::reset_window`]. One producer
-/// thread per home tile sends that tile's whole share with one
-/// blocking `submit_many`, so every tile queues its jobs in one fixed
-/// order and forms the same batches in every run: the modelled
-/// makespan and speedup columns are deterministic.
+/// latency window via [`ServiceCluster::reset_window`]. Jobs go out
+/// through [`send_home_shares`], so the modelled makespan and speedup
+/// columns are deterministic.
 ///
 /// # Panics
 ///
@@ -586,33 +620,8 @@ pub fn cluster_sweep(spec: &ClusterSweepSpec) -> Vec<ClusterSweepRow> {
             let warmup_stats = cluster.stats();
             cluster.reset_window();
 
-            let mut shares: Vec<Vec<usize>> = vec![Vec::new(); tiles];
-            for (i, job) in jobs.iter().enumerate() {
-                let home = cluster
-                    .home_tile(&job.modulus)
-                    .expect("every tile routable");
-                shares[home].push(i);
-            }
             let start = Instant::now();
-            std::thread::scope(|scope| {
-                for share in &shares {
-                    let handle = cluster.handle();
-                    let jobs = &jobs;
-                    let oracle = &oracle;
-                    scope.spawn(move || {
-                        let tickets = handle
-                            .submit_many(share.iter().map(|&i| jobs[i].clone()).collect())
-                            .expect("running");
-                        for (&i, ticket) in share.iter().zip(&tickets) {
-                            assert_eq!(
-                                ticket.wait().expect("valid modulus"),
-                                oracle[i],
-                                "cluster job {i} diverged"
-                            );
-                        }
-                    });
-                }
-            });
+            send_home_shares(&cluster, &jobs, &oracle);
             let elapsed = start.elapsed().as_secs_f64();
             let stats = cluster.shutdown();
             assert_eq!(stats.failed, 0, "balanced workload never fails");
@@ -797,7 +806,7 @@ pub struct ElasticitySweepSpec {
     pub jobs_per_phase: usize,
     /// Concurrent submitter threads.
     pub submitters: usize,
-    /// Dispatcher lanes per tile.
+    /// Modelled lanes per tile.
     pub workers_per_tile: usize,
     /// Workload RNG seed.
     pub seed: u64,
@@ -1245,7 +1254,7 @@ pub struct WeightedSweepSpec {
     pub per_tile: usize,
     /// Measured jobs per tenant in the makespan section.
     pub jobs_per_tenant: usize,
-    /// Concurrent submitter threads (makespan + reweigh sections).
+    /// Concurrent submitter threads in the live-reweigh soak.
     pub submitters: usize,
     /// Burst rounds in the hot-modulus scenario.
     pub hot_rounds: usize,
@@ -1358,14 +1367,14 @@ fn odd_modulus(bits: usize, rng: &mut SmallRng) -> UBig {
 }
 
 /// One closed-loop run of the makespan section: publish `weights`
-/// (uniform = skip), stream every job, and return the
-/// capacity-normalised makespan plus measured per-tile submissions.
+/// (uniform = skip), send every job with [`send_home_shares`], and
+/// return the capacity-normalised makespan plus measured per-tile
+/// submissions.
 fn weighted_fleet_run(
     engine: &str,
     tenants: &[UBig],
     jobs: &[MulJob],
     oracle: &[UBig],
-    submitters: usize,
     weights: &[u32],
     capacity: &[u32],
 ) -> (u64, Vec<u64>) {
@@ -1404,25 +1413,7 @@ fn weighted_fleet_run(
     }
     let warmup_stats = cluster.stats();
     cluster.reset_window();
-    std::thread::scope(|scope| {
-        for s in 0..submitters {
-            let handle = cluster.handle();
-            scope.spawn(move || {
-                let mine: Vec<usize> = (0..jobs.len()).filter(|i| i % submitters == s).collect();
-                let tickets: Vec<Ticket> = mine
-                    .iter()
-                    .map(|&i| handle.submit(jobs[i].clone()).expect("running"))
-                    .collect();
-                for (&i, ticket) in mine.iter().zip(&tickets) {
-                    assert_eq!(
-                        ticket.wait().expect("valid modulus"),
-                        oracle[i],
-                        "weighted fleet job {i} diverged"
-                    );
-                }
-            });
-        }
-    });
+    send_home_shares(&cluster, jobs, oracle);
     let stats = cluster.shutdown();
     assert_eq!(stats.failed, 0, "the fleet workload never fails");
     let per_tile: Vec<u64> = stats
@@ -1688,24 +1679,10 @@ pub fn weighted_sweep(spec: &WeightedSweepSpec) -> WeightedSweep {
     }
     let oracle: Vec<UBig> = jobs.iter().map(|j| &(&j.a * &j.b) % &j.modulus).collect();
     let capacity = weights.clone();
-    let (weighted_makespan, weighted_per_tile) = weighted_fleet_run(
-        &spec.engine,
-        &tenants,
-        &jobs,
-        &oracle,
-        spec.submitters,
-        &weights,
-        &capacity,
-    );
-    let (unweighted_makespan, unweighted_per_tile) = weighted_fleet_run(
-        &spec.engine,
-        &tenants,
-        &jobs,
-        &oracle,
-        spec.submitters,
-        &uniform,
-        &capacity,
-    );
+    let (weighted_makespan, weighted_per_tile) =
+        weighted_fleet_run(&spec.engine, &tenants, &jobs, &oracle, &weights, &capacity);
+    let (unweighted_makespan, unweighted_per_tile) =
+        weighted_fleet_run(&spec.engine, &tenants, &jobs, &oracle, &uniform, &capacity);
     let makespan = WeightedMakespanStats {
         capacity,
         jobs: jobs.len(),
@@ -1948,6 +1925,16 @@ mod tests {
         assert_eq!(
             sweep.share.equal_weight_moved, 0,
             "uniform weights are the legacy planner"
+        );
+        // One producer per home tile: the same batches, so the same
+        // makespans, in every run.
+        let makespan = &sweep.makespan;
+        assert_eq!(
+            (
+                makespan.weighted_makespan_cycles,
+                makespan.unweighted_makespan_cycles
+            ),
+            (3108, 3108)
         );
         assert!(sweep.hot.promoted, "the hot modulus was promoted");
         // Each gated tile admits one job at the gate plus a 4-job queue

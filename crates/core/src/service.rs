@@ -19,16 +19,15 @@
 //!   frees; [`SubmitHandle::try_submit`] refuses immediately with
 //!   [`SubmitError::QueueFull`] so open-loop producers can shed load.
 //! * **Natural batching** — a tile models one SRAM array, so it runs
-//!   one executor thread, which pulls straight from the queue, at most
-//!   [`ServiceConfig::max_batch`] jobs per batch. No timer waits for
-//!   stragglers; jobs pile up while the executor is busy, and that is
-//!   when batching saves LUT refills. A one-lane tile takes queued jobs
-//!   at once; a multi-lane tile holds them until a producer waits on,
-//!   polls, hooks or drops a pending [`Ticket`], submits in bulk
-//!   ([`SubmitHandle::submit_many`], [`SubmitHandle::try_submit_many`],
-//!   a wire `SubmitBatch` frame) or fills `max_batch` (or the queue),
-//!   or the tile pauses or stops. So streamed single jobs fill the
-//!   lanes together, whatever the scheduler does. Each batch is sorted
+//!   one executor thread, which takes whatever is queued, at most
+//!   [`ServiceConfig::max_batch`] jobs, as soon as the queue is
+//!   non-empty. No timer waits for stragglers and nothing holds a job
+//!   back; jobs pile up while the executor is busy, and that is when
+//!   batching saves LUT refills. A producer that wants its jobs in one
+//!   batch submits them in bulk ([`SubmitHandle::submit_many`],
+//!   [`SubmitHandle::try_submit_many`], a wire `SubmitBatch` frame):
+//!   they queue under one lock, so an idle executor takes them
+//!   together. Each batch is sorted
 //!   **multiplicand-major** (modulus-major, then by `b`) so the
 //!   paper's Table 1b reuse survives interleaved tenants, and the
 //!   executor runs each run of one modulus as one `mod_mul_batch` on
@@ -63,7 +62,7 @@
 //! ```
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -82,16 +81,14 @@ use crate::modsram::ModSramConfig;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Modelled lanes of the tile. The executor runs every batch on
-    /// its own thread; the lane count shapes the modelled makespan
-    /// ([`modelled_batch_cycles`] over the least-loaded chunk plan) and
-    /// the release rule: with more than one lane, queued jobs wait for
-    /// a producer to release them (see the module docs).
+    /// its own thread; the lane count only shapes the modelled
+    /// makespan ([`modelled_batch_cycles`] over the least-loaded chunk
+    /// plan).
     pub workers: usize,
     /// Bound on queued-but-not-yet-drained jobs: `submit` blocks and
     /// `try_submit` returns [`SubmitError::QueueFull`] beyond it.
     pub queue_capacity: usize,
-    /// Most jobs the executor takes from the queue as one batch; a
-    /// multi-lane tile takes one unasked at `max_batch.min(queue_capacity)`.
+    /// Most jobs the executor takes from the queue as one batch.
     pub max_batch: usize,
 }
 
@@ -224,15 +221,9 @@ impl TicketState {
 ///
 /// Redeem with [`Ticket::wait`] (blocking), poll with
 /// [`Ticket::try_poll`], or hand the ticket a completion hook with
-/// [`Ticket::on_done`]. On a multi-lane tile, waiting on, polling,
-/// hooking or dropping a pending ticket releases the batch the tile
-/// holds.
+/// [`Ticket::on_done`]. The job runs whether or not anyone redeems it.
 pub struct Ticket {
     state: Arc<TicketState>,
-    /// The multi-lane tile holding the job; `None` on a one-lane tile.
-    tile: Option<Arc<Shared>>,
-    /// Set once this ticket has released its tile's held batch.
-    asked: AtomicBool,
 }
 
 impl core::fmt::Debug for Ticket {
@@ -241,29 +232,9 @@ impl core::fmt::Debug for Ticket {
     }
 }
 
-impl Drop for Ticket {
-    fn drop(&mut self) {
-        self.ask();
-    }
-}
-
 impl Ticket {
-    /// Releases the tile's held batch the first time a producer wants
-    /// this pending job; `wanted` then stays set until a take empties
-    /// the queue, so the job runs. Holds no slot lock while asking.
-    fn ask(&self) {
-        let Some(tile) = &self.tile else { return };
-        if self.asked.load(Ordering::Relaxed) {
-            return;
-        }
-        if self.state.lock_slot().result.is_none() && !self.asked.swap(true, Ordering::Relaxed) {
-            tile.want();
-        }
-    }
-
     /// Blocks until the job completes and returns its result.
     pub fn wait(&self) -> Result<UBig, ServiceError> {
-        self.ask();
         let mut slot = self.state.lock_slot();
         loop {
             if let Some(result) = slot.result.as_ref() {
@@ -280,11 +251,7 @@ impl Ticket {
     /// Returns the result if the job has completed, `None` while it is
     /// still queued or executing.
     pub fn try_poll(&self) -> Option<Result<UBig, ServiceError>> {
-        let result = self.state.lock_slot().result.clone();
-        if result.is_none() {
-            self.ask();
-        }
-        result
+        self.state.lock_slot().result.clone()
     }
 
     /// `true` once a result (success or failure) is available.
@@ -297,8 +264,7 @@ impl Ticket {
     /// otherwise on the thread that completes it (the executor, or its
     /// panic guard with [`ServiceError::Stopped`]), after that thread
     /// releases the ticket's lock. `f` should be short: it delays the
-    /// rest of the executor's batch. Registering releases a held batch,
-    /// as a wait does.
+    /// rest of the executor's batch.
     pub fn on_done(self, f: impl FnOnce(Result<UBig, ServiceError>) + Send + 'static) {
         let mut slot = self.state.lock_slot();
         // Cloned, not taken: a filled slot is how a later panic-guard
@@ -310,7 +276,6 @@ impl Ticket {
             }
             None => slot.hook = Some(Box::new(f)),
         }
-        // Dropping `self` here asks for the held batch.
     }
 }
 
@@ -329,9 +294,6 @@ struct QueueInner {
     /// refused with [`SubmitError::Paused`] while queued jobs keep
     /// draining. Unlike `closed`, this is reversible.
     paused: bool,
-    /// A producer wants a queued result, or a bulk submission queued a
-    /// batch: a multi-lane tile takes its batch now (see [`next_batch`]).
-    wanted: bool,
 }
 
 /// Fixed-size reservoir sample of `u64` observations with a
@@ -479,24 +441,12 @@ struct Shared {
     /// by the executor before each take while admissions are paused.
     quiesced: Condvar,
     capacity: usize,
-    /// Queued jobs that release a batch unasked: 1 on a one-lane tile,
-    /// `max_batch.min(capacity)` on a multi-lane one.
-    release_at: usize,
     stats: StatsCell,
 }
 
 impl Shared {
     fn lock_inner(&self) -> MutexGuard<'_, QueueInner> {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Releases the held batch for a producer that wants a queued
-    /// result (`wanted` is only ever set on a non-empty queue).
-    fn want(&self) {
-        let mut inner = self.lock_inner();
-        inner.wanted = !inner.jobs.is_empty();
-        drop(inner);
-        self.not_empty.notify_one();
     }
 }
 
@@ -592,8 +542,6 @@ impl SubmitHandle {
         jobs: Vec<MulJob>,
         block: bool,
     ) -> (Vec<Ticket>, Option<(SubmitError, Vec<MulJob>)>) {
-        let bulk = jobs.len() > 1;
-        let tile = (self.shared.release_at > 1).then(|| Arc::clone(&self.shared));
         let mut jobs = VecDeque::from(jobs);
         let mut tickets = Vec::with_capacity(jobs.len());
         let mut inner = self.shared.lock_inner();
@@ -627,18 +575,12 @@ impl SubmitHandle {
                     ticket: Arc::clone(&state),
                     submitted: Instant::now(),
                 });
-                inner.wanted |= bulk;
                 self.shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-                tickets.push(Ticket {
-                    state,
-                    tile: tile.clone(),
-                    asked: AtomicBool::new(false),
-                });
+                tickets.push(Ticket { state });
             }
         };
-        let release = inner.wanted || inner.jobs.len() >= self.shared.release_at;
         drop(inner);
-        if release && !tickets.is_empty() {
+        if !tickets.is_empty() {
             self.shared.not_empty.notify_one();
         }
         if refusal == Some(SubmitError::QueueFull) {
@@ -819,17 +761,11 @@ impl ModSramService {
                 jobs: VecDeque::new(),
                 closed: false,
                 paused: false,
-                wanted: false,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             quiesced: Condvar::new(),
             capacity: config.queue_capacity,
-            release_at: if config.workers > 1 {
-                config.max_batch.min(config.queue_capacity)
-            } else {
-                1
-            },
             stats: StatsCell::new(),
         });
         let (thread_shared, thread_pool) = (Arc::clone(&shared), Arc::clone(&pool));
@@ -1025,10 +961,8 @@ impl ModSramService {
         }
         // Wake blocked submitters so they observe the pause and refuse
         // instead of waiting for capacity that may never be offered to
-        // them again this epoch, and the executor so a drain never
-        // waits on a held batch.
+        // them again this epoch.
         self.shared.not_full.notify_all();
-        self.shared.not_empty.notify_one();
     }
 
     /// Re-opens admissions after [`ModSramService::pause_admissions`].
@@ -1087,12 +1021,10 @@ impl Drop for ModSramService {
     }
 }
 
-/// Blocks until the queue releases a batch, then takes up to
-/// `max_batch` jobs; `None` once the queue is closed and empty. A
-/// batch is released once [`Shared::release_at`] jobs are queued (one
-/// on a one-lane tile), a producer wants a queued result, or the queue
-/// is paused or closed. Only a take that empties the queue clears
-/// `wanted`: a waited-on job may be left behind a full batch.
+/// Blocks until a job is queued, then takes whatever is queued, up to
+/// `max_batch` jobs; `None` once the queue is closed and empty. The
+/// executor waits only on an empty queue, so while it waits every job
+/// it took has been delivered.
 fn next_batch(shared: &Shared, max_batch: usize) -> Option<Vec<Queued>> {
     let mut inner = shared.lock_inner();
     // Every earlier batch is delivered by now: a drain may be waiting
@@ -1100,12 +1032,7 @@ fn next_batch(shared: &Shared, max_batch: usize) -> Option<Vec<Queued>> {
     if inner.paused || inner.closed {
         shared.quiesced.notify_all();
     }
-    loop {
-        let queued = inner.jobs.len();
-        let release = inner.wanted || inner.paused || inner.closed || queued >= shared.release_at;
-        if queued > 0 && release {
-            break;
-        }
+    while inner.jobs.is_empty() {
         if inner.closed {
             return None;
         }
@@ -1116,7 +1043,6 @@ fn next_batch(shared: &Shared, max_batch: usize) -> Option<Vec<Queued>> {
     }
     let take = inner.jobs.len().min(max_batch);
     let batch: Vec<Queued> = inner.jobs.drain(..take).collect();
-    inner.wanted &= !inner.jobs.is_empty();
     drop(inner);
     // Capacity freed: wake every blocked submitter.
     shared.not_full.notify_all();
@@ -1595,8 +1521,6 @@ mod tests {
         let state = TicketState::new();
         let ticket = Ticket {
             state: Arc::clone(&state),
-            tile: None,
-            asked: AtomicBool::new(false),
         };
         let (tx, rx) = mpsc::channel();
         ticket.on_done(move |r| tx.send((r, std::thread::current().id())).unwrap());
@@ -1623,14 +1547,6 @@ mod tests {
         );
         service.shutdown();
 
-        // Pending on a two-lane tile: registering releases the held job.
-        let service = ModSramService::for_engine_name("barrett", tiny_config()).unwrap();
-        let job = jobs_mod(97, 1).remove(0);
-        let ticket = service.submit(job.clone()).unwrap();
-        assert_eq!(service.queue_depth(), 1, "the job is held");
-        assert_eq!(redeem(ticket), &(&job.a * &job.b) % &job.modulus);
-        service.shutdown();
-
         // A panicking batch: the unwind guard calls the hook with
         // `Stopped`, and counts the job failed once.
         use crate::test_util::{failing_pool, FailureMode};
@@ -1648,31 +1564,6 @@ mod tests {
         );
         let stats = service.shutdown();
         assert_eq!((stats.executor_panics, stats.failed), (1, 1));
-    }
-
-    /// Takes a redemption's result from `rx`, failing instead of hanging
-    /// if the tile never releases its batch.
-    fn received(rx: mpsc::Receiver<Result<UBig, ServiceError>>) -> UBig {
-        rx.recv_timeout(SATURATE_STALL_LIMIT)
-            .expect("the held batch was never released")
-            .unwrap()
-    }
-
-    /// Redeems `ticket` through [`Ticket::on_done`].
-    fn redeem(ticket: Ticket) -> UBig {
-        let (tx, rx) = mpsc::channel();
-        ticket.on_done(move |r| drop(tx.send(r)));
-        received(rx)
-    }
-
-    /// Redeems `ticket` through a blocking [`Ticket::wait`] on a helper
-    /// thread, with the same stall limit as [`redeem`].
-    fn redeem_by_wait(ticket: Ticket) -> UBig {
-        let (tx, rx) = mpsc::channel();
-        let waiter = std::thread::spawn(move || tx.send(ticket.wait()));
-        let product = received(rx);
-        waiter.join().unwrap().unwrap();
-        product
     }
 
     /// Spins until `service` has completed `jobs` jobs, failing after
@@ -1693,102 +1584,16 @@ mod tests {
     }
 
     #[test]
-    fn waiting_on_a_streamed_job_releases_the_whole_stream() {
-        // Two lanes, max_batch 8: five single jobs wait in the queue
-        // until the producer asks for a result, then run as one batch.
+    fn a_multi_lane_tile_runs_a_job_nobody_redeems() {
+        // Two lanes, max_batch 8: one streamed job runs as soon as it is
+        // queued, although its ticket is kept but never touched.
         let service = ModSramService::for_engine_name("barrett", tiny_config()).unwrap();
-        let jobs = jobs_mod(97, 5);
-        let tickets: Vec<Ticket> = jobs
-            .iter()
-            .map(|j| service.submit(j.clone()).unwrap())
-            .collect();
-        assert_eq!(service.queue_depth(), jobs.len(), "the stream is held");
-        let mut tickets = tickets.into_iter();
-        let first = tickets.next().expect("five tickets");
-        assert_eq!(
-            redeem_by_wait(first),
-            &(&jobs[0].a * &jobs[0].b) % &jobs[0].modulus
-        );
-        for (job, ticket) in jobs[1..].iter().zip(tickets) {
-            assert_eq!(redeem(ticket), &(&job.a * &job.b) % &job.modulus);
-        }
+        let job = jobs_mod(97, 1).remove(0);
+        let ticket = service.submit(job.clone()).unwrap();
+        wait_for_completed(&service, 1);
         let stats = service.shutdown();
-        assert_eq!(stats.batches, 1);
-        assert_eq!(stats.coalesce_max, jobs.len() as u64);
-    }
-
-    #[test]
-    fn an_ask_outlives_a_take_that_leaves_its_job_behind() {
-        use crate::test_util::{gated_pool, Gate};
-        // While the gate holds the tile busy, 11 jobs queue up and the
-        // producer asks for the last one. The next take runs 8 of them;
-        // the ask must still release the 3 left behind, as the asked
-        // ticket does not ask again.
-        let gate = Gate::new();
-        let service = ModSramService::new(gated_pool(&gate), tiny_config());
-        let jobs = jobs_mod(97, 12);
-        let first = service.submit(jobs[0].clone()).unwrap();
-        assert_eq!(first.try_poll(), None);
-        gate.wait_entered(1);
-        let queued: Vec<Ticket> = jobs[1..]
-            .iter()
-            .map(|j| service.submit(j.clone()).unwrap())
-            .collect();
-        // Ask before opening the gate, assert after, so a failure
-        // cannot leave the executor parked.
-        let mut queued = queued;
-        let last = queued.pop().expect("eleven queued");
-        let asked = last.try_poll();
-        gate.open();
-        assert_eq!(asked, None);
-        assert_eq!(
-            redeem(last),
-            &(&jobs[11].a * &jobs[11].b) % &jobs[11].modulus
-        );
-        for (job, ticket) in jobs.iter().zip(std::iter::once(first).chain(queued)) {
-            assert_eq!(redeem(ticket), &(&job.a * &job.b) % &job.modulus);
-        }
-        let stats = service.shutdown();
-        assert_eq!((stats.batches, stats.coalesce_max), (3, 8));
-    }
-
-    #[test]
-    fn dropping_the_tickets_of_a_held_stream_releases_it() {
-        let service = ModSramService::for_engine_name("barrett", tiny_config()).unwrap();
-        let tickets: Vec<Ticket> = jobs_mod(97, 5)
-            .into_iter()
-            .map(|j| service.submit(j).unwrap())
-            .collect();
-        assert_eq!(service.queue_depth(), 5, "the stream is held");
-        drop(tickets);
-        wait_for_completed(&service, 5);
-        assert_eq!(service.stats().batches, 1);
-        service.shutdown();
-    }
-
-    #[test]
-    fn an_untouched_stream_runs_once_a_full_batch_is_queued() {
-        // A producer that never waits is served by the threshold:
-        // `max_batch` jobs, or the whole queue when it is smaller.
-        for (queue_capacity, full) in [(64, 8), (3, 3)] {
-            let config = ServiceConfig {
-                queue_capacity,
-                ..tiny_config()
-            };
-            let service = ModSramService::for_engine_name("barrett", config).unwrap();
-            let jobs = jobs_mod(97, full);
-            let tickets: Vec<Ticket> = jobs
-                .iter()
-                .map(|j| service.submit(j.clone()).unwrap())
-                .collect();
-            wait_for_completed(&service, full);
-            let stats = service.stats();
-            assert_eq!((stats.batches, stats.coalesce_max), (1, full));
-            for (job, ticket) in jobs.iter().zip(tickets) {
-                assert_eq!(redeem(ticket), &(&job.a * &job.b) % &job.modulus);
-            }
-            service.shutdown();
-        }
+        assert_eq!((stats.batches, stats.coalesce_max), (1, 1));
+        assert_eq!(ticket.wait().unwrap(), &(&job.a * &job.b) % &job.modulus);
     }
 
     #[test]

@@ -687,12 +687,10 @@ fn live_drain_mid_stream_delivers_every_job_exactly_once() {
     assert_eq!(stats.completed, jobs, "each job delivered once");
 }
 
-/// Results leave as they finish, and a hooked ticket releases its
-/// multi-lane tile's held batch. On a 2-tile cluster of 2-lane tiles, a
-/// single-job frame homed on gate-held tile 0 stays unanswered while a
-/// later one homed on tile 1 is answered; once the gate opens the first
-/// is answered too. Neither single job would leave its tile's queue
-/// unless its hook asked for it.
+/// Results leave as they finish. On a 2-tile cluster of 2-lane tiles,
+/// a single-job frame homed on tile 0, whose executor the gate holds,
+/// stays unanswered while a later one homed on tile 1 is answered; once
+/// the gate opens the first is answered too, and each only once.
 #[test]
 fn a_later_job_on_a_free_tile_is_answered_first_and_each_job_once() {
     let gate = Gate::new();
@@ -722,8 +720,8 @@ fn a_later_job_on_a_free_tile_is_answered_first_and_each_job_once() {
         WireConfig::default(),
     )
     .unwrap();
-    // Dropped before the server on a failing test's unwind, so jobs a
-    // tile still holds run and the server's drain can finish.
+    // Dropped before the server on a failing test's unwind, so jobs
+    // still on a tile run and the server's drain can finish.
     let _stop_first = StopOnDrop(&cluster);
     let mut stream = authenticated(&server, "order", 4);
     for (req_id, job) in [(1, &held), (2, &free)] {
