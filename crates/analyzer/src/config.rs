@@ -16,7 +16,6 @@
 //! | 2 | `state`, `conns` | `net/src/server.rs` | outbox, conn writer, connections |
 //! | 2 | `cache` | `core/src/dispatch.rs` | context-pool cache |
 //! | 3 | `wall_ns`, `cycles` | `core/src/service.rs` | stats reservoirs |
-//! | 3 | `first_error`, `parts` | `core/src/dispatch.rs` | worker result stitching |
 //! | 4 | `slot` | `core/src/service.rs` | per-ticket completion slot |
 //!
 //! The `Membership` RwLock outranks every tile-level mutex: a tile
@@ -110,8 +109,6 @@ pub struct Config {
     pub atomic_scope: Vec<&'static str>,
     /// Path prefixes the `no_sleep` rule scans.
     pub sleep_scope: Vec<&'static str>,
-    /// Files under [`Config::sleep_scope`] the `no_sleep` rule skips.
-    pub sleep_exempt: Vec<&'static str>,
     pub data_gating_atomics: Vec<AtomicSpec>,
     pub drift: Option<DriftSpec>,
 }
@@ -213,16 +210,6 @@ impl Config {
                     level: 3,
                 },
                 LockSpec {
-                    file: "core/src/dispatch.rs",
-                    field: "first_error",
-                    level: 3,
-                },
-                LockSpec {
-                    file: "core/src/dispatch.rs",
-                    field: "parts",
-                    level: 3,
-                },
-                LockSpec {
                     file: "core/src/service.rs",
                     field: "slot",
                     level: 4,
@@ -256,8 +243,6 @@ impl Config {
                 "crates/net/tests/",
                 "tests/",
             ],
-            // The slow-tile fault doubles sleep by design.
-            sleep_exempt: vec!["crates/core/src/test_util.rs"],
             data_gating_atomics: vec![
                 AtomicSpec {
                     field: "stopped",
@@ -267,14 +252,6 @@ impl Config {
                 AtomicSpec {
                     field: "draining",
                     why: "orders the drain flag before readers refuse submissions",
-                },
-                AtomicSpec {
-                    field: "abort",
-                    why: "publishes the first error before workers abandon chunks",
-                },
-                AtomicSpec {
-                    field: "claimed",
-                    why: "exactly-once chunk claim; the winner's writes must not race the loser",
                 },
                 AtomicSpec {
                     field: "replicas_active",

@@ -1,9 +1,10 @@
 //! `modsram_analyzer` — the workspace's in-repo concurrency and
 //! invariant analyzer.
 //!
-//! The serving stack is deeply concurrent (scoped work-stealing
-//! workers, an epoch-versioned membership RwLock over per-tile
-//! mutexes, condvar-parked tickets, lock-free atomic fast paths), and
+//! The serving stack is deeply concurrent (scoped dispatch workers on
+//! a shared chunk cursor, an epoch-versioned membership RwLock over
+//! per-tile mutexes, condvar-parked tickets, lock-free atomic fast
+//! paths), and
 //! the failure modes that matter — a panic unwinding a worker, an
 //! inverted lock pair, a too-relaxed atomic — are exactly the ones
 //! `cargo test` is worst at catching. Loom/TSan-style tooling is
@@ -95,9 +96,7 @@ pub fn analyze_files(files: &FileSet, cfg: &Config) -> Vec<Finding> {
         if cfg.atomic_scope.iter().any(|p| path.starts_with(p)) {
             rules::atomics::check(path, &lexed, cfg, &allows, &mut findings);
         }
-        if cfg.sleep_scope.iter().any(|p| path.starts_with(p))
-            && !cfg.sleep_exempt.contains(&path.as_str())
-        {
+        if cfg.sleep_scope.iter().any(|p| path.starts_with(p)) {
             rules::no_sleep::check(path, &lexed, &allows, &mut findings);
         }
         report_unused_allows(path, &allows, &mut findings);

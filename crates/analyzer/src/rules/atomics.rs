@@ -49,7 +49,7 @@ fn call_context(tokens: &[Token], relaxed_idx: usize) -> Option<(String, String)
             && tokens.get(i + 1).is_some_and(|x| x.is_punct('('))
         {
             // Receiver: the token before the `.`, skipping one
-            // balanced `[…]` index group (`claimed[id].swap(…)`).
+            // balanced `[…]` index group (`flags[id].swap(…)`).
             let mut r = i - 1;
             if r > 0 && tokens[r - 1].is_punct(']') {
                 let mut depth = 0usize;
@@ -156,15 +156,15 @@ mod tests {
 
     #[test]
     fn indexed_receiver_is_resolved() {
-        let bad = "fn f(&self) { self.claimed[id].swap(true, Ordering::Relaxed); }";
+        let bad = "fn f(&self) { self.draining[id].swap(true, Ordering::Relaxed); }";
         let found = run(bad);
         assert_eq!(found.len(), 1);
-        assert!(found[0].message.contains("claimed"));
+        assert!(found[0].message.contains("draining"));
     }
 
     #[test]
     fn failure_ordering_of_cas_is_checked_too() {
-        let bad = "fn f(&self) { let _ = self.abort.compare_exchange(false, true, \
+        let bad = "fn f(&self) { let _ = self.stopped.compare_exchange(false, true, \
                    Ordering::AcqRel, Ordering::Relaxed); }";
         assert_eq!(run(bad).len(), 1);
     }

@@ -11,8 +11,10 @@
 
 use std::path::Path;
 
-use modsram_analyzer::config::{Config, DriftSpec};
+use modsram_analyzer::config::{AtomicSpec, Config, DriftSpec};
 use modsram_analyzer::findings::Finding;
+use modsram_analyzer::lexer::{lex, Token, TokenKind};
+use modsram_analyzer::rules::drift::FileSet;
 use modsram_analyzer::{analyze, analyze_files};
 
 /// The real workspace config minus the drift spec: the in-memory
@@ -162,6 +164,7 @@ fn no_sleep_catches_seeded_sleep_in_test_code() {
         "crates/core/tests/cluster.rs",
         "crates/net/tests/loopback.rs",
         "tests/service_streaming.rs",
+        "crates/core/src/test_util.rs",
     ] {
         assert!(
             denied_rules(&[(path, sleep)], &rules_config()).contains(&"no_sleep"),
@@ -176,12 +179,10 @@ fn no_sleep_catches_seeded_sleep_in_test_code() {
 }
 
 #[test]
-fn no_sleep_ignores_tests_test_util_and_other_crates() {
-    // Out of scope: the slow-tile doubles in `test_util.rs`, and other
-    // crates' code and tests.
+fn no_sleep_ignores_other_crates() {
+    // Out of scope: other crates' code and tests.
     let sleep = "fn f() { std::thread::sleep(Duration::from_millis(2)); }";
     let files = [
-        ("crates/core/src/test_util.rs", sleep),
         ("crates/bench/src/lib.rs", sleep),
         ("crates/modmul/tests/batch_timing.rs", sleep),
     ];
@@ -191,13 +192,18 @@ fn no_sleep_ignores_tests_test_util_and_other_crates() {
 #[test]
 fn no_sleep_catches_seeded_yield_outside_test_code() {
     let spin = "fn f() { while !done() { std::thread::yield_now(); } }";
-    let seeded = [("crates/core/src/service.rs", spin)];
-    assert!(denied_rules(&seeded, &rules_config()).contains(&"no_sleep"));
-    // Counter waits in test code stay legal, as does `test_util.rs`.
+    // The test doubles in `test_util.rs` are library code, not test
+    // code: they block on a `Gate` instead.
+    for path in ["crates/core/src/service.rs", "crates/core/src/test_util.rs"] {
+        assert!(
+            denied_rules(&[(path, spin)], &rules_config()).contains(&"no_sleep"),
+            "{path}"
+        );
+    }
+    // Counter waits in test code stay legal.
     let legal = [
         ("crates/net/tests/loopback.rs", spin),
         ("tests/service_streaming.rs", spin),
-        ("crates/core/src/test_util.rs", spin),
         (
             "crates/core/src/cluster/mod.rs",
             "#[cfg(test)]\nmod tests { fn t() { std::thread::yield_now(); } }",
@@ -360,6 +366,47 @@ fn declared_locks_and_hot_paths_name_live_code() {
             spec.path
         );
     }
+}
+
+/// The `data_gating_atomics` entries that name no atomic declared under
+/// `atomic_scope`: a struct field or typed binding `field: …Atomic…`,
+/// or a binding `let field = Atomic…`.
+fn undeclared_atomics(files: &FileSet, cfg: &Config) -> Vec<&'static str> {
+    let scoped: Vec<Vec<Token>> = files
+        .iter()
+        .filter(|(path, _)| cfg.atomic_scope.iter().any(|p| path.starts_with(p)))
+        .map(|(_, src)| lex(src).tokens)
+        .collect();
+    let declares = |tokens: &[Token], field: &str| {
+        (0..tokens.len().saturating_sub(2)).any(|i| {
+            let binds = |c| tokens[i + 1].is_punct(c) && !tokens[i + 2].is_punct(c);
+            tokens[i].is_ident(field)
+                && (binds(':') || binds('='))
+                && tokens[i + 2..]
+                    .iter()
+                    .take_while(|t| ![',', ';', '{', '('].iter().any(|&c| t.is_punct(c)))
+                    .any(|t| t.kind == TokenKind::Ident && t.text.starts_with("Atomic"))
+        })
+    };
+    cfg.data_gating_atomics
+        .iter()
+        .map(|spec| spec.field)
+        .filter(|field| !scoped.iter().any(|tokens| declares(tokens, field)))
+        .collect()
+}
+
+#[test]
+fn declared_atomics_name_live_fields() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = modsram_analyzer::walk::collect(&root);
+    let mut cfg = Config::workspace();
+    assert_eq!(undeclared_atomics(&files, &cfg), Vec::<&str>::new());
+    // A stale entry for an atomic that no longer exists is caught.
+    cfg.data_gating_atomics.push(AtomicSpec {
+        field: "claimed",
+        why: "exactly-once chunk claim",
+    });
+    assert_eq!(undeclared_atomics(&files, &cfg), vec!["claimed"]);
 }
 
 /// The contract behind the tier-1 CI step: `analyze --deny` over the

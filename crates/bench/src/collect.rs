@@ -1467,7 +1467,6 @@ fn hot_modulus_run(rounds: usize, burst: u64, replicate_after: u64) -> (u64, f64
             // the replica mid-run.
             probation_after: rounds as u64 + 1,
             replicate_after,
-            replica_tiles: 2,
         },
     );
     let p = (0..64u64)
@@ -1914,7 +1913,7 @@ mod tests {
             engine: "barrett".to_string(),
             bits: 64,
             planner_moduli: 400,
-            per_tile: 4,
+            per_tile: 16,
             jobs_per_tenant: 8,
             submitters: 2,
             hot_rounds: 3,
@@ -1927,15 +1926,18 @@ mod tests {
             "uniform weights are the legacy planner"
         );
         // One producer per home tile: the same batches, so the same
-        // makespans, in every run.
+        // makespans, in every run. Sixteen tenants per tile are enough
+        // for the weighted router's makespan win to show (a gain of
+        // 1.14, as in the full-size run).
         let makespan = &sweep.makespan;
         assert_eq!(
             (
                 makespan.weighted_makespan_cycles,
                 makespan.unweighted_makespan_cycles
             ),
-            (3108, 3108)
+            (10787, 12328)
         );
+        assert!(makespan.weighted_makespan_cycles < makespan.unweighted_makespan_cycles);
         assert!(sweep.hot.promoted, "the hot modulus was promoted");
         // Each gated tile admits one job at the gate plus a 4-job queue
         // per round: the home tile alone for 3 rounds without

@@ -101,7 +101,7 @@
 //! modulus, and each [`ServiceCluster::probe_tiles`] pass closes a
 //! window over those events. A modulus whose window delta reaches
 //! [`ClusterConfig::replicate_after`] is **promoted** to a replica
-//! set: its top-[`ClusterConfig::replica_tiles`] weighted rendezvous
+//! set: its top-[`REPLICA_TILES`] weighted rendezvous
 //! tiles. From then on the router sends its jobs to the replica with
 //! the most queue headroom (bypassing the spill policy — every
 //! replica holds the modulus's prepared context, so coalescing and
@@ -220,7 +220,6 @@ use modsram_modmul::{ModMulError, PreparedModMul};
 use crate::autotune::{AutoTuner, AutotuneStats, TunePolicy};
 use crate::dispatch::{ContextPool, MulJob};
 use crate::error::CoreError;
-use crate::modsram::ModSramConfig;
 use crate::service::{
     backend_error, ticket_result, ModSramService, ServiceConfig, ServiceStats, Ticket, TileHealth,
 };
@@ -259,9 +258,8 @@ pub struct ClusterConfig {
     /// Backpressure policy (see [`SpillPolicy`]).
     pub spill: SpillPolicy,
     /// Per-tile service configuration (every tile the cluster builds
-    /// itself is configured identically; heterogeneous tiles can be
-    /// built via [`ServiceCluster::from_services`] or added live via
-    /// [`ServiceCluster::add_tile`]).
+    /// itself is configured identically; heterogeneous tiles join live
+    /// via [`ServiceCluster::add_tile_weighted`]).
     pub service: ServiceConfig,
     /// Caught executor panics after which a tile is considered
     /// poisoned and routed around (`0` disables poison detection).
@@ -276,16 +274,16 @@ pub struct ClusterConfig {
     /// Saturation events (submissions that found every allowed tile
     /// full) one modulus must accumulate between two
     /// [`ServiceCluster::probe_tiles`] passes before it is promoted to
-    /// a replica set of its top-k weighted rendezvous tiles. `0`
-    /// disables hot-modulus replication entirely.
+    /// a replica set of its top-[`REPLICA_TILES`] weighted rendezvous
+    /// tiles. `0` disables hot-modulus replication entirely.
     pub replicate_after: u64,
-    /// Replica-set size for a promoted hot modulus (the `k` in top-k;
-    /// values below 2 are treated as 2 — a 1-replica set is just the
-    /// home tile again). Each replica tile pays one context
-    /// preparation (a Table 1b LUT refill for the ModSRAM backend) for
-    /// the replicated modulus.
-    pub replica_tiles: usize,
 }
+
+/// Replica-set size for a promoted hot modulus: its home plus the next
+/// tile in weighted rendezvous order. Each replica tile pays one
+/// context preparation (a Table 1b LUT refill for the ModSRAM backend)
+/// for the replicated modulus.
+pub const REPLICA_TILES: usize = 2;
 
 impl Default for ClusterConfig {
     fn default() -> Self {
@@ -295,7 +293,6 @@ impl Default for ClusterConfig {
             poison_after: 3,
             probation_after: 3,
             replicate_after: 64,
-            replica_tiles: 2,
         }
     }
 }
@@ -666,7 +663,7 @@ impl ClusterShared {
                 .write()
                 .unwrap_or_else(PoisonError::into_inner);
             for (key, entry) in replicas.iter_mut() {
-                entry.tiles = m.fleet.replica_set(*key, self.config.replica_tiles);
+                entry.tiles = m.fleet.replica_set(*key);
             }
         }
         moved
@@ -729,7 +726,7 @@ impl ClusterShared {
                     entry.calm = 0;
                 }
             } else if delta >= self.config.replicate_after {
-                let tiles = m.fleet.replica_set(*key, self.config.replica_tiles);
+                let tiles = m.fleet.replica_set(*key);
                 // A replica set needs at least two live tiles to be
                 // more than the home it already has.
                 if tiles.len() >= 2 {
@@ -1163,25 +1160,13 @@ impl ServiceCluster {
     /// Panics if `pools` is empty (a cluster needs at least one tile),
     /// or on the per-tile panics of [`ModSramService::new`].
     pub fn new(pools: Vec<ContextPool>, config: ClusterConfig) -> Self {
-        let services = pools
+        assert!(!pools.is_empty(), "a cluster needs at least one tile");
+        let tiles: Vec<Arc<TileCell>> = pools
             .into_iter()
-            .map(|pool| ModSramService::new(pool, config.service.clone()))
-            .collect();
-        Self::from_services(services, &config)
-    }
-
-    /// Builds a cluster from already-running (possibly heterogeneous)
-    /// tiles. `config.service` is ignored here — it only shapes tiles
-    /// the cluster builds itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `services` is empty.
-    pub fn from_services(services: Vec<ModSramService>, config: &ClusterConfig) -> Self {
-        assert!(!services.is_empty(), "a cluster needs at least one tile");
-        let tiles: Vec<Arc<TileCell>> = services
-            .into_iter()
-            .map(|service| Arc::new(TileCell::new(Arc::new(service))))
+            .map(|pool| {
+                let service = ModSramService::new(pool, config.service.clone());
+                Arc::new(TileCell::new(Arc::new(service)))
+            })
             .collect();
         let fleet = Fleet {
             states: vec![TileState::Active; tiles.len()],
@@ -1194,7 +1179,7 @@ impl ServiceCluster {
                     tiles,
                     fleet,
                 })),
-                config: config.clone(),
+                config,
                 stopped: AtomicBool::new(false),
                 affinity_hits: AtomicU64::new(0),
                 spilled: AtomicU64::new(0),
@@ -1230,15 +1215,6 @@ impl ServiceCluster {
             })
             .collect();
         Ok(Self::new(pools?, config))
-    }
-
-    /// Cluster of `tiles` identical tiles, each over its own pool of
-    /// cycle-accurate ModSRAM devices.
-    pub fn for_modsram(device: ModSramConfig, tiles: usize, config: ClusterConfig) -> Self {
-        let pools = (0..tiles.max(1))
-            .map(|_| ContextPool::for_modsram(device.clone()))
-            .collect();
-        Self::new(pools, config)
     }
 
     /// A self-tuning cluster: every tile runs an autotuning pool, and
@@ -1713,8 +1689,7 @@ impl PreparedModMul for ClusterPrepared {
 mod tests {
     use super::route::{rendezvous_score, RendezvousScore};
     use super::*;
-    use crate::test_util::{gated_pool, saturate_gated_home, slow_pool, FailureMode, Gate};
-    use std::time::Duration;
+    use crate::test_util::{gated_pool, saturate_gated_home, FailureMode, Gate};
 
     fn small_config() -> ClusterConfig {
         ClusterConfig {
@@ -2089,7 +2064,7 @@ mod tests {
             .map(|i| UBig::from(1_000_003u64 + 2 * i))
             .find(|p| cluster.home_tile(p) == Some(0))
             .expect("some modulus homes on tile 0");
-        let warm = saturate_gated_home(&cluster, &p, &tile);
+        let warm = saturate_gated_home(&cluster, &gate, &p, &tile);
         let job = MulJob::new(UBig::from(11u64), UBig::from(13u64), p.clone());
         let want = &(&job.a * &job.b) % &p;
         let waiter = std::thread::spawn({
@@ -2417,10 +2392,11 @@ mod tests {
             poison_after: 0,
             probation_after: 2,
             replicate_after: 3,
-            replica_tiles: 2,
         };
-        let delay = Duration::from_millis(2);
-        let cluster = ServiceCluster::new(vec![slow_pool(delay), slow_pool(delay)], config);
+        // Every multiplication parks at one shut gate, so a tile admits
+        // exactly one job at the gate plus a full queue.
+        let gate = Gate::new();
+        let cluster = ServiceCluster::new(vec![gated_pool(&gate), gated_pool(&gate)], config);
         let p = (0..64u64)
             .map(|i| UBig::from(1_000_003u64 + 2 * i))
             .find(|p| cluster.home_tile(p) == Some(0))
@@ -2432,11 +2408,16 @@ mod tests {
         let mut refused = 0u64;
         for i in 0..32u64 {
             match cluster.try_submit(job(i)) {
-                Ok(t) => tickets.push(t),
+                Ok(t) => {
+                    tickets.push(t);
+                    gate.wait_entered(1);
+                }
                 Err(_) => refused += 1,
             }
         }
-        assert!(refused >= 3, "the Strict home must have refused a burst");
+        assert_eq!(tickets.len(), 3, "1 job at the gate plus 2 queued");
+        assert_eq!(refused, 29, "the Strict home refused the rest");
+        gate.open();
         for t in tickets.drain(..) {
             t.wait().unwrap();
         }
@@ -2444,37 +2425,52 @@ mod tests {
         let report = cluster.probe_tiles();
         assert_eq!(report.promoted, vec![p.clone()], "hot modulus promoted");
         assert_eq!(cluster.stats().replicated_moduli, 1);
-        // A modest burst (within the two replicas' combined buffering,
-        // so it saturates nothing and the calm window below is clean)
-        // now lands across both replicas, most headroom first.
+        // A burst of exactly the two replicas' combined buffering lands
+        // across both, most headroom first (tile 0 on a tie): it
+        // saturates nothing, so the calm window below is clean. Each
+        // replica's executor holds its first job at the gate before the
+        // next job is routed.
+        gate.close();
+        let entered = gate.entered();
+        let before: Vec<u64> = cluster
+            .stats()
+            .tiles
+            .iter()
+            .map(|t| t.service.submitted)
+            .collect();
         for i in 100..106u64 {
             tickets.push(cluster.submit(job(i)).unwrap());
-        }
-        for t in tickets.drain(..) {
-            t.wait().unwrap();
+            let holding = cluster
+                .stats()
+                .tiles
+                .iter()
+                .zip(&before)
+                .filter(|(t, &b)| t.service.submitted > b)
+                .count();
+            gate.wait_entered(entered + holding as u64);
         }
         let stats = cluster.stats();
-        assert!(
-            stats.replica_routed >= 1,
-            "some jobs must land on the non-home replica (stats: {} replica_routed)",
-            stats.replica_routed
+        assert_eq!(
+            stats.replica_routed, 3,
+            "half the burst lands on the non-home replica"
         );
-        assert!(
-            stats.tiles[1].routed >= 1,
+        assert_eq!(
+            stats.tiles[1].routed, 3,
             "the replica tile serves the hot modulus as affinity traffic"
         );
         assert_eq!(stats.spilled, 0, "replica landings are not spills");
-        // Demotion takes `probation_after = 2` *consecutive* calm
-        // probes, so the very next probe can never demote: the calm
-        // counter is at most 1 (it is 0 if the burst itself recorded a
-        // saturation event before the replicas absorbed it).
-        assert!(cluster.probe_tiles().demoted.is_empty());
-        // Within two further idle probes the calm window closes.
-        let mut demoted = cluster.probe_tiles().demoted;
-        if demoted.is_empty() {
-            demoted = cluster.probe_tiles().demoted;
+        gate.open();
+        for t in tickets.drain(..) {
+            t.wait().unwrap();
         }
-        assert_eq!(demoted, vec![p.clone()], "calm modulus demoted");
+        // Demotion takes `probation_after = 2` *consecutive* calm
+        // probes: the first one after the promotion only counts.
+        assert!(cluster.probe_tiles().demoted.is_empty());
+        assert_eq!(
+            cluster.probe_tiles().demoted,
+            vec![p.clone()],
+            "calm modulus demoted"
+        );
         assert_eq!(cluster.stats().replicated_moduli, 0);
         cluster.shutdown();
     }

@@ -182,12 +182,11 @@ impl Fleet {
         self.ranked(key).first().copied()
     }
 
-    /// The replica set a promoted hot modulus gets: its top-`k`
-    /// routable tiles (`k` below 2 counts as 2 — one replica is just
-    /// the home again).
-    pub(super) fn replica_set(&self, key: u64, k: usize) -> Vec<usize> {
+    /// The replica set a promoted hot modulus gets: its top
+    /// [`REPLICA_TILES`](super::REPLICA_TILES) routable tiles.
+    pub(super) fn replica_set(&self, key: u64) -> Vec<usize> {
         let mut tiles = self.ranked(key);
-        tiles.truncate(k.max(2));
+        tiles.truncate(super::REPLICA_TILES);
         tiles
     }
 }

@@ -11,32 +11,25 @@
 //!   same-length run sharing one — the reason plain round-robin
 //!   assignment is no longer within one job of optimal).
 //! * [`Dispatcher`] — real `std::thread::scope` workers over the
-//!   chunked queue (worker 0 is the calling thread, so a one-worker
-//!   dispatch spawns nothing). Chunks are seeded onto per-worker deques by
-//!   **least-loaded** greedy assignment over the cost estimates; an idle
-//!   worker then steals from the *back* of the most recently seeded
-//!   victim ranges (owners drain front-to-back, preserving
-//!   multiplicand-run locality). Results are stitched back in input
-//!   order and per-worker tallies (items, busy nanoseconds, steals) are
-//!   aggregated into [`DispatchStats`].
+//!   chunked batch (worker 0 is the calling thread, so a one-worker
+//!   dispatch spawns nothing). Every worker claims the next chunk from
+//!   one shared cursor; results are stitched back in input order and
+//!   per-worker busy time is returned in [`DispatchStats`].
 //! * [`ContextPool`] — a thread-safe cache of prepared contexts keyed
 //!   by modulus, so mixed-modulus batches (ECDSA verify over `n` and
 //!   `p`, Pedersen over two curves) reuse Montgomery/Barrett/LUT
 //!   preparation instead of re-deriving it per request.
 //!
-//! Chunk claiming is lock-free and race-proof: seeded ranges are only
-//! advisory orderings, and every chunk carries an atomic claim flag
-//! that exactly one worker can win, whether it arrives as the owner or
-//! as a thief.
-//!
 //! The dispatcher is the **staged** fan-out: a caller that holds a
 //! whole batch spreads it over host threads in one call (the
 //! [`crate::service::Staged`] backend, `run_items` in the ECDSA and MSM
-//! consumers). The streaming tile ([`crate::service::ModSramService`])
-//! and the banked tile ([`crate::BankedModSram`]) model their lanes and
-//! banks instead: they reuse the chunk planner and least-loaded seeding
-//! here to assign chunks to modelled lanes and banks, but execute on
-//! one thread.
+//! consumers). Where a chunk runs changes no LUT reuse, which happens
+//! inside one `mod_mul_batch` call, so the dispatcher places nothing.
+//! Chunk costs and [`seed_assignments`] feed only the modelled lanes
+//! and banks: the streaming tile ([`crate::service::ModSramService`]),
+//! the banked tile ([`crate::BankedModSram`]) and
+//! [`crate::cycles::modelled_batch_cycles`] assign chunks to lanes and
+//! banks with them, but execute on one thread.
 //!
 //! # Examples
 //!
@@ -59,7 +52,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -178,34 +171,9 @@ pub fn seed_assignments(chunks: &[Chunk], workers: usize) -> Vec<Vec<usize>> {
 pub struct DispatchStats {
     /// Items executed.
     pub items: u64,
-    /// Chunks the batch was cut into.
-    pub chunks: u64,
-    /// Chunks executed by a worker other than the one they were seeded
-    /// on.
-    pub steals: u64,
-    /// Items executed per worker.
-    pub per_worker_items: Vec<u64>,
-    /// Nanoseconds each worker spent executing chunks (excludes queue
-    /// scanning and thread start-up).
+    /// Nanoseconds each worker spent executing chunks (excludes
+    /// claiming and thread start-up), in worker order.
     pub per_worker_busy_ns: Vec<u64>,
-    /// Wall-clock nanoseconds for the whole dispatch.
-    pub elapsed_ns: u64,
-}
-
-impl DispatchStats {
-    /// Modelled parallel speedup: total busy time over the critical
-    /// path (the busiest worker). This is the speedup a tile with one
-    /// physical lane per worker achieves, independent of how many host
-    /// cores the simulation itself was timesliced onto.
-    pub fn busy_speedup(&self) -> f64 {
-        let total: u64 = self.per_worker_busy_ns.iter().sum();
-        let max = self.per_worker_busy_ns.iter().copied().max().unwrap_or(0);
-        if max == 0 {
-            1.0
-        } else {
-            total as f64 / max as f64
-        }
-    }
 }
 
 /// One multiplication request in a mixed-modulus batch.
@@ -473,32 +441,28 @@ impl ContextPool {
     }
 }
 
-/// A work-stealing batch scheduler over `std::thread::scope` workers.
+/// A batch scheduler over `std::thread::scope` workers that claim
+/// chunks from one shared cursor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Dispatcher {
     workers: usize,
-    chunk_size: Option<usize>,
 }
 
+/// What one worker hands back: its finished `(chunk index, results)`
+/// parts, or the chunk index and error that stopped it, plus the
+/// nanoseconds it spent executing chunks.
+type WorkerOutcome<R, E> = (Result<Vec<(usize, Vec<R>)>, (usize, E)>, u64);
+
 impl Dispatcher {
-    /// A dispatcher with `workers` threads, automatic chunk sizing, and
-    /// work stealing enabled.
+    /// A dispatcher with `workers` threads and automatic chunk sizing
+    /// ([`auto_chunk_size`]).
     ///
     /// # Panics
     ///
     /// Panics if `workers == 0`.
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "need at least one worker");
-        Dispatcher {
-            workers,
-            chunk_size: None,
-        }
-    }
-
-    /// Overrides the automatic chunk size.
-    pub fn chunk_size(mut self, items: usize) -> Self {
-        self.chunk_size = Some(items.max(1));
-        self
+        Dispatcher { workers }
     }
 
     /// Worker count.
@@ -506,31 +470,26 @@ impl Dispatcher {
         self.workers
     }
 
-    /// The chunk size used for a batch of `items`.
-    pub fn chunk_size_for(&self, items: usize) -> usize {
-        self.chunk_size
-            .unwrap_or_else(|| auto_chunk_size(items, self.workers))
-    }
-
-    /// The generic work-stealing core: executes pre-planned `chunks`,
-    /// giving each worker its own state from `init` (built on the
-    /// worker thread, so it need not be `Send`), and stitches the
-    /// per-chunk result vectors back together in input order. Worker 0
-    /// runs on the calling thread and only the other `workers − 1`
-    /// are spawned, so a one-worker dispatch spawns no thread.
+    /// Executes pre-planned `chunks`, giving each worker its own state
+    /// from `init` (built on the worker thread, so it need not be
+    /// `Send`), and stitches the per-chunk result vectors back together
+    /// in input order. Worker 0 runs on the calling thread and only the
+    /// other `workers − 1` are spawned, so a one-worker dispatch spawns
+    /// no thread. Each worker claims the next chunk index from one
+    /// shared cursor until the index passes the end.
     ///
     /// `work` must return exactly `chunk.len()` results on success.
     ///
     /// # Errors
     ///
-    /// Returns the first chunk error encountered; remaining chunks are
-    /// abandoned as soon as workers observe the abort flag.
+    /// Returns the error of the lowest-indexed failed chunk; a failure
+    /// moves the cursor past the end, so no later chunk starts.
     ///
     /// # Panics
     ///
     /// Panics if a `work` call returns a result vector whose length
     /// differs from its chunk, or if a worker thread panics.
-    pub fn run_chunks<S, R, E>(
+    fn run_chunks<S, R, E>(
         &self,
         chunks: Vec<Chunk>,
         init: impl Fn(usize) -> S + Sync,
@@ -540,39 +499,22 @@ impl Dispatcher {
         R: Send,
         E: Send,
     {
-        let total_items: usize = chunks.iter().map(Chunk::len).sum();
-        let workers = self.workers.min(chunks.len()).max(1);
-        let mut stats = DispatchStats {
-            items: 0,
-            chunks: chunks.len() as u64,
-            steals: 0,
-            per_worker_items: vec![0; workers],
-            per_worker_busy_ns: vec![0; workers],
-            elapsed_ns: 0,
-        };
         if chunks.is_empty() {
-            return Ok((Vec::new(), stats));
+            return Ok((Vec::new(), DispatchStats::default()));
         }
-
-        let assignments = seed_assignments(&chunks, workers);
-        let claimed: Vec<AtomicBool> = (0..chunks.len()).map(|_| AtomicBool::new(false)).collect();
-        let abort = AtomicBool::new(false);
-        let first_error: Mutex<Option<E>> = Mutex::new(None);
-        let parts: Mutex<Vec<(usize, Vec<R>)>> = Mutex::new(Vec::with_capacity(chunks.len()));
-        let steals = AtomicU64::new(0);
-        let worker_items: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let worker_busy: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let started = Instant::now();
-
-        let run_worker = |w: usize| {
+        let workers = self.workers.min(chunks.len());
+        // A claim needs only the atomicity of `fetch_add`: results come
+        // back through each worker's slot, not through the cursor.
+        let cursor = AtomicUsize::new(0);
+        let run_worker = |w: usize| -> WorkerOutcome<R, E> {
             let mut state = init(w);
-            let mut local: Vec<(usize, Vec<R>)> = Vec::new();
-            let mut items = 0u64;
+            let mut parts = Vec::new();
             let mut busy = 0u64;
-            let mut execute = |id: usize, state: &mut S| {
-                let chunk = &chunks[id];
+            loop {
+                let id = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(chunk) = chunks.get(id) else { break };
                 let t0 = Instant::now();
-                let outcome = work(state, chunk);
+                let outcome = work(&mut state, chunk);
                 busy += t0.elapsed().as_nanos() as u64;
                 match outcome {
                     Ok(results) => {
@@ -581,99 +523,59 @@ impl Dispatcher {
                             chunk.len(),
                             "work returned a wrong-sized chunk result"
                         );
-                        items += results.len() as u64;
-                        local.push((id, results));
+                        parts.push((id, results));
                     }
                     Err(e) => {
-                        // A poisoned error slot means another worker
-                        // panicked; recover the slot — the abort flag
-                        // still wins the race.
-                        let mut slot = first_error.lock().unwrap_or_else(PoisonError::into_inner);
-                        slot.get_or_insert(e);
-                        abort.store(true, Ordering::Release);
+                        cursor.store(chunks.len(), Ordering::Relaxed);
+                        return (Err((id, e)), busy);
                     }
                 }
-            };
-            // Own queue, front to back: preserves the seeded
-            // multiplicand-run locality.
-            for &id in &assignments[w] {
-                if abort.load(Ordering::Acquire) {
-                    break;
-                }
-                if !claimed[id].swap(true, Ordering::AcqRel) {
-                    execute(id, &mut state);
-                }
             }
-            // Steal from victims, back to front, until a full sweep
-            // finds nothing unclaimed.
-            loop {
-                if abort.load(Ordering::Acquire) {
-                    break;
-                }
-                let mut found = false;
-                for offset in 1..workers {
-                    let victim = (w + offset) % workers;
-                    for &id in assignments[victim].iter().rev() {
-                        if abort.load(Ordering::Acquire) {
-                            break;
-                        }
-                        if !claimed[id].swap(true, Ordering::AcqRel) {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                            found = true;
-                            execute(id, &mut state);
-                        }
-                    }
-                }
-                if !found {
-                    break;
-                }
-            }
-            parts
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .append(&mut local);
-            worker_items[w].store(items, Ordering::Relaxed);
-            worker_busy[w].store(busy, Ordering::Relaxed);
+            (Ok(parts), busy)
         };
+        // Each worker writes its own slot; the scope's end publishes the
+        // slots, and re-raises a worker's panic. An explicit `join`
+        // would also wait for each OS thread to exit.
+        let mut outcomes: Vec<Option<WorkerOutcome<R, E>>> = Vec::new();
+        outcomes.resize_with(workers, || None);
         std::thread::scope(|scope| {
-            for w in 1..workers {
-                let run_worker = &run_worker;
-                scope.spawn(move || run_worker(w));
+            if let Some((first, rest)) = outcomes.split_first_mut() {
+                for (w, slot) in (1..).zip(rest) {
+                    let run_worker = &run_worker;
+                    scope.spawn(move || *slot = Some(run_worker(w)));
+                }
+                *first = Some(run_worker(0));
             }
-            run_worker(0);
         });
 
-        stats.elapsed_ns = started.elapsed().as_nanos() as u64;
-        if let Some(e) = first_error
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
+        let mut stats = DispatchStats::default();
+        let mut parts = Vec::with_capacity(chunks.len());
+        let mut errors = Vec::new();
+        for (outcome, busy) in outcomes.into_iter().flatten() {
+            stats.per_worker_busy_ns.push(busy);
+            match outcome {
+                Ok(mut done) => parts.append(&mut done),
+                Err(failed) => errors.push(failed),
+            }
+        }
+        if let Some((_, e)) = errors.into_iter().min_by_key(|(id, _)| *id) {
             return Err(e);
         }
-        stats.steals = steals.into_inner();
-        for (w, (i, b)) in worker_items.iter().zip(&worker_busy).enumerate() {
-            stats.per_worker_items[w] = i.load(Ordering::Relaxed);
-            stats.per_worker_busy_ns[w] = b.load(Ordering::Relaxed);
-        }
-        stats.items = stats.per_worker_items.iter().sum();
-
-        let mut parts = parts.into_inner().unwrap_or_else(PoisonError::into_inner);
-        parts.sort_unstable_by_key(|(id, _)| chunks[*id].range.start);
-        let mut results = Vec::with_capacity(total_items);
+        parts.sort_unstable_by_key(|(id, _)| *id);
+        let mut results = Vec::with_capacity(chunks.iter().map(Chunk::len).sum());
         for (_, mut part) in parts {
             results.append(&mut part);
         }
-        debug_assert_eq!(results.len(), total_items);
+        stats.items = results.len() as u64;
         Ok((results, stats))
     }
 
-    /// Work-stealing parallel map over `items` independent tasks, with
-    /// per-worker state. Convenience wrapper over [`Dispatcher::run_chunks`]
-    /// with uniform chunking.
+    /// Parallel map over `items` independent tasks, with per-worker
+    /// state, cut into uniform chunks of [`auto_chunk_size`] items.
     ///
     /// # Errors
     ///
-    /// Returns the first task error encountered.
+    /// Returns the error of the lowest-indexed chunk that failed.
     pub fn run_items<S, R, E>(
         &self,
         items: usize,
@@ -684,7 +586,7 @@ impl Dispatcher {
         R: Send,
         E: Send,
     {
-        let target = self.chunk_size_for(items);
+        let target = auto_chunk_size(items, self.workers);
         let mut chunks = Vec::new();
         let mut start = 0usize;
         while start < items {
@@ -717,7 +619,7 @@ impl Dispatcher {
         pool: &ContextPool,
         jobs: &[MulJob],
     ) -> Result<(Vec<UBig>, DispatchStats), CoreError> {
-        let chunks = plan_job_chunks(jobs, self.chunk_size_for(jobs.len()));
+        let chunks = plan_job_chunks(jobs, auto_chunk_size(jobs.len(), self.workers));
         self.run_chunks(
             chunks,
             |_| (),
@@ -808,13 +710,17 @@ mod tests {
             .map(|i| MulJob::new(UBig::from(i * 7 + 1), UBig::from(i * 13 + 2), p.clone()))
             .collect();
         for workers in [1usize, 2, 8] {
-            let d = Dispatcher::new(workers).chunk_size(3);
+            let d = Dispatcher::new(workers);
             let (results, stats) = d.dispatch_jobs(&pool, &jobs).unwrap();
             for (job, c) in jobs.iter().zip(&results) {
                 assert_eq!(c, &(&(&job.a * &job.b) % &p), "workers={workers}");
             }
             assert_eq!(stats.items, 37);
-            assert_eq!(stats.per_worker_items.iter().sum::<u64>(), 37);
+            assert_eq!(
+                stats.per_worker_busy_ns.len(),
+                workers,
+                "one tally per worker"
+            );
         }
     }
 
@@ -870,17 +776,45 @@ mod tests {
         let pool = ContextPool::for_engine_ctor(|| Box::new(DirectEngine::new()));
         let (results, stats) = Dispatcher::new(4).dispatch_jobs(&pool, &[]).unwrap();
         assert!(results.is_empty());
-        assert_eq!(stats.items, 0);
-        assert_eq!(stats.busy_speedup(), 1.0);
+        assert_eq!(stats, DispatchStats::default());
     }
 
     #[test]
     fn errors_surface_and_abort() {
-        let d = Dispatcher::new(2).chunk_size(1);
+        let d = Dispatcher::new(2);
         let err = d
             .run_items(8, |_| (), |(), i| if i == 5 { Err("boom") } else { Ok(i) })
             .unwrap_err();
         assert_eq!(err, "boom");
+        // Chunks are claimed in index order, so the failure at 1 always
+        // runs and outranks one at 6, whether or not 6 started.
+        let err = d
+            .run_items(
+                8,
+                |_| (),
+                |(), i| if i == 1 || i == 6 { Err(i) } else { Ok(i) },
+            )
+            .unwrap_err();
+        assert_eq!(err, 1);
+        // One worker claims 2-item chunks in order: nothing after the
+        // failing chunk starts.
+        let ran = AtomicUsize::new(0);
+        let err = Dispatcher::new(1)
+            .run_items(
+                8,
+                |_| (),
+                |(), i| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    if i == 5 {
+                        Err("boom")
+                    } else {
+                        Ok(i)
+                    }
+                },
+            )
+            .unwrap_err();
+        assert_eq!(err, "boom");
+        assert_eq!(ran.into_inner(), 6);
     }
 
     #[test]
@@ -954,14 +888,5 @@ mod tests {
         assert_eq!(pool.len(), 16);
         assert_eq!(pool.evictions(), 0);
         assert_eq!(pool.capacity(), None);
-    }
-
-    #[test]
-    fn busy_speedup_is_work_over_critical_path() {
-        let stats = DispatchStats {
-            per_worker_busy_ns: vec![100, 100, 200],
-            ..Default::default()
-        };
-        assert!((stats.busy_speedup() - 2.0).abs() < 1e-9);
     }
 }

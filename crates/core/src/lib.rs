@@ -27,7 +27,7 @@
 //!   formulas (`6k − 1` per multiplication, the 13-wordline refill
 //!   charge, per-engine latency models) shared by the service,
 //!   dispatcher, and benches.
-//! * [`dispatch`] — the staged serving layer: a work-stealing
+//! * [`dispatch`] — the staged serving layer: a shared-cursor
 //!   [`dispatch::Dispatcher`] that fans a staged batch out over host
 //!   threads, a per-modulus (optionally LRU-bounded)
 //!   [`dispatch::ContextPool`], and the cost-aware chunk planner and
@@ -53,9 +53,9 @@
 //!   affinity, spills to the least-loaded tile on backpressure
 //!   ([`cluster::SpillPolicy`]), and routes around poisoned tiles.
 //! * [`test_util`] — deterministic fault-injection doubles
-//!   ([`test_util::FailingPrepared`], [`test_util::SlowPrepared`],
-//!   the latch-gated [`test_util::GatedPrepared`]) the service/cluster
-//!   test suites drive the failure paths with.
+//!   ([`test_util::FailingPrepared`], the latch-gated
+//!   [`test_util::GatedPrepared`]) the service/cluster test suites
+//!   drive the failure and backpressure paths with.
 //!
 //! # Examples
 //!

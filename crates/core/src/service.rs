@@ -75,7 +75,6 @@ use crate::cluster::ServiceCluster;
 use crate::cycles::modelled_batch_cycles;
 use crate::dispatch::{auto_chunk_size, ContextPool, Dispatcher, MulJob};
 use crate::error::CoreError;
-use crate::modsram::ModSramConfig;
 
 /// Tuning knobs of a [`ModSramService`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -716,22 +715,12 @@ impl ModSramService {
     /// # Panics
     ///
     /// Panics if `config.workers`, `config.queue_capacity`, or
-    /// `config.max_batch` is zero.
+    /// `config.max_batch` is zero, or when the OS refuses to spawn the
+    /// service thread — use [`ModSramService::try_with_shared_pool`]
+    /// to handle that case.
     pub fn new(pool: ContextPool, config: ServiceConfig) -> Self {
-        Self::with_shared_pool(Arc::new(pool), config)
-    }
-
-    /// Starts a service over an already-shared pool (e.g. one also
-    /// serving staged dispatch elsewhere).
-    ///
-    /// # Panics
-    ///
-    /// As [`ModSramService::new`], plus when the OS refuses to spawn a
-    /// service thread — use
-    /// [`ModSramService::try_with_shared_pool`] to handle that case.
-    pub fn with_shared_pool(pool: Arc<ContextPool>, config: ServiceConfig) -> Self {
         // analyzer: allow(no_panic, panicking convenience ctor by contract; the fallible path is try_with_shared_pool)
-        Self::try_with_shared_pool(pool, config).unwrap_or_else(|e| panic!("{e}"))
+        Self::try_with_shared_pool(Arc::new(pool), config).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Starts a service over an already-shared pool, surfacing a
@@ -794,12 +783,6 @@ impl ModSramService {
         let pool =
             ContextPool::for_engine_name(name).ok_or_else(|| CoreError::unknown_engine(name))?;
         Ok(Self::new(pool, config))
-    }
-
-    /// Service over a pool of cycle-accurate ModSRAM devices (one
-    /// modulus-loaded device per distinct modulus).
-    pub fn for_modsram(device: ModSramConfig, config: ServiceConfig) -> Self {
-        Self::new(ContextPool::for_modsram(device), config)
     }
 
     /// A self-tuning service: each distinct modulus is served by

@@ -15,25 +15,21 @@
 //!   worker unwinds, the tile's panic guard fails the batch's
 //!   tickets, and the router must route subsequent jobs around the
 //!   sick tile.
-//! * [`SlowPrepared`] — a correct context that sleeps before every
-//!   multiplication: the deterministic way to hold a tile's executor
-//!   busy so its bounded queue fills and backpressure/spill paths
-//!   trigger on cue.
-//!
 //! * [`GatedPrepared`] — a correct context that parks every
 //!   multiplication on a shared [`Gate`] until the test opens it, and
 //!   counts the calls that have entered: the race-free way to hold a
-//!   tile busy, because the test waits on state, not on a sleep
+//!   tile busy so its bounded queue fills and backpressure/spill paths
+//!   trigger on cue, because the test waits on state, not on a sleep
 //!   outlasting a scheduler.
 //!
-//! All ship pool constructors ([`failing_pool`], [`slow_pool`],
-//! [`gated_pool`]) so a test can stand up a whole
+//! Both ship pool constructors ([`failing_pool`], [`gated_pool`]) so a
+//! test can stand up a whole
 //! [`crate::service::ModSramService`] tile — or one tile of a
 //! [`crate::cluster::ServiceCluster`] — over them in one line.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use modsram_bigint::UBig;
 use modsram_modmul::{ModMulError, PreparedModMul, DEFAULT_LANES, LANE_MIN_PAIRS};
@@ -181,86 +177,6 @@ impl PreparedModMul for FailingPrepared {
     }
 }
 
-/// A correct [`PreparedModMul`] that sleeps for a fixed delay before
-/// every multiplication — the deterministic executor stall that forces
-/// bounded queues to fill. On the lane-vectorized seam the stall is
-/// charged once per lane *group* (a laned kernel advances `lanes`
-/// multiplications per limb pass), so slow-tile tests see the same
-/// relative laned-over-scalar shape real engines have.
-pub struct SlowPrepared {
-    p: UBig,
-    delay: Duration,
-    sleeps: AtomicU64,
-}
-
-impl SlowPrepared {
-    /// A context for `p` that sleeps `delay` per call.
-    pub fn new(p: UBig, delay: Duration) -> Self {
-        SlowPrepared {
-            p,
-            delay,
-            sleeps: AtomicU64::new(0),
-        }
-    }
-
-    /// Stalls taken so far — per multiplication on the per-call and
-    /// scalar seams, per lane group on the laned seam.
-    pub fn sleeps(&self) -> u64 {
-        self.sleeps.load(Ordering::Relaxed)
-    }
-}
-
-impl core::fmt::Debug for SlowPrepared {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "SlowPrepared {{ delay: {:?} }}", self.delay)
-    }
-}
-
-impl PreparedModMul for SlowPrepared {
-    fn engine_name(&self) -> &'static str {
-        "slow-test-double"
-    }
-
-    fn modulus(&self) -> &UBig {
-        &self.p
-    }
-
-    fn mod_mul(&self, a: &UBig, b: &UBig) -> Result<UBig, ModMulError> {
-        self.sleeps.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(self.delay);
-        Ok(&(a * b) % &self.p)
-    }
-
-    fn mod_mul_batch(&self, pairs: &[(UBig, UBig)]) -> Result<Vec<UBig>, ModMulError> {
-        if pairs.len() >= LANE_MIN_PAIRS {
-            self.mod_mul_batch_laned(pairs, DEFAULT_LANES)
-        } else {
-            self.mod_mul_batch_scalar(pairs)
-        }
-    }
-
-    fn mod_mul_batch_scalar(&self, pairs: &[(UBig, UBig)]) -> Result<Vec<UBig>, ModMulError> {
-        pairs.iter().map(|(a, b)| self.mod_mul(a, b)).collect()
-    }
-
-    fn mod_mul_batch_laned(
-        &self,
-        pairs: &[(UBig, UBig)],
-        lanes: usize,
-    ) -> Result<Vec<UBig>, ModMulError> {
-        let lanes = lanes.max(1);
-        let mut out = Vec::with_capacity(pairs.len());
-        for group in pairs.chunks(lanes) {
-            self.sleeps.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(self.delay);
-            for (a, b) in group {
-                out.push(&(a * b) % &self.p);
-            }
-        }
-        Ok(out)
-    }
-}
-
 /// A latch shared by [`GatedPrepared`] contexts: closed until
 /// [`Gate::open`] (and again after [`Gate::close`]), counting every
 /// multiplication that reaches it.
@@ -358,87 +274,51 @@ pub fn gated_pool(gate: &Arc<Gate>) -> ContextPool {
     })
 }
 
-/// How long [`saturate_gated_home`] waits for a gate-held tile to take
-/// one more job before it declares the fixed point unreachable, and
-/// [`wait_for_submitted`] waits for one more accepted submission.
+/// How long a test's counter wait (a stream's accepted count, a
+/// service's queue depth) may see no progress before it fails instead
+/// of hanging.
 pub const SATURATE_STALL_LIMIT: Duration = Duration::from_secs(30);
 
-/// Fills `p`'s home tile of a cluster built over [`gated_pool`]s with
-/// tiles shaped like `tile` (`max_batch: 1`) to its fixed point while
-/// the gate is shut: the tile's one executor holds the job it took,
-/// and the queue its whole capacity. Nothing moves until the gate
-/// opens, so every later submission to that tile is refused (or
-/// parks). Returns the accepted tickets.
+/// Fills `p`'s home tile of a cluster built over [`gated_pool`]s on
+/// `gate`, with tiles shaped like `tile` (`max_batch: 1`), to its fixed
+/// point while the gate is shut: the tile's one executor holds the
+/// first job at the gate, and the queue then takes its whole capacity.
+/// Nothing moves until the gate opens, so every later submission to
+/// that tile is refused (or parks). No other tile may reach the gate
+/// meanwhile. Returns the accepted tickets.
 ///
 /// # Panics
 ///
 /// Panics if `tile.max_batch != 1` (partial batches have no fixed
-/// count), if the cluster refuses for any reason but saturation, if the
-/// tile accepts nothing for [`SATURATE_STALL_LIMIT`] before reaching the
-/// fixed point (the count over-estimates what the tile holds), or if it
-/// still accepts once full (a non-`Strict` spill policy).
+/// count), if the cluster refuses a job below the fixed point, or if
+/// it still accepts once full (a non-`Strict` spill policy).
 pub fn saturate_gated_home(
     cluster: &ServiceCluster,
+    gate: &Gate,
     p: &UBig,
     tile: &ServiceConfig,
 ) -> Vec<Ticket> {
     assert_eq!(tile.max_batch, 1, "one job per batch");
-    let fixed_point = 1 + tile.queue_capacity;
     let job = |i: usize| MulJob::new(UBig::from(i as u64 + 2), UBig::from(3u64), p.clone());
-    let mut accepted = Vec::new();
-    let mut last_accept = Instant::now();
-    while accepted.len() < fixed_point {
-        match cluster.try_submit(job(accepted.len())) {
-            Ok(ticket) => {
-                accepted.push(ticket);
-                last_accept = Instant::now();
-            }
-            // An executor has not taken its job from the queue yet.
-            Err(ClusterSubmitError::AllTilesSaturated { .. }) => {
-                assert!(
-                    last_accept.elapsed() < SATURATE_STALL_LIMIT,
-                    "home tile stalled at {} of {fixed_point} jobs",
-                    accepted.len()
-                );
-                std::thread::yield_now();
-            }
-            Err(e) => panic!(
-                "home tile refused after {} of {fixed_point} jobs: {e}",
-                accepted.len()
-            ),
-        }
-    }
+    let submit = |i: usize| {
+        cluster
+            .try_submit(job(i))
+            .unwrap_or_else(|e| panic!("home tile refused job {i} below its fixed point: {e}"))
+    };
+    let entered = gate.entered();
+    let mut accepted = vec![submit(0)];
+    // The executor takes the first job off the queue and parks at the
+    // gate, so the queue's whole capacity is free.
+    gate.wait_entered(entered + 1);
+    accepted.extend((1..=tile.queue_capacity).map(submit));
     assert!(
         matches!(
-            cluster.try_submit(job(fixed_point)),
+            cluster.try_submit(job(accepted.len())),
             Err(ClusterSubmitError::AllTilesSaturated { .. })
         ),
         "the home tile is saturated"
     );
     accepted
-}
-
-/// Spins until `cluster` has accepted more than `jobs` submissions, so
-/// a soak acts on a stream with real in-flight depth instead of after a
-/// guessed sleep.
-///
-/// # Panics
-///
-/// Panics if the accepted count stops growing for
-/// [`SATURATE_STALL_LIMIT`] before it passes `jobs`.
-pub fn wait_for_submitted(cluster: &ServiceCluster, jobs: u64) {
-    let (mut seen, mut last_progress) = (0, Instant::now());
-    while seen <= jobs {
-        let submitted = cluster.stats().submitted;
-        if submitted > seen {
-            (seen, last_progress) = (submitted, Instant::now());
-        }
-        assert!(
-            last_progress.elapsed() < SATURATE_STALL_LIMIT,
-            "submissions stalled at {seen} of {jobs}"
-        );
-        std::thread::yield_now();
-    }
 }
 
 /// A [`ContextPool`] whose every prepared context is a
@@ -463,14 +343,6 @@ pub fn recovering_pool(fail_from: u64, fail_count: u64, mode: FailureMode) -> Co
             fail_count,
             mode,
         )) as Box<dyn PreparedModMul>)
-    })
-}
-
-/// A [`ContextPool`] whose every prepared context is a
-/// [`SlowPrepared`] with the given per-call delay.
-pub fn slow_pool(delay: Duration) -> ContextPool {
-    ContextPool::new(move |p| {
-        Ok(Box::new(SlowPrepared::new(p.clone(), delay)) as Box<dyn PreparedModMul>)
     })
 }
 
@@ -522,15 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn slow_prepared_is_correct() {
-        let ctx = SlowPrepared::new(UBig::from(101u64), Duration::from_millis(1));
-        assert_eq!(
-            ctx.mod_mul(&UBig::from(20u64), &UBig::from(30u64)).unwrap(),
-            UBig::from(600u64 % 101)
-        );
-    }
-
-    #[test]
     fn gated_prepared_holds_every_call_until_the_gate_opens() {
         let gate = Gate::new();
         let ctx = Arc::new(GatedPrepared::new(UBig::from(101u64), Arc::clone(&gate)));
@@ -570,18 +433,5 @@ mod tests {
             .mod_mul_batch(&pairs(LANE_MIN_PAIRS as u64 - 1))
             .unwrap();
         assert_eq!(short.laned_batches(), 0);
-    }
-
-    #[test]
-    fn slow_batch_amortizes_the_stall_per_lane_group() {
-        let p = UBig::from(101u64);
-        let ctx = SlowPrepared::new(p.clone(), Duration::from_micros(10));
-        let batch = pairs(16);
-        let out = ctx.mod_mul_batch_laned(&batch, 8).unwrap();
-        let expect: Vec<UBig> = batch.iter().map(|(a, b)| &(a * b) % &p).collect();
-        assert_eq!(out, expect, "laned seam must stay correct");
-        assert_eq!(ctx.sleeps(), 2, "one stall per group of 8, not per pair");
-        ctx.mod_mul_batch_scalar(&batch[..3]).unwrap();
-        assert_eq!(ctx.sleeps(), 5, "scalar seam stalls per pair");
     }
 }

@@ -5,15 +5,16 @@
 //! mid-stream `shutdown()` must drain every accepted ticket exactly
 //! once.
 
-use std::time::Duration;
-
 use modsram_bigint::UBig;
 use modsram_core::cluster::{
     home_tile_for, ClusterConfig, ClusterSubmitError, ServiceCluster, SpillPolicy,
 };
 use modsram_core::dispatch::{ContextPool, MulJob};
 use modsram_core::service::{ServiceConfig, ServiceError, Ticket};
-use modsram_core::test_util::{failing_pool, slow_pool, wait_for_submitted, FailureMode};
+use modsram_core::test_util::{failing_pool, gated_pool, FailureMode, Gate};
+
+mod common;
+use common::wait_for_submitted;
 
 fn oracle(job: &MulJob) -> UBig {
     &(&job.a * &job.b) % &job.modulus
@@ -162,21 +163,22 @@ fn tiny_tile_config_with_batch(max_batch: usize) -> ServiceConfig {
 
 #[test]
 fn backpressure_spills_to_least_loaded_tile_and_strict_saturates() {
-    // Two deliberately slow tiles, tiny queues: the home tile jams
-    // after a couple of jobs, so non-blocking submissions must spill.
-    let slow_config = ServiceConfig {
+    // Two gated tiles, tiny queues: each tile's executor holds the
+    // first job it takes at the shut gate, so a tile admits exactly one
+    // job plus a full queue and non-blocking submissions must spill.
+    let tile = ServiceConfig {
         workers: 1,
         queue_capacity: 2,
         max_batch: 1,
     };
     let config = ClusterConfig {
         spill: SpillPolicy::Spill { max_hops: 1 },
-        service: slow_config.clone(),
+        service: tile.clone(),
         poison_after: 0,
         ..Default::default()
     };
-    let delay = Duration::from_millis(25);
-    let cluster = ServiceCluster::new(vec![slow_pool(delay), slow_pool(delay)], config);
+    let gate = Gate::new();
+    let cluster = ServiceCluster::new(vec![gated_pool(&gate), gated_pool(&gate)], config);
     let p = modulus_homed_on(0, 2, 1_000_003);
     let job = |i: u64| MulJob::new(UBig::from(i + 2), UBig::from(i + 3), p.clone());
 
@@ -186,7 +188,18 @@ fn backpressure_spills_to_least_loaded_tile_and_strict_saturates() {
     let mut saturated = 0u64;
     for i in 0..32u64 {
         match cluster.try_submit(job(i)) {
-            Ok(t) => tickets.push((i, t)),
+            Ok(t) => {
+                tickets.push((i, t));
+                // Every tile that has a job holds one at the gate
+                // before its queue fills any further.
+                let busy = cluster
+                    .stats()
+                    .tiles
+                    .iter()
+                    .filter(|t| t.service.submitted > 0)
+                    .count();
+                gate.wait_entered(busy as u64);
+            }
             Err(ClusterSubmitError::AllTilesSaturated { tried }) => {
                 assert_eq!(tried, 2, "home plus one spill hop");
                 saturated += 1;
@@ -194,17 +207,23 @@ fn backpressure_spills_to_least_loaded_tile_and_strict_saturates() {
             Err(other) => panic!("unexpected refusal: {other}"),
         }
     }
-    assert!(saturated > 0, "burst must exhaust both tiny queues");
+    assert_eq!(
+        tickets.len(),
+        6,
+        "each tile holds 1 at the gate plus 2 queued"
+    );
+    assert_eq!(saturated, 26, "the burst exhausts both tiny queues");
 
     let stats = cluster.stats();
-    assert!(
-        stats.spilled > 0,
-        "home-tile QueueFull must spill to the other tile"
+    assert_eq!(
+        stats.spilled, 3,
+        "home-tile QueueFull spills to the other tile"
     );
     assert_eq!(stats.saturated_rejections, saturated);
-    assert!(stats.tiles[1].spilled_in > 0, "tile 1 took the spill");
+    assert_eq!(stats.tiles[1].spilled_in, 3, "tile 1 took the spill");
 
     // Every accepted ticket completes with the right product.
+    gate.open();
     for (i, ticket) in &tickets {
         assert_eq!(ticket.wait().unwrap(), oracle(&job(*i)), "job {i}");
     }
@@ -217,17 +236,20 @@ fn backpressure_spills_to_least_loaded_tile_and_strict_saturates() {
     // AllTilesSaturated{tried: 1} while the other tile sits idle.
     let strict = ClusterConfig {
         spill: SpillPolicy::Strict,
-        service: slow_config,
+        service: tile,
         poison_after: 0,
         ..Default::default()
     };
-    let cluster = ServiceCluster::new(vec![slow_pool(delay), slow_pool(delay)], strict);
-    let p = modulus_homed_on(0, 2, 1_000_003);
+    let gate = Gate::new();
+    let cluster = ServiceCluster::new(vec![gated_pool(&gate), gated_pool(&gate)], strict);
     let mut accepted = 0u64;
     let mut strict_saturated = 0u64;
     for i in 0..32u64 {
-        match cluster.try_submit(MulJob::new(UBig::from(i + 2), UBig::from(i + 3), p.clone())) {
-            Ok(_) => accepted += 1,
+        match cluster.try_submit(job(i)) {
+            Ok(_) => {
+                accepted += 1;
+                gate.wait_entered(1);
+            }
             Err(ClusterSubmitError::AllTilesSaturated { tried }) => {
                 assert_eq!(tried, 1, "Strict only ever tries the home tile");
                 strict_saturated += 1;
@@ -235,7 +257,9 @@ fn backpressure_spills_to_least_loaded_tile_and_strict_saturates() {
             Err(other) => panic!("unexpected refusal: {other}"),
         }
     }
-    assert!(strict_saturated > 0);
+    assert_eq!(accepted, 3, "the home holds 1 at the gate plus 2 queued");
+    assert_eq!(strict_saturated, 29);
+    gate.open();
     let stats = cluster.shutdown();
     assert_eq!(stats.spilled, 0, "Strict never spills");
     assert_eq!(stats.tiles[1].service.submitted, 0, "off-home tile idle");

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use modsram_bigint::UBig;
-use modsram_core::dispatch::{ContextPool, Dispatcher, MulJob};
+use modsram_core::dispatch::{auto_chunk_size, ContextPool, Dispatcher, MulJob};
 use modsram_core::{BankedModSram, ModSramConfig};
 use modsram_modmul::{BarrettEngine, MontgomeryEngine};
 use proptest::prelude::*;
@@ -33,7 +33,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Same-modulus batches: dispatched == per-call oracle for every
-    /// worker count and chunk size.
+    /// worker count and chunk size. The dispatcher sizes chunks by
+    /// `auto_chunk_size` (items / (4 × workers)), so each case reaches
+    /// chunk size `chunk` through the batch length: `chunk × 4 ×
+    /// workers` jobs plus a remainder below `4 × workers`.
     #[test]
     fn dispatched_equals_oracle(
         seeds in prop::collection::vec((any::<u64>(), any::<u64>()), 1..40),
@@ -41,13 +44,18 @@ proptest! {
     ) {
         let p = UBig::from(0xffff_fffb_u64);
         let pool = ContextPool::for_engine_ctor(|| Box::new(MontgomeryEngine::new()));
-        let jobs: Vec<MulJob> = seeds
-            .iter()
-            .map(|&(a, b)| MulJob::new(&UBig::from(a) % &p, &UBig::from(b) % &p, p.clone()))
-            .collect();
-        let want: Vec<UBig> = jobs.iter().map(|j| oracle(&j.a, &j.b, &p)).collect();
         for workers in [1usize, 2, 8] {
-            let d = Dispatcher::new(workers).chunk_size(chunk);
+            let shares = 4 * workers;
+            let len = chunk * shares + seeds.len() % shares;
+            prop_assert_eq!(auto_chunk_size(len, workers), chunk);
+            let jobs: Vec<MulJob> = seeds
+                .iter()
+                .cycle()
+                .take(len)
+                .map(|&(a, b)| MulJob::new(&UBig::from(a) % &p, &UBig::from(b) % &p, p.clone()))
+                .collect();
+            let want: Vec<UBig> = jobs.iter().map(|j| oracle(&j.a, &j.b, &p)).collect();
+            let d = Dispatcher::new(workers);
             let (got, stats) = d.dispatch_jobs(&pool, &jobs).unwrap();
             prop_assert_eq!(&got, &want, "workers={}", workers);
             prop_assert_eq!(stats.items as usize, jobs.len());
@@ -71,7 +79,7 @@ proptest! {
         let want: Vec<UBig> = jobs.iter().map(|j| oracle(&j.a, &j.b, &j.modulus)).collect();
         let pool = ContextPool::for_engine_ctor(|| Box::new(BarrettEngine::new()));
         for workers in [1usize, 2, 8] {
-            let d = Dispatcher::new(workers).chunk_size(4);
+            let d = Dispatcher::new(workers);
             let (got, stats) = d.dispatch_jobs(&pool, &jobs).unwrap();
             prop_assert_eq!(&got, &want, "workers={}", workers);
             prop_assert_eq!(stats.items as usize, jobs.len());

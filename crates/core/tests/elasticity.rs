@@ -12,9 +12,12 @@ use modsram_core::cluster::{
 };
 use modsram_core::dispatch::MulJob;
 use modsram_core::service::{ModSramService, ServiceConfig, Ticket};
-use modsram_core::test_util::{gated_pool, saturate_gated_home, wait_for_submitted, Gate};
+use modsram_core::test_util::{gated_pool, saturate_gated_home, Gate};
 use modsram_core::CoreError;
 use proptest::prelude::*;
+
+mod common;
+use common::wait_for_submitted;
 
 fn oracle(job: &MulJob) -> UBig {
     &(&job.a * &job.b) % &job.modulus
@@ -387,7 +390,7 @@ fn blocked_submit_rideses_out_a_drain_of_its_home() {
         .map(|i| UBig::from(1_000_003u64 + 2 * i))
         .find(|p| cluster.home_tile(p) == Some(0))
         .expect("some modulus homes on tile 0");
-    let warm = saturate_gated_home(&cluster, &p, &tile);
+    let warm = saturate_gated_home(&cluster, &gate, &p, &tile);
 
     let job = MulJob::new(UBig::from(11u64), UBig::from(13u64), p.clone());
     let want = oracle(&job);

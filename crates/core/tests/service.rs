@@ -2,11 +2,10 @@
 //! staged dispatch and the big-integer oracle, shutdown must drain
 //! every accepted ticket, and the bounded queue must push back.
 
-use std::time::Duration;
-
 use modsram_bigint::UBig;
 use modsram_core::dispatch::{ContextPool, Dispatcher, MulJob};
 use modsram_core::service::{ModSramService, ServiceConfig, ServiceError, SubmitError, Ticket};
+use modsram_core::test_util::{gated_pool, Gate};
 use modsram_modmul::PreparedModMul;
 use proptest::prelude::*;
 
@@ -119,11 +118,12 @@ fn shutdown_drains_all_tickets() {
 
 #[test]
 fn backpressure_try_submit_reports_queue_full() {
-    // The deterministic stall comes from the shared fault-injection
-    // doubles: a slow context keeps the executor busy so the bounded
-    // queue must fill behind it.
+    // Every multiplication parks at one shut gate from the shared
+    // fault-injection doubles, so the executor holds its first job and
+    // the bounded queue must fill behind it, however the scheduler runs.
+    let gate = Gate::new();
     let service = ModSramService::new(
-        modsram_core::test_util::slow_pool(Duration::from_millis(30)),
+        gated_pool(&gate),
         ServiceConfig {
             workers: 1,
             queue_capacity: 3,
@@ -133,29 +133,21 @@ fn backpressure_try_submit_reports_queue_full() {
     let p = UBig::from(97u64);
     let job = |i: u64| MulJob::new(UBig::from(i + 2), UBig::from(i + 3), p.clone());
 
-    // The service can hold `queue_capacity` jobs in the queue plus the
-    // one job its single executor has taken. With 30 ms per
-    // multiplication, a tight try_submit loop must hit QueueFull long
-    // before the executor drains anything.
-    let mut tickets = Vec::new();
-    let mut rejected = false;
-    for i in 0..32u64 {
-        match service.try_submit(job(i)) {
-            Ok(t) => tickets.push((i, t)),
-            Err(e) => {
-                assert_eq!(e, SubmitError::QueueFull);
-                rejected = true;
-                break;
-            }
-        }
+    // The service holds the one job its single executor has taken plus
+    // `queue_capacity` jobs in the queue; the next try_submit is
+    // refused.
+    let mut tickets = vec![(0, service.try_submit(job(0)).unwrap())];
+    gate.wait_entered(1);
+    for i in 1..4u64 {
+        tickets.push((i, service.try_submit(job(i)).unwrap()));
     }
-    assert!(rejected, "bounded queue never pushed back");
-    assert!(
-        tickets.len() <= 8,
-        "accepted {} jobs — capacity 3 plus pipeline slack should be well under 8",
-        tickets.len()
+    assert_eq!(
+        service.try_submit(job(4)).err(),
+        Some(SubmitError::QueueFull)
     );
-    assert!(service.stats().rejected >= 1);
+    assert_eq!(tickets.len(), 4, "one job at the gate plus 3 queued");
+    assert_eq!(service.stats().rejected, 1);
+    gate.open();
 
     // Backpressure is transient: every accepted ticket completes, and
     // once the backlog drains a new submission succeeds.

@@ -318,8 +318,8 @@
 //!
 //! When the caller already holds a whole batch, the staged layer
 //! ([`modsram_core::dispatch`]) runs it directly: batches are chunked
-//! with LUT-refill-aware cost estimates, seeded least-loaded onto
-//! scoped-thread workers that steal from each other when idle, and
+//! with LUT-refill-aware cost estimates, scoped-thread workers claim
+//! the chunks in order from one shared cursor, and
 //! mixed-modulus request streams share per-modulus preparations
 //! through a [`arch::ContextPool`] (optionally LRU-bounded via
 //! `ContextPool::with_capacity`). A [`arch::BankedModSram`] tile seeds
