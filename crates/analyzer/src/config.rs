@@ -11,7 +11,7 @@
 //! | level | lock (field) | file | what it guards |
 //! |-------|--------------|------|----------------|
 //! | 0 | `membership` | `core/src/cluster/mod.rs` | epoch-versioned tile snapshot (RwLock) |
-//! | 1 | `homes`, `saturation`, `replicas` | `core/src/cluster/mod.rs` | router maps |
+//! | 1 | `homes` | `core/src/cluster/mod.rs` | tracked-home map |
 //! | 2 | `inner`, `executor` | `core/src/service.rs` | tile queue / executor join handle |
 //! | 2 | `state`, `conns` | `net/src/server.rs` | outbox, conn writer, connections |
 //! | 2 | `cache` | `core/src/dispatch.rs` | context-pool cache |
@@ -165,16 +165,6 @@ impl Config {
                     level: 1,
                 },
                 LockSpec {
-                    file: "core/src/cluster/mod.rs",
-                    field: "saturation",
-                    level: 1,
-                },
-                LockSpec {
-                    file: "core/src/cluster/mod.rs",
-                    field: "replicas",
-                    level: 1,
-                },
-                LockSpec {
                     file: "core/src/service.rs",
                     field: "inner",
                     level: 2,
@@ -252,11 +242,6 @@ impl Config {
                 AtomicSpec {
                     field: "draining",
                     why: "orders the drain flag before readers refuse submissions",
-                },
-                AtomicSpec {
-                    field: "replicas_active",
-                    why: "fast-path gate for the replica map read; \
-                          publish must not be reorderable before the map insert",
                 },
                 AtomicSpec {
                     field: "homes_full",

@@ -283,7 +283,7 @@ mod tests {
                 let snap = self.membership.read().unwrap_or_else(E::into_inner);
                 let homes = self.homes.write().unwrap_or_else(E::into_inner);
                 drop(homes);
-                let replicas = self.replicas.read().unwrap_or_else(E::into_inner);
+                let homes = self.homes.read().unwrap_or_else(E::into_inner);
             }
         "#;
         assert!(run_snippet("crates/core/src/cluster/mod.rs", clean).is_empty());

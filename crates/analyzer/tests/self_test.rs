@@ -124,7 +124,7 @@ fn lock_order_clean_twin_passes() {
 fn relaxed_atomic_catches_seeded_relaxed_on_gating_flag() {
     let seeded = [(
         "crates/core/src/cluster/mod.rs",
-        "fn f(s: &S) -> bool { s.replicas_active.load(Ordering::Relaxed) > 0 }",
+        "fn f(s: &S) -> bool { s.stopped.load(Ordering::Relaxed) }",
     )];
     assert!(denied_rules(&seeded, &rules_config()).contains(&"relaxed_atomic"));
 }
@@ -135,7 +135,7 @@ fn relaxed_atomic_clean_twins_pass() {
         // Acquire on a gating flag: fine.
         (
             "crates/core/src/cluster/mod.rs",
-            "fn f(s: &S) -> bool { s.replicas_active.load(Ordering::Acquire) > 0 }",
+            "fn f(s: &S) -> bool { s.stopped.load(Ordering::Acquire) }",
         ),
         // Relaxed on a plain counter outside the manifest: fine.
         (

@@ -106,14 +106,27 @@ fn summarize(name: &str, v: &Value) -> (Value, String) {
                 .iter()
                 .map(|r| num(r, "affinity_hit_rate"))
                 .fold(f64::NAN, f64::min);
+            // The saturation probe's relief: what one spill hop accepts
+            // over Strict on the same saturated home.
+            let accepted = |policy: &str| {
+                rows(v, "saturation_probe")
+                    .iter()
+                    .find(|r| r.get("policy").and_then(Value::as_str) == Some(policy))
+                    .map_or(f64::NAN, |r| num(r, "accepted"))
+            };
+            let relief = accepted("spill1") / accepted("strict");
             (
                 serde_json::json!({
                     "rows": sweep.len(),
                     "best_modelled_speedup": speedup,
                     "best_modelled_speedup_tiles": tiles,
                     "min_affinity_hit_rate": min_affinity,
+                    "spill1_over_strict_accepted": relief,
                 }),
-                format!("{speedup:.2}x modelled at {tiles} tiles, min affinity {min_affinity:.2}"),
+                format!(
+                    "{speedup:.2}x modelled at {tiles} tiles, min affinity {min_affinity:.2}, \
+                     spill1 accepts {relief:.2}x strict"
+                ),
             )
         }
         "elasticity_sweep" => {
@@ -164,25 +177,21 @@ fn summarize(name: &str, v: &Value) -> (Value, String) {
         "weighted_sweep" => {
             let share = v.get("share").cloned().unwrap_or(Value::Null);
             let makespan = v.get("makespan").cloned().unwrap_or(Value::Null);
-            let hot = v.get("hot_modulus").cloned().unwrap_or(Value::Null);
             let reweigh = v.get("live_reweigh").cloned().unwrap_or(Value::Null);
             let rel_err = num(&share, "max_rel_err");
             let moved = count(&share, "equal_weight_moved");
             let gain = num(&makespan, "makespan_gain");
-            let hot_gain = num(&hot, "throughput_gain");
             let lost = count(&reweigh, "lost_tickets");
             (
                 serde_json::json!({
                     "share_max_rel_err": rel_err,
                     "equal_weight_moved": moved,
                     "makespan_gain": gain,
-                    "hot_modulus_gain": hot_gain,
-                    "replica_routed": count(&hot, "replica_routed"),
                     "reweigh_lost_tickets": lost,
                     "republish_rehomed": count(&reweigh, "republish_rehomed"),
                 }),
                 format!(
-                    "share err {:.1}%, {moved} moved at equal weights, makespan gain {gain:.2}x, hot gain {hot_gain:.2}x, {lost} lost",
+                    "share err {:.1}%, {moved} moved at equal weights, makespan gain {gain:.2}x, {lost} lost",
                     rel_err * 100.0
                 ),
             )

@@ -871,7 +871,6 @@ pub fn elasticity_sweep(spec: &ElasticitySweepSpec) -> Vec<ElasticityPhaseRow> {
             service: service_config.clone(),
             poison_after: 3,
             probation_after: 2,
-            ..Default::default()
         },
     )
     .unwrap_or_else(|_| panic!("unknown engine '{engine}'"));
@@ -1256,10 +1255,6 @@ pub struct WeightedSweepSpec {
     pub jobs_per_tenant: usize,
     /// Concurrent submitter threads in the live-reweigh soak.
     pub submitters: usize,
-    /// Burst rounds in the hot-modulus scenario.
-    pub hot_rounds: usize,
-    /// Non-blocking submissions per burst round.
-    pub hot_burst: u64,
     /// Jobs per submitter thread in the live-reweigh soak.
     pub reweigh_jobs: usize,
     /// Workload RNG seed.
@@ -1305,28 +1300,6 @@ pub struct WeightedMakespanStats {
     pub unweighted_per_tile: Vec<u64>,
 }
 
-/// The single-hot-modulus Strict scenario, with and without
-/// replication.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HotModulusStats {
-    /// Non-blocking submissions offered per run.
-    pub offered: u64,
-    /// Jobs accepted with `replicate_after = 0` (replication off).
-    pub accepted_without: u64,
-    /// Jobs accepted with replication on.
-    pub accepted_with: u64,
-    /// `accepted_with / accepted_without`.
-    pub throughput_gain: f64,
-    /// Wall throughput with replication off.
-    pub jobs_per_s_without: f64,
-    /// Wall throughput with replication on.
-    pub jobs_per_s_with: f64,
-    /// Jobs the replication run landed on a non-home replica.
-    pub replica_routed: u64,
-    /// Whether the hot modulus was promoted during the run.
-    pub promoted: bool,
-}
-
 /// The live `set_tile_weight` soak: a capacity flip under load must
 /// lose nothing.
 #[derive(Debug, Clone, PartialEq)]
@@ -1350,8 +1323,6 @@ pub struct WeightedSweep {
     pub share: WeightedShareStats,
     /// Weighted-vs-unweighted makespan on the skewed fleet.
     pub makespan: WeightedMakespanStats,
-    /// Hot-modulus replication throughput.
-    pub hot: HotModulusStats,
     /// Live reweigh soak.
     pub reweigh: LiveReweighStats,
 }
@@ -1440,79 +1411,6 @@ fn weighted_fleet_run(
         .max()
         .unwrap_or(0);
     (makespan, per_tile)
-}
-
-/// One hot-modulus run: `rounds` bursts of `burst` non-blocking
-/// submissions of a single tile-0-homed modulus at a 2-tile Strict
-/// cluster of gated tiles, with a probe (the replication cadence)
-/// closing each round. As in [`cluster_spill_probe`], each tile's
-/// one-lane executor holds the first job it takes at the shut gate, so
-/// a tile admits exactly one job plus a full queue per round, whatever
-/// the scheduler does; the gate opens after the burst and shuts again
-/// for the next round. Returns accepted jobs, wall seconds,
-/// replica-routed jobs, and whether promotion happened.
-fn hot_modulus_run(rounds: usize, burst: u64, replicate_after: u64) -> (u64, f64, u64, bool) {
-    let gate = Gate::new();
-    let cluster = ServiceCluster::new(
-        vec![gated_pool(&gate), gated_pool(&gate)],
-        ClusterConfig {
-            spill: SpillPolicy::Strict,
-            service: ServiceConfig {
-                workers: 1,
-                queue_capacity: 4,
-                max_batch: 1,
-            },
-            poison_after: 0,
-            // High enough that the sustained burst can never demote
-            // the replica mid-run.
-            probation_after: rounds as u64 + 1,
-            replicate_after,
-        },
-    );
-    let p = (0..64u64)
-        .map(|i| UBig::from(1_000_003u64 + 2 * i))
-        .find(|p| home_tile_for(p, 2) == Some(0))
-        .expect("some modulus homes on tile 0");
-    let submitted = |cluster: &ServiceCluster| -> Vec<u64> {
-        let stats = cluster.stats();
-        stats.tiles.iter().map(|t| t.service.submitted).collect()
-    };
-    let mut accepted = 0u64;
-    let mut promoted = false;
-    let start = Instant::now();
-    for round in 0..rounds {
-        let (before, entered) = (submitted(&cluster), gate.entered());
-        let mut tickets = Vec::new();
-        for i in 0..burst {
-            let n = round as u64 * burst + i;
-            let job = MulJob::new(UBig::from(n + 2), UBig::from(n + 3), p.clone());
-            if let Ok(t) = cluster.try_submit(job) {
-                tickets.push((n, t));
-                // Every tile that took a job this round holds one at
-                // the gate before its queue fills any further.
-                let now = submitted(&cluster);
-                let busy = now.iter().zip(&before).filter(|(n, b)| n > b).count();
-                gate.wait_entered(entered + busy as u64);
-            }
-        }
-        gate.open();
-        for (n, ticket) in &tickets {
-            assert_eq!(
-                ticket.wait().expect("gated tile is correct"),
-                &UBig::from((n + 2) * (n + 3)) % &p,
-                "hot-modulus job {n} diverged"
-            );
-        }
-        // Every job of the round has passed the gate.
-        gate.close();
-        accepted += tickets.len() as u64;
-        // The probe cadence is what closes a saturation window; after
-        // the first saturated round the modulus is promoted.
-        promoted |= !cluster.probe_tiles().promoted.is_empty();
-    }
-    let elapsed = start.elapsed().as_secs_f64();
-    let stats = cluster.shutdown();
-    (accepted, elapsed, stats.replica_routed, promoted)
 }
 
 /// The live-reweigh soak: `submitters` threads stream blocking
@@ -1610,8 +1508,7 @@ fn live_reweigh_soak(spec: &WeightedSweepSpec, rng: &mut SmallRng) -> LiveReweig
 /// a 2:1:1:1 fleet against its weight share, with the equal-weights ≡
 /// legacy calibration check; (2) capacity-normalised modelled makespan
 /// of the weighted vs the unweighted router on a fleet whose tile 0 is
-/// a 2× macro; (3) the single-hot-modulus Strict scenario with and
-/// without replication; (4) a live `set_tile_weight` soak.
+/// a 2× macro; (3) a live `set_tile_weight` soak.
 ///
 /// # Panics
 ///
@@ -1696,30 +1593,12 @@ pub fn weighted_sweep(spec: &WeightedSweepSpec) -> WeightedSweep {
         unweighted_per_tile,
     };
 
-    // --- (3) hot-modulus replication ----------------------------------
-    let offered = spec.hot_rounds as u64 * spec.hot_burst;
-    let (accepted_without, secs_without, _, _) =
-        hot_modulus_run(spec.hot_rounds, spec.hot_burst, 0);
-    let (accepted_with, secs_with, replica_routed, promoted) =
-        hot_modulus_run(spec.hot_rounds, spec.hot_burst, 4);
-    let hot = HotModulusStats {
-        offered,
-        accepted_without,
-        accepted_with,
-        throughput_gain: accepted_with as f64 / accepted_without.max(1) as f64,
-        jobs_per_s_without: accepted_without as f64 / secs_without,
-        jobs_per_s_with: accepted_with as f64 / secs_with,
-        replica_routed,
-        promoted,
-    };
-
-    // --- (4) live reweigh soak ----------------------------------------
+    // --- (3) live reweigh soak ----------------------------------------
     let reweigh = live_reweigh_soak(spec, &mut rng);
 
     WeightedSweep {
         share,
         makespan,
-        hot,
         reweigh,
     }
 }
@@ -1916,8 +1795,6 @@ mod tests {
             per_tile: 16,
             jobs_per_tenant: 8,
             submitters: 2,
-            hot_rounds: 3,
-            hot_burst: 16,
             reweigh_jobs: 200,
             seed: 0x57E1,
         });
@@ -1938,16 +1815,6 @@ mod tests {
             (10787, 12328)
         );
         assert!(makespan.weighted_makespan_cycles < makespan.unweighted_makespan_cycles);
-        assert!(sweep.hot.promoted, "the hot modulus was promoted");
-        // Each gated tile admits one job at the gate plus a 4-job queue
-        // per round: the home tile alone for 3 rounds without
-        // replication; with it, both replicas once the first saturated
-        // round has promoted the modulus.
-        let hot = &sweep.hot;
-        assert_eq!(
-            (hot.accepted_without, hot.accepted_with, hot.replica_routed),
-            (15, 25, 10)
-        );
         assert_eq!(sweep.reweigh.lost_tickets, 0, "reweigh loses nothing");
         assert_eq!(
             sweep.reweigh.republish_rehomed, 0,

@@ -91,34 +91,6 @@
 //! The standalone planners have weighted variants
 //! ([`weighted_home_tile_for`], [`weighted_rendezvous_ranking`]).
 //!
-//! # Hot-modulus replication
-//!
-//! Affinity routing's failure mode is a single modulus hot enough to
-//! saturate its home tile while neighbours idle — under
-//! [`SpillPolicy::Strict`] nothing relieves it. The cluster watches
-//! for exactly that signature: every submission that finds **all** of
-//! its allowed tiles full records one *saturation event* against its
-//! modulus, and each [`ServiceCluster::probe_tiles`] pass closes a
-//! window over those events. A modulus whose window delta reaches
-//! [`ClusterConfig::replicate_after`] is **promoted** to a replica
-//! set: its top-[`REPLICA_TILES`] weighted rendezvous
-//! tiles. From then on the router sends its jobs to the replica with
-//! the most queue headroom (bypassing the spill policy — every
-//! replica holds the modulus's prepared context, so coalescing and
-//! LUT reuse survive), which is what turns one saturated macro into k
-//! macros sharing the flood. The cost is one context preparation — a
-//! Table 1b LUT refill on the ModSRAM backend — per replica tile,
-//! paid lazily on each replica's first job, which is why promotion
-//! demands *sustained* saturation rather than one refused burst.
-//! Once the modulus stays calm for
-//! [`ClusterConfig::probation_after`] consecutive probes it is
-//! **demoted** back to plain single-home routing (the same probation
-//! cadence sick tiles use). Replica sets are rebuilt on every
-//! membership change and surfaced through
-//! [`ClusterStats::replicated_moduli`] /
-//! [`ClusterStats::replica_routed`] and
-//! [`ProbeReport::promoted`] / [`ProbeReport::demoted`].
-//!
 //! # Backpressure: spill policies and their trade-off
 //!
 //! Each tile's queue is bounded, so the router must decide what to do
@@ -134,17 +106,21 @@
 //!   submission surfaces the saturation as
 //!   [`CoreError::AllTilesSaturated`] so an upstream load-shedder can
 //!   act; blocking submission waits for the home queue.
-//! * [`SpillPolicy::Spill`] — after the home refuses, try up to
-//!   `max_hops` other tiles, least-loaded (most queue headroom)
-//!   first. Tail latency under skew improves — work flows to idle
-//!   macros — but each spilled modulus is *prepared again* on the
-//!   spill tile (a context-pool miss: Montgomery constants, Barrett
-//!   µ, or a full Table 1b LUT fill) and the spill tile's executor
-//!   coalesces a foreign modulus it will likely never see again, so
-//!   its resident tenants lose some multiplicand-run length. Spilling
-//!   buys throughput under overload by diluting the very locality
-//!   affinity routing exists to protect — which is why `max_hops`
-//!   bounds the dilution.
+//! * [`SpillPolicy::Spill`] — after the home refuses, offer the job
+//!   to the next `max_hops` usable tiles in the modulus's own
+//!   weighted rendezvous ranking: the ranking that gives the natural
+//!   home and the failover order. Work flows off a saturated macro,
+//!   and it flows to the same warm tile every time. A spilled modulus
+//!   is prepared there once (a context-pool miss: Montgomery
+//!   constants, Barrett µ, or a full Table 1b LUT fill), and that
+//!   context stays warm for every later spill and for the day the
+//!   home drains and the modulus moves there for good. The price is
+//!   the spill tile's resident tenants, whose executor now coalesces
+//!   a foreign modulus and loses some multiplicand-run length; that
+//!   is why `max_hops` bounds the dilution. The router never reads a
+//!   queue depth: a tile's own `try_submit` refusal is the load
+//!   signal, so one hot modulus saturating its home costs each
+//!   spilled job one extra health probe per hop, not one per tile.
 //!
 //! Blocking [`ClusterHandle::submit`] falls back to waiting on the
 //! home tile once every allowed tile has refused without blocking; if
@@ -155,8 +131,7 @@
 //! instead. [`ClusterHandle::try_submit_many`] admits a whole batch
 //! without blocking: each home tile's share lands under one queue
 //! lock, so an idle executor takes it as one batch, and only the share
-//! a tile refuses (plus any replicated modulus) takes `try_submit`'s
-//! per-job spill path.
+//! a tile refuses takes `try_submit`'s per-job spill path.
 //!
 //! # Fault containment
 //!
@@ -236,8 +211,9 @@ pub enum SpillPolicy {
     /// or refuse with [`CoreError::AllTilesSaturated`]
     /// ([`ClusterHandle::try_submit`]).
     Strict,
-    /// Try up to `max_hops` other live tiles, most queue headroom
-    /// first, before blocking on (or refusing for) the home tile.
+    /// Try up to `max_hops` more usable tiles, in the modulus's
+    /// rendezvous order after its home, before blocking on (or
+    /// refusing for) the home tile.
     Spill {
         /// Maximum non-home tiles to try per submission.
         max_hops: usize,
@@ -267,23 +243,9 @@ pub struct ClusterConfig {
     /// Consecutive passing [`ServiceCluster::probe_tiles`] checks after
     /// which a drained tile is re-admitted to the routable set (and a
     /// poisoned tile's panic count is pardoned). `0` disables
-    /// probation: drained tiles sit out until shutdown. Hot-modulus
-    /// replica sets also de-replicate after this many consecutive
-    /// calm probes.
+    /// probation: drained tiles sit out until shutdown.
     pub probation_after: u64,
-    /// Saturation events (submissions that found every allowed tile
-    /// full) one modulus must accumulate between two
-    /// [`ServiceCluster::probe_tiles`] passes before it is promoted to
-    /// a replica set of its top-[`REPLICA_TILES`] weighted rendezvous
-    /// tiles. `0` disables hot-modulus replication entirely.
-    pub replicate_after: u64,
 }
-
-/// Replica-set size for a promoted hot modulus: its home plus the next
-/// tile in weighted rendezvous order. Each replica tile pays one
-/// context preparation (a Table 1b LUT refill for the ModSRAM backend)
-/// for the replicated modulus.
-pub const REPLICA_TILES: usize = 2;
 
 impl Default for ClusterConfig {
     fn default() -> Self {
@@ -292,7 +254,6 @@ impl Default for ClusterConfig {
             service: ServiceConfig::default(),
             poison_after: 3,
             probation_after: 3,
-            replicate_after: 64,
         }
     }
 }
@@ -402,14 +363,6 @@ pub struct ProbeReport {
     /// this pass (they become routable again without a membership
     /// change).
     pub unpoisoned: Vec<usize>,
-    /// Hot moduli promoted to a replica set on this pass (their
-    /// saturation-event delta since the previous pass reached
-    /// [`ClusterConfig::replicate_after`]).
-    pub promoted: Vec<UBig>,
-    /// Replicated moduli demoted back to single-home routing on this
-    /// pass (calm for [`ClusterConfig::probation_after`] consecutive
-    /// passes).
-    pub demoted: Vec<UBig>,
 }
 
 /// One tile plus its routing tallies and probation bookkeeping.
@@ -465,37 +418,6 @@ struct Membership {
 /// sample; routing itself is unaffected).
 const TRACKED_MODULI_CAP: usize = 1 << 16;
 
-/// Bound on the saturation-event map hot-modulus replication watches:
-/// beyond this many distinct saturating moduli, new ones are no
-/// longer candidates for promotion (existing replica sets are
-/// unaffected).
-const SATURATION_TRACK_CAP: usize = 1 << 12;
-
-/// One promoted hot modulus: the replica tiles serving it and the
-/// calm-probe counter that eventually demotes it.
-struct ReplicaEntry {
-    /// The replicated modulus (for reporting demotions).
-    p: UBig,
-    /// Top-k weighted rendezvous tiles at promotion time, rebuilt on
-    /// every membership change (rank 0 is the natural home).
-    tiles: Vec<usize>,
-    /// Consecutive probe passes without a new saturation event;
-    /// reaching `probation_after` demotes the modulus.
-    calm: u64,
-}
-
-/// Per-modulus saturation bookkeeping feeding promotion decisions.
-struct SatWindow {
-    /// The saturating modulus itself, kept so promotion can report it
-    /// and future warm-up hooks can prepare replica contexts eagerly.
-    p: UBig,
-    /// Lifetime saturation events for this modulus.
-    events: u64,
-    /// `events` as of the previous [`ServiceCluster::probe_tiles`]
-    /// pass — the delta over one probe window drives promotion.
-    seen: u64,
-}
-
 /// State shared by the cluster front, its handles, and its prepared
 /// façades.
 struct ClusterShared {
@@ -505,7 +427,6 @@ struct ClusterShared {
     affinity_hits: AtomicU64,
     spilled: AtomicU64,
     saturated_rejections: AtomicU64,
-    replica_routed: AtomicU64,
     tiles_added: AtomicU64,
     tiles_drained: AtomicU64,
     tiles_readmitted: AtomicU64,
@@ -517,16 +438,6 @@ struct ClusterShared {
     /// Set once `homes` reaches [`TRACKED_MODULI_CAP`], so the
     /// submission hot path stops touching the map's lock entirely.
     homes_full: AtomicBool,
-    /// Per-modulus saturation events, keyed by [`modulus_key`] —
-    /// written by refused/blocked submissions, read by the promotion
-    /// pass in [`ServiceCluster::probe_tiles`].
-    saturation: RwLock<HashMap<u64, SatWindow>>,
-    /// Currently replicated hot moduli, keyed by [`modulus_key`].
-    replicas: RwLock<HashMap<u64, ReplicaEntry>>,
-    /// Mirror of `replicas.len()`: lets the submission hot path skip
-    /// the replica map's lock entirely while nothing is replicated —
-    /// the common case.
-    replicas_active: AtomicU64,
 }
 
 impl ClusterShared {
@@ -586,27 +497,12 @@ impl ClusterShared {
 
     /// The router's health view of `m`'s tiles: a tile is usable when
     /// it is live, admitting, and not poisoned.
-    fn health<'a>(&'a self, m: &'a Membership) -> Health<impl FnMut(usize) -> Option<usize> + 'a> {
+    fn health<'a>(&'a self, m: &'a Membership) -> Health<impl FnMut(usize) -> bool + 'a> {
         Health::new(m.tiles.len(), move |tile| {
             let cell = &m.tiles[tile];
             let health = cell.service.health();
-            let usable = !health.stopped && !health.paused && !self.poisoned(cell, &health);
-            usable.then(|| health.headroom())
+            !health.stopped && !health.paused && !self.poisoned(cell, &health)
         })
-    }
-
-    /// The replica set of a promoted hot modulus, `None` for every
-    /// other modulus — answered by one atomic load while nothing is
-    /// replicated, the common case.
-    fn replicas_of(&self, key: u64) -> Option<Vec<usize>> {
-        // Acquire pairs with replication_pass's Release store so the
-        // hot path that sees a non-zero count also sees the promoted
-        // entries behind it (this load gates reading the replica map).
-        if self.replicas_active.load(Ordering::Acquire) == 0 {
-            return None;
-        }
-        let replicas = self.replicas.read().unwrap_or_else(PoisonError::into_inner);
-        replicas.get(&key).map(|entry| entry.tiles.clone())
     }
 
     /// Records a first-seen modulus in the tracked-home map (bounded
@@ -636,9 +532,8 @@ impl ClusterShared {
     }
 
     /// Re-computes every tracked modulus's natural home against a new
-    /// membership, counting (and recording) the ones that moved, and
-    /// rebuilds every live replica set against the new weighted
-    /// ranking. Called with the membership write lock held, so
+    /// membership, counting (and recording) the ones that moved.
+    /// Called with the membership write lock held, so
     /// concurrent membership changes serialise their re-home
     /// accounting.
     fn rehome_tracked(&self, m: &Membership) -> u64 {
@@ -654,121 +549,17 @@ impl ClusterShared {
         }
         drop(homes);
         self.moduli_rehomed.fetch_add(moved, Ordering::Relaxed);
-        // Acquire pairs with replication_pass's Release store: a
-        // non-zero count means the replica map it summarises is
-        // visible, so the rebuild below touches every live entry.
-        if self.replicas_active.load(Ordering::Acquire) > 0 {
-            let mut replicas = self
-                .replicas
-                .write()
-                .unwrap_or_else(PoisonError::into_inner);
-            for (key, entry) in replicas.iter_mut() {
-                entry.tiles = m.fleet.replica_set(*key);
-            }
-        }
         moved
-    }
-
-    /// Records one saturation event for a modulus: every submission
-    /// that found all its allowed tiles full bumps this, and the
-    /// promotion pass in [`ServiceCluster::probe_tiles`] compares the
-    /// delta over a probe window against
-    /// [`ClusterConfig::replicate_after`].
-    fn note_saturation(&self, key: u64, p: &UBig) {
-        if self.config.replicate_after == 0 {
-            return;
-        }
-        let mut sat = self
-            .saturation
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(window) = sat.get_mut(&key) {
-            window.events += 1;
-        } else if sat.len() < SATURATION_TRACK_CAP {
-            sat.insert(
-                key,
-                SatWindow {
-                    p: p.clone(),
-                    events: 1,
-                    seen: 0,
-                },
-            );
-        }
-    }
-
-    /// One promotion/demotion pass over the saturation windows, run by
-    /// [`ServiceCluster::probe_tiles`]: a modulus whose saturation
-    /// delta since the previous pass reaches `replicate_after` is
-    /// promoted to its top-k weighted rendezvous tiles; a replicated
-    /// modulus that stayed calm for `probation_after` consecutive
-    /// passes is demoted back to single-home routing.
-    fn replication_pass(&self, m: &Membership, report: &mut ProbeReport) {
-        let mut sat = self
-            .saturation
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut replicas = self
-            .replicas
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        let demote_after = self.config.probation_after.max(1);
-        let mut demote = Vec::new();
-        for (key, window) in sat.iter_mut() {
-            let delta = window.events - window.seen;
-            window.seen = window.events;
-            if let Some(entry) = replicas.get_mut(key) {
-                if delta == 0 {
-                    entry.calm += 1;
-                    if entry.calm >= demote_after {
-                        demote.push(*key);
-                    }
-                } else {
-                    entry.calm = 0;
-                }
-            } else if delta >= self.config.replicate_after {
-                let tiles = m.fleet.replica_set(*key);
-                // A replica set needs at least two live tiles to be
-                // more than the home it already has.
-                if tiles.len() >= 2 {
-                    report.promoted.push(window.p.clone());
-                    replicas.insert(
-                        *key,
-                        ReplicaEntry {
-                            p: window.p.clone(),
-                            tiles,
-                            calm: 0,
-                        },
-                    );
-                }
-            }
-        }
-        for key in demote {
-            if let Some(entry) = replicas.remove(&key) {
-                report.demoted.push(entry.p);
-            }
-        }
-        // Release publishes the promotions/demotions above to the
-        // Acquire loads that gate the lock-free fast path.
-        self.replicas_active
-            .store(replicas.len() as u64, Ordering::Release);
     }
 
     /// Records an accepted job: per-tile tallies plus the cluster's
     /// affinity accounting (`natural` is the rank-0 routable tile the
     /// modulus hashes to, `landed` where the job was actually
-    /// accepted). A landing on any member of the modulus's replica set
-    /// counts as an affinity hit — the replica holds a prepared
-    /// context for that modulus by design, so its coalescing and LUT
-    /// reuse are intact — and as `replica_routed` when it was not the
-    /// natural home.
-    fn record(&self, m: &Membership, landed: usize, natural: usize, replicas: Option<&[usize]>) {
-        let on_replica = replicas.is_some_and(|r| r.contains(&landed));
-        if landed == natural || on_replica {
+    /// accepted).
+    fn record(&self, m: &Membership, landed: usize, natural: usize) {
+        if landed == natural {
             m.tiles[landed].routed.fetch_add(1, Ordering::Relaxed);
             self.affinity_hits.fetch_add(1, Ordering::Relaxed);
-            if on_replica && landed != natural {
-                self.replica_routed.fetch_add(1, Ordering::Relaxed);
-            }
         } else {
             m.tiles[landed].spilled_in.fetch_add(1, Ordering::Relaxed);
             self.spilled.fetch_add(1, Ordering::Relaxed);
@@ -777,10 +568,10 @@ impl ClusterShared {
 
     fn submit_inner(&self, job: MulJob, block: bool) -> Result<Ticket, ClusterSubmitError> {
         let key = modulus_key(&job.modulus);
-        // The blocking path may find its anchor tile gone (stopped or
+        // The blocking path may find its home tile gone (stopped or
         // drained) by the time its queue wait resolves; re-route
         // against a fresh membership/health view instead of reporting
-        // the whole cluster down. Bounded: each retry needs the anchor
+        // the whole cluster down. Bounded: each retry needs the home
         // to have changed state, capped defensively against flapping.
         let mut reroutes = 0usize;
         loop {
@@ -789,8 +580,7 @@ impl ClusterShared {
             }
             let m = self.snapshot();
             let mut health = self.health(&m);
-            let replicas = self.replicas_of(key);
-            let Some(route) = route::route(&m.fleet, &mut health, key, replicas.as_deref()) else {
+            let Some(route) = route::route(&m.fleet, &mut health, key) else {
                 return Err(ClusterSubmitError::Stopped);
             };
             self.track_home(key, route.natural);
@@ -799,36 +589,30 @@ impl ClusterShared {
                     // A refusal (full, draining, or racing its own
                     // shutdown) moves on to the next tile offered.
                     let ticket = m.tiles[tile].service.try_submit(job.clone()).ok()?;
-                    self.record(&m, tile, route.natural, replicas.as_deref());
+                    self.record(&m, tile, route.natural);
                     Some(ticket)
                 })
             };
-            if let Some(ticket) = offer(&route.tiles) {
+            if let Some(ticket) = offer(&[route.home]) {
                 return Ok(ticket);
             }
-            let spill = route::spill(&m.fleet, &mut health, &route, self.config.spill);
+            let spill = route::spill(&mut health, &route, self.config.spill);
             if let Some(ticket) = offer(&spill) {
                 return Ok(ticket);
             }
-            // Every allowed tile refused without blocking — a
-            // saturation event for this modulus either way; enough of
-            // them inside one probe window promotes it to a replica
-            // set (see the module docs' replication section).
-            self.note_saturation(key, &job.modulus);
             if !block {
                 self.saturated_rejections.fetch_add(1, Ordering::Relaxed);
-                let tried = route.tiles.len() + spill.len();
+                let tried = 1 + spill.len();
                 return Err(ClusterSubmitError::AllTilesSaturated { tried });
             }
-            // Wait for the anchor queue so sustained overload still
-            // lands with affinity (and still backpressures the
-            // producer).
-            let anchor = route.tiles[0];
-            if let Ok(ticket) = m.tiles[anchor].service.submit(job.clone()) {
-                self.record(&m, anchor, route.natural, replicas.as_deref());
+            // Every allowed tile refused without blocking: wait for the
+            // home queue so sustained overload still lands with
+            // affinity (and still backpressures the producer).
+            if let Ok(ticket) = m.tiles[route.home].service.submit(job.clone()) {
+                self.record(&m, route.home, route.natural);
                 return Ok(ticket);
             }
-            // The anchor stopped or paused mid-wait. A fresh route
+            // The home stopped or paused mid-wait. A fresh route
             // excludes it, so the job lands on the next-ranked live
             // tile — the cluster is only down when no routable tile
             // remains.
@@ -845,11 +629,9 @@ impl ClusterShared {
     /// single lock: waiting for room when `block` is set, refusing the
     /// rest of the share otherwise. Accepted tickets land in `slots`.
     /// Returns the jobs left over, in batch order: those a tile
-    /// refused, those with no usable tile, and, when not blocking,
-    /// every job of a replicated modulus, which belongs on the per-job
-    /// replica path. (Blocking bulk submission trusts affinity:
-    /// spilling inside a batch would interleave two tiles' completions
-    /// for one caller.)
+    /// refused and those with no usable tile. (Blocking bulk
+    /// submission trusts affinity: spilling inside a batch would
+    /// interleave two tiles' completions for one caller.)
     fn enqueue_by_home(
         &self,
         m: &Membership,
@@ -865,12 +647,9 @@ impl ClusterShared {
         for (idx, job) in jobs {
             let key = modulus_key(&job.modulus);
             let route = *routes.entry(key).or_insert_with(|| {
-                if !block && self.replicas_of(key).is_some() {
-                    return None;
-                }
-                let route = route::route(&m.fleet, &mut health, key, None)?;
+                let route = route::route(&m.fleet, &mut health, key)?;
                 self.track_home(key, route.natural);
-                Some((route.tiles[0], route.natural))
+                Some((route.home, route.natural))
             });
             match route {
                 Some((home, natural)) => per_tile[home].push((idx, natural, job)),
@@ -891,7 +670,7 @@ impl ClusterShared {
                 .enqueue_many(tile_jobs, block);
             let accepted = tickets.len();
             for (&(idx, natural), ticket) in meta.iter().zip(tickets) {
-                self.record(m, tile, natural, None);
+                self.record(m, tile, natural);
                 slots[idx] = Some(ticket);
             }
             if let Some((_, refused)) = refused {
@@ -994,7 +773,8 @@ impl ClusterHandle {
     }
 
     /// Submits one job without blocking: home tile first, then (under
-    /// [`SpillPolicy::Spill`]) the least-loaded other tiles.
+    /// [`SpillPolicy::Spill`]) the next usable tiles in the modulus's
+    /// rendezvous ranking.
     ///
     /// # Errors
     ///
@@ -1024,10 +804,9 @@ impl ClusterHandle {
     /// Submits a whole batch without blocking and returns one outcome
     /// per job, in job order. Each home tile's share is queued under a
     /// single lock with a single wake-up, so an idle tile takes it as
-    /// one batch. The share a tile refuses, and every job of a
-    /// replicated hot modulus, goes through
-    /// [`ClusterHandle::try_submit`]'s per-job path: replica routing,
-    /// then spilling as the [`SpillPolicy`] allows. Each refused offer
+    /// one batch. The share a tile refuses goes through
+    /// [`ClusterHandle::try_submit`]'s per-job path, which spills as
+    /// the [`SpillPolicy`] allows. Each refused offer
     /// counts in that tile's [`ServiceStats::rejected`], so a job the
     /// home refuses in bulk and again on the per-job path counts twice
     /// there.
@@ -1043,10 +822,10 @@ impl ClusterHandle {
 /// Per-tile routing and service statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TileStats {
-    /// Jobs accepted with this tile as their natural home (or as a
-    /// replica of their modulus).
+    /// Jobs accepted with this tile as their natural home.
     pub routed: u64,
-    /// Jobs accepted here after spilling from another tile's home.
+    /// Jobs accepted here after spilling (or failing over) from
+    /// another tile's home.
     pub spilled_in: u64,
     /// The tile's capacity weight in the weighted rendezvous score.
     pub weight: u32,
@@ -1093,12 +872,6 @@ pub struct ClusterStats {
     /// Non-blocking submissions refused with
     /// [`CoreError::AllTilesSaturated`].
     pub saturated_rejections: u64,
-    /// Hot moduli currently served by a replica set.
-    pub replicated_moduli: u64,
-    /// Jobs that landed on a non-home member of their modulus's
-    /// replica set (lifetime count — the traffic replication moved
-    /// off saturated home tiles).
-    pub replica_routed: u64,
     /// Jobs completed successfully, summed over tiles.
     pub completed: u64,
     /// Jobs completed with an error, summed over tiles.
@@ -1184,16 +957,12 @@ impl ServiceCluster {
                 affinity_hits: AtomicU64::new(0),
                 spilled: AtomicU64::new(0),
                 saturated_rejections: AtomicU64::new(0),
-                replica_routed: AtomicU64::new(0),
                 tiles_added: AtomicU64::new(0),
                 tiles_drained: AtomicU64::new(0),
                 tiles_readmitted: AtomicU64::new(0),
                 moduli_rehomed: AtomicU64::new(0),
                 homes: RwLock::new(HashMap::new()),
                 homes_full: AtomicBool::new(false),
-                saturation: RwLock::new(HashMap::new()),
-                replicas: RwLock::new(HashMap::new()),
-                replicas_active: AtomicU64::new(0),
             }),
         }
     }
@@ -1461,15 +1230,10 @@ impl ServiceCluster {
         if self.shared.stopped.load(Ordering::Acquire) {
             return report;
         }
-        let m = self.shared.snapshot();
-        // Hot-modulus promotion/demotion rides the same cadence as
-        // tile probation: each pass closes one saturation window.
-        if self.shared.config.replicate_after > 0 {
-            self.shared.replication_pass(&m, &mut report);
-        }
         if self.shared.config.probation_after == 0 {
             return report;
         }
+        let m = self.shared.snapshot();
         for (tile, cell) in m.tiles.iter().enumerate() {
             match m.fleet.states[tile] {
                 TileState::Draining => continue,
@@ -1592,13 +1356,6 @@ impl ServiceCluster {
             affinity_hits,
             spilled,
             saturated_rejections: self.shared.saturated_rejections.load(Ordering::Relaxed),
-            replicated_moduli: self
-                .shared
-                .replicas
-                .read()
-                .unwrap_or_else(PoisonError::into_inner)
-                .len() as u64,
-            replica_routed: self.shared.replica_routed.load(Ordering::Relaxed),
             completed: tiles.iter().map(|t| t.service.completed).sum(),
             failed: tiles.iter().map(|t| t.service.failed).sum(),
             autotune,
@@ -1919,37 +1676,6 @@ mod tests {
     }
 
     #[test]
-    fn try_submit_many_sends_replicated_moduli_through_the_per_job_path() {
-        let config = ClusterConfig {
-            replicate_after: 1,
-            ..small_config()
-        };
-        let cluster = ServiceCluster::for_engine_name("barrett", 2, config).unwrap();
-        // Homed on tile 1: with both replicas idle, the per-job path
-        // ranks tile 0 first (equal headroom, lower index), where a
-        // home-tile share would have stayed on tile 1.
-        let p = (0..64u64)
-            .map(|i| UBig::from(1_000_003u64 + 2 * i))
-            .find(|p| cluster.home_tile(p) == Some(1))
-            .expect("some modulus homes on tile 1");
-        cluster.shared.note_saturation(modulus_key(&p), &p);
-        assert_eq!(cluster.probe_tiles().promoted, vec![p.clone()]);
-        let jobs: Vec<MulJob> = (0..4u64)
-            .map(|i| MulJob::new(UBig::from(i + 2), UBig::from(i + 3), p.clone()))
-            .collect();
-        for (job, outcome) in jobs
-            .iter()
-            .zip(cluster.handle().try_submit_many(jobs.clone()))
-        {
-            assert_eq!(outcome.unwrap().wait().unwrap(), &(&job.a * &job.b) % &p);
-        }
-        let stats = cluster.shutdown();
-        assert!(stats.replica_routed >= 1, "the first job lands on tile 0");
-        assert_eq!(stats.spilled, 0, "replica landings are not spills");
-        assert_eq!(stats.affinity_hit_rate(), 1.0);
-    }
-
-    #[test]
     fn try_submit_many_spills_the_refused_remainder_as_the_policy_says() {
         let tile = ServiceConfig {
             workers: 1,
@@ -2259,7 +1985,6 @@ mod tests {
             },
             poison_after: 2,
             probation_after: 2,
-            ..Default::default()
         };
         let sick = recovering_pool(1, 2, FailureMode::Panic);
         let healthy = ContextPool::for_engine_name("barrett").unwrap();
@@ -2374,104 +2099,6 @@ mod tests {
         for (p, a) in moduli.iter().zip(&after) {
             assert_eq!(weighted_home_tile_for(p, &[1, 1, 4, 1]), *a);
         }
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn hot_modulus_replication_promotes_routes_and_demotes() {
-        // One modulus hot enough to saturate its Strict home must be
-        // promoted to a replica set, served by both replicas, and
-        // demoted once the pressure subsides.
-        let config = ClusterConfig {
-            spill: SpillPolicy::Strict,
-            service: ServiceConfig {
-                workers: 1,
-                queue_capacity: 2,
-                max_batch: 1,
-            },
-            poison_after: 0,
-            probation_after: 2,
-            replicate_after: 3,
-        };
-        // Every multiplication parks at one shut gate, so a tile admits
-        // exactly one job at the gate plus a full queue.
-        let gate = Gate::new();
-        let cluster = ServiceCluster::new(vec![gated_pool(&gate), gated_pool(&gate)], config);
-        let p = (0..64u64)
-            .map(|i| UBig::from(1_000_003u64 + 2 * i))
-            .find(|p| cluster.home_tile(p) == Some(0))
-            .expect("some modulus homes on tile 0");
-        let job = |i: u64| MulJob::new(UBig::from(i + 2), UBig::from(i + 3), p.clone());
-        // Saturate the home: accepted jobs fill the tiny queue, then
-        // refused try_submits rack up saturation events.
-        let mut tickets = Vec::new();
-        let mut refused = 0u64;
-        for i in 0..32u64 {
-            match cluster.try_submit(job(i)) {
-                Ok(t) => {
-                    tickets.push(t);
-                    gate.wait_entered(1);
-                }
-                Err(_) => refused += 1,
-            }
-        }
-        assert_eq!(tickets.len(), 3, "1 job at the gate plus 2 queued");
-        assert_eq!(refused, 29, "the Strict home refused the rest");
-        gate.open();
-        for t in tickets.drain(..) {
-            t.wait().unwrap();
-        }
-        // The probe window closes: the modulus is promoted.
-        let report = cluster.probe_tiles();
-        assert_eq!(report.promoted, vec![p.clone()], "hot modulus promoted");
-        assert_eq!(cluster.stats().replicated_moduli, 1);
-        // A burst of exactly the two replicas' combined buffering lands
-        // across both, most headroom first (tile 0 on a tie): it
-        // saturates nothing, so the calm window below is clean. Each
-        // replica's executor holds its first job at the gate before the
-        // next job is routed.
-        gate.close();
-        let entered = gate.entered();
-        let before: Vec<u64> = cluster
-            .stats()
-            .tiles
-            .iter()
-            .map(|t| t.service.submitted)
-            .collect();
-        for i in 100..106u64 {
-            tickets.push(cluster.submit(job(i)).unwrap());
-            let holding = cluster
-                .stats()
-                .tiles
-                .iter()
-                .zip(&before)
-                .filter(|(t, &b)| t.service.submitted > b)
-                .count();
-            gate.wait_entered(entered + holding as u64);
-        }
-        let stats = cluster.stats();
-        assert_eq!(
-            stats.replica_routed, 3,
-            "half the burst lands on the non-home replica"
-        );
-        assert_eq!(
-            stats.tiles[1].routed, 3,
-            "the replica tile serves the hot modulus as affinity traffic"
-        );
-        assert_eq!(stats.spilled, 0, "replica landings are not spills");
-        gate.open();
-        for t in tickets.drain(..) {
-            t.wait().unwrap();
-        }
-        // Demotion takes `probation_after = 2` *consecutive* calm
-        // probes: the first one after the promotion only counts.
-        assert!(cluster.probe_tiles().demoted.is_empty());
-        assert_eq!(
-            cluster.probe_tiles().demoted,
-            vec![p.clone()],
-            "calm modulus demoted"
-        );
-        assert_eq!(cluster.stats().replicated_moduli, 0);
         cluster.shutdown();
     }
 
@@ -2625,11 +2252,10 @@ mod tests {
                         };
                         let mut health = Health::new(fleet.states.len(), |t| {
                             let tile = &before.tiles[t];
-                            let usable = !tile.health.stopped && !tile.health.paused && !tile.poisoned;
-                            usable.then(|| tile.health.headroom())
+                            !tile.health.stopped && !tile.health.paused && !tile.poisoned
                         });
                         let key = modulus_key(&p);
-                        let want = route::route(&fleet, &mut health, key, None).map(|r| r.tiles[0]);
+                        let want = route::route(&fleet, &mut health, key).map(|r| r.home);
                         proptest::prop_assert_eq!(cluster.home_tile(&p), fleet.natural(key));
                         let job = MulJob::new(UBig::from(m + 2), UBig::from(3u64), p.clone());
                         let landed = match cluster.try_submit(job) {

@@ -1,22 +1,24 @@
 //! The cluster's one routing decision, as pure functions: no lock, no
-//! atomic. Every placement — per-job and bulk submission,
-//! `ServiceCluster::home_tile`, re-home accounting and hot-modulus
-//! replica sets — is computed here from a [`Fleet`] (state and weight
-//! per tile), a [`Health`] view (which tiles are usable, with what
-//! queue headroom), the modulus key, the replica set and the
+//! atomic. Every placement — per-job and bulk submission, spill,
+//! `ServiceCluster::home_tile` and re-home accounting — is computed
+//! here from a [`Fleet`] (state and weight per tile), a [`Health`]
+//! view (which tiles are usable), the modulus key and the
 //! [`SpillPolicy`]. The live cluster gathers those inputs and applies
 //! the answer, so placement can be tested without threads.
 //!
 //! **The probe rule.** Reading a tile's health takes its queue lock,
 //! so [`Health`] probes each tile at most once per decision, on first
 //! need: [`route`] stops at the first usable tile in rank order, and
-//! [`spill`] probes the other tiles only after every tile of the route
-//! has refused. A job its home accepts costs one probe under either
-//! policy; a bulk batch sharing one view costs at most one per tile.
+//! [`spill`] probes the tiles ranked after it only after the home has
+//! refused, and only until it has `max_hops` of them. A job its home
+//! accepts costs one probe under either policy, and a spilled job
+//! one more per tile the spill walks; a bulk batch sharing one view
+//! costs at most one per tile.
 //!
-//! **One ranking.** The natural home, the failover order, the replica
-//! set and the four public planners all read [`ranking`], so they
-//! cannot drift apart.
+//! **One ranking.** The natural home, the failover order, the spill
+//! order and the four public planners all read [`ranking`], so they
+//! cannot drift apart: a modulus that spills lands on the tile that
+//! takes it over if its home leaves.
 
 use std::cmp::Reverse;
 use std::hash::{DefaultHasher, Hash, Hasher};
@@ -143,8 +145,7 @@ pub fn weighted_home_tile_for(p: &UBig, weights: &[u32]) -> Option<usize> {
 
 /// Tile indices `0..weights.len()` in weighted rendezvous order (best
 /// score first) for modulus `p` — the weighted analogue of
-/// [`rendezvous_ranking`], and the ranking hot-modulus replication
-/// takes its top-k replica tiles from.
+/// [`rendezvous_ranking`].
 pub fn weighted_rendezvous_ranking(p: &UBig, weights: &[u32]) -> Vec<usize> {
     ranking(modulus_key(p), weights, |_| true)
 }
@@ -181,26 +182,19 @@ impl Fleet {
     pub(super) fn natural(&self, key: u64) -> Option<usize> {
         self.ranked(key).first().copied()
     }
-
-    /// The replica set a promoted hot modulus gets: its top
-    /// [`REPLICA_TILES`](super::REPLICA_TILES) routable tiles.
-    pub(super) fn replica_set(&self, key: u64) -> Vec<usize> {
-        let mut tiles = self.ranked(key);
-        tiles.truncate(super::REPLICA_TILES);
-        tiles
-    }
 }
 
-/// The health half of a routing decision: a tile's queue headroom
-/// when it is usable (live, admitting, not poisoned), `None` when it
-/// is not. Each tile is probed at most once per decision (one job, or
-/// one bulk batch), the first time the router needs it.
+/// The health half of a routing decision: whether a tile is usable
+/// (live, admitting, not poisoned). Each tile is probed at most once
+/// per decision (one job, or one bulk batch), the first time the
+/// router needs it. Queue depth is not part of it: a usable tile that
+/// is full says so by refusing the job.
 pub(super) struct Health<F> {
     probe: F,
-    seen: Vec<Option<Option<usize>>>,
+    seen: Vec<Option<bool>>,
 }
 
-impl<F: FnMut(usize) -> Option<usize>> Health<F> {
+impl<F: FnMut(usize) -> bool> Health<F> {
     pub(super) fn new(tiles: usize, probe: F) -> Self {
         Health {
             probe,
@@ -208,19 +202,9 @@ impl<F: FnMut(usize) -> Option<usize>> Health<F> {
         }
     }
 
-    fn headroom(&mut self, tile: usize) -> Option<usize> {
+    fn usable(&mut self, tile: usize) -> bool {
         let probe = &mut self.probe;
         *self.seen[tile].get_or_insert_with(|| probe(tile))
-    }
-
-    /// The usable `tiles`, most headroom first (lower index on a tie).
-    fn by_headroom(&mut self, tiles: impl IntoIterator<Item = usize>) -> Vec<usize> {
-        let mut live: Vec<(usize, usize)> = tiles
-            .into_iter()
-            .filter_map(|tile| Some((self.headroom(tile)?, tile)))
-            .collect();
-        live.sort_by_key(|&(headroom, tile)| (Reverse(headroom), tile));
-        live.into_iter().map(|(_, tile)| tile).collect()
     }
 }
 
@@ -229,66 +213,52 @@ pub(super) struct Route {
     /// The rank-0 routable tile, health ignored: where the modulus's
     /// prepared context lives, and the tile affinity is scored against.
     pub(super) natural: usize,
-    /// The tiles to offer the job, in order; a blocking submission
-    /// waits on the first once all refused. For a replicated modulus,
-    /// its usable replicas, most headroom first; otherwise the home
-    /// tile alone: the natural tile when usable, else the first usable
-    /// tile in rendezvous order.
-    pub(super) tiles: Vec<usize>,
-    /// `true` when `tiles` is a replica set. Every replica holds the
-    /// modulus's prepared context, so the spill policy does not apply.
-    pub(super) replicated: bool,
+    /// The tile offered the job first, and the one a blocking
+    /// submission waits on once every offer was refused: the natural
+    /// tile when usable, else the first usable tile in rendezvous
+    /// order.
+    pub(super) home: usize,
+    /// The routable tiles ranked after `home`, best first: the order
+    /// [`spill`] walks.
+    after: Vec<usize>,
 }
 
 /// Routes a job for modulus `key`: `None` when no routable tile is
-/// usable (the cluster then reports itself stopped). A replicated
-/// modulus whose replicas are all unusable routes as an ordinary one.
-pub(super) fn route<F: FnMut(usize) -> Option<usize>>(
+/// usable (the cluster then reports itself stopped).
+pub(super) fn route<F: FnMut(usize) -> bool>(
     fleet: &Fleet,
     health: &mut Health<F>,
     key: u64,
-    replicas: Option<&[usize]>,
 ) -> Option<Route> {
-    let ranked = fleet.ranked(key);
+    let mut ranked = fleet.ranked(key);
     let natural = *ranked.first()?;
-    let live = replicas.map_or_else(Vec::new, |replicas| {
-        health.by_headroom(replicas.iter().copied().filter(|&t| fleet.routable(t)))
-    });
-    if !live.is_empty() {
-        return Some(Route {
-            natural,
-            tiles: live,
-            replicated: true,
-        });
-    }
-    let home = ranked
-        .into_iter()
-        .find(|&tile| health.headroom(tile).is_some())?;
+    let at = ranked.iter().position(|&tile| health.usable(tile))?;
+    let home = ranked[at];
+    ranked.drain(..=at);
     Some(Route {
         natural,
-        tiles: vec![home],
-        replicated: false,
+        home,
+        after: ranked,
     })
 }
 
-/// The tiles to try after every tile of `route` refused the job: the
-/// other usable routable tiles, most headroom first, at most the
-/// policy's `max_hops`. Empty under [`SpillPolicy::Strict`] and for a
-/// replicated modulus.
-pub(super) fn spill<F: FnMut(usize) -> Option<usize>>(
-    fleet: &Fleet,
+/// The tiles to offer the job after its home refused it: the next
+/// usable tiles after the home in the modulus's own rendezvous
+/// ranking, at most the policy's `max_hops`, probed only until that
+/// many are found. Empty under [`SpillPolicy::Strict`].
+pub(super) fn spill<F: FnMut(usize) -> bool>(
     health: &mut Health<F>,
     route: &Route,
     policy: SpillPolicy,
 ) -> Vec<usize> {
     match policy {
-        SpillPolicy::Spill { max_hops } if !route.replicated => {
-            let home = route.tiles[0];
-            let others = (0..fleet.states.len()).filter(|&t| t != home && fleet.routable(t));
-            let mut tiles = health.by_headroom(others);
-            tiles.truncate(max_hops);
-            tiles
-        }
-        _ => Vec::new(),
+        SpillPolicy::Strict => Vec::new(),
+        SpillPolicy::Spill { max_hops } => route
+            .after
+            .iter()
+            .copied()
+            .filter(|&tile| health.usable(tile))
+            .take(max_hops)
+            .collect(),
     }
 }

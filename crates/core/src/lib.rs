@@ -50,8 +50,9 @@
 //!   pool, a service, or a cluster.
 //! * [`cluster`] — multi-tile scale-out: a [`cluster::ServiceCluster`]
 //!   routes jobs across N service tiles by per-modulus rendezvous
-//!   affinity, spills to the least-loaded tile on backpressure
-//!   ([`cluster::SpillPolicy`]), and routes around poisoned tiles.
+//!   affinity, spills to the modulus's next-ranked tile on
+//!   backpressure ([`cluster::SpillPolicy`]), and routes around
+//!   poisoned tiles.
 //! * [`test_util`] — deterministic fault-injection doubles
 //!   ([`test_util::FailingPrepared`], the latch-gated
 //!   [`test_util::GatedPrepared`]) the service/cluster test suites

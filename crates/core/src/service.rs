@@ -171,18 +171,32 @@ struct TicketState {
     ready: Condvar,
 }
 
-/// The slot's contents: the result once delivered, and the hook a
-/// consumed ticket left to receive it.
-#[derive(Default)]
-struct Slot {
-    result: Option<Result<UBig, ServiceError>>,
-    hook: Option<DoneHook>,
+/// The slot's contents.
+enum Slot {
+    /// Not delivered yet; holds the hook a consumed ticket left to
+    /// receive the result, if any.
+    Pending(Option<DoneHook>),
+    /// Delivered, for the ticket to read.
+    Done(Result<UBig, ServiceError>),
+    /// Delivered by moving the result into a hook. The ticket was
+    /// consumed, so nothing reads a result here; the marker only tells
+    /// a later `complete` that the job was delivered.
+    Handed,
+}
+
+impl Slot {
+    fn result(&self) -> Option<&Result<UBig, ServiceError>> {
+        match self {
+            Slot::Done(result) => Some(result),
+            Slot::Pending(_) | Slot::Handed => None,
+        }
+    }
 }
 
 impl TicketState {
     fn new() -> Arc<Self> {
         Arc::new(TicketState {
-            slot: Mutex::new(Slot::default()),
+            slot: Mutex::new(Slot::Pending(None)),
             ready: Condvar::new(),
         })
     }
@@ -194,17 +208,16 @@ impl TicketState {
     /// released, so it may take locks the slot outranks.
     fn complete(&self, result: Result<UBig, ServiceError>) -> bool {
         let mut slot = self.lock_slot();
-        if slot.result.is_some() {
+        let Slot::Pending(hook) = &mut *slot else {
             return false;
-        }
-        let hook = slot.hook.take();
-        if let Some(hook) = hook {
+        };
+        if let Some(hook) = hook.take() {
             // The hook's ticket is consumed, so nobody waits here.
-            slot.result = Some(result.clone());
+            *slot = Slot::Handed;
             drop(slot);
             hook(result);
         } else {
-            slot.result = Some(result);
+            *slot = Slot::Done(result);
             drop(slot);
             self.ready.notify_all();
         }
@@ -236,7 +249,7 @@ impl Ticket {
     pub fn wait(&self) -> Result<UBig, ServiceError> {
         let mut slot = self.state.lock_slot();
         loop {
-            if let Some(result) = slot.result.as_ref() {
+            if let Some(result) = slot.result() {
                 return result.clone();
             }
             slot = self
@@ -250,12 +263,12 @@ impl Ticket {
     /// Returns the result if the job has completed, `None` while it is
     /// still queued or executing.
     pub fn try_poll(&self) -> Option<Result<UBig, ServiceError>> {
-        self.state.lock_slot().result.clone()
+        self.state.lock_slot().result().cloned()
     }
 
     /// `true` once a result (success or failure) is available.
     pub fn is_done(&self) -> bool {
-        self.try_poll().is_some()
+        self.state.lock_slot().result().is_some()
     }
 
     /// Consumes the ticket and calls `f` with the job's result exactly
@@ -266,14 +279,15 @@ impl Ticket {
     /// rest of the executor's batch.
     pub fn on_done(self, f: impl FnOnce(Result<UBig, ServiceError>) + Send + 'static) {
         let mut slot = self.state.lock_slot();
-        // Cloned, not taken: a filled slot is how a later panic-guard
-        // `complete` knows the job was already delivered.
-        match slot.result.clone() {
-            Some(result) => {
-                drop(slot);
-                f(result);
-            }
-            None => slot.hook = Some(Box::new(f)),
+        if let Slot::Pending(hook) = &mut *slot {
+            *hook = Some(Box::new(f));
+            return;
+        }
+        // Moved, not cloned: the `Handed` marker left behind is how a
+        // later panic-guard `complete` knows the job was delivered.
+        if let Slot::Done(result) = std::mem::replace(&mut *slot, Slot::Handed) {
+            drop(slot);
+            f(result);
         }
     }
 }
@@ -680,13 +694,6 @@ pub struct TileHealth {
     /// Executor panics caught so far — a tile whose panics keep
     /// climbing has a poisoned context and should be routed around.
     pub executor_panics: u64,
-}
-
-impl TileHealth {
-    /// Queue slots still free.
-    pub fn headroom(&self) -> usize {
-        self.queue_capacity.saturating_sub(self.queue_depth)
-    }
 }
 
 /// The streaming modular-multiplication service (see the module docs).

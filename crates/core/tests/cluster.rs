@@ -1,13 +1,14 @@
 //! Cluster hardening: deterministic fault injection (a panicking tile
 //! fails only its batch's tickets and gets routed around), forced
-//! backpressure (spill lands on the least-loaded tile; `Strict`
-//! surfaces `AllTilesSaturated`), and a concurrent soak in which a
+//! backpressure (spill lands on the modulus's next-ranked tile;
+//! `Strict` surfaces `AllTilesSaturated`), and a concurrent soak in which a
 //! mid-stream `shutdown()` must drain every accepted ticket exactly
 //! once.
 
 use modsram_bigint::UBig;
 use modsram_core::cluster::{
-    home_tile_for, ClusterConfig, ClusterSubmitError, ServiceCluster, SpillPolicy,
+    home_tile_for, rendezvous_ranking, ClusterConfig, ClusterSubmitError, ServiceCluster,
+    SpillPolicy,
 };
 use modsram_core::dispatch::{ContextPool, MulJob};
 use modsram_core::service::{ServiceConfig, ServiceError, Ticket};
@@ -162,10 +163,11 @@ fn tiny_tile_config_with_batch(max_batch: usize) -> ServiceConfig {
 }
 
 #[test]
-fn backpressure_spills_to_least_loaded_tile_and_strict_saturates() {
+fn backpressure_spills_to_the_next_ranked_tile_and_strict_saturates() {
     // Two gated tiles, tiny queues: each tile's executor holds the
     // first job it takes at the shut gate, so a tile admits exactly one
     // job plus a full queue and non-blocking submissions must spill.
+    // On two tiles the modulus's next-ranked tile is the only other.
     let tile = ServiceConfig {
         workers: 1,
         queue_capacity: 2,
@@ -264,6 +266,85 @@ fn backpressure_spills_to_least_loaded_tile_and_strict_saturates() {
     assert_eq!(stats.spilled, 0, "Strict never spills");
     assert_eq!(stats.tiles[1].service.submitted, 0, "off-home tile idle");
     assert_eq!(stats.completed, accepted);
+}
+
+#[test]
+fn a_hot_modulus_spills_only_to_its_next_ranked_tile() {
+    // Four gated tiles, tiny queues, one spill hop: one hot modulus
+    // fills its home, and every job the home refuses is offered to the
+    // modulus's rank-1 tile alone, the tile that takes the modulus over
+    // if its home drains. The other two tiles are never probed for it.
+    let tile = ServiceConfig {
+        workers: 1,
+        queue_capacity: 2,
+        max_batch: 1,
+    };
+    let config = ClusterConfig {
+        spill: SpillPolicy::Spill { max_hops: 1 },
+        service: tile,
+        poison_after: 0,
+        ..Default::default()
+    };
+    let gate = Gate::new();
+    let pools = (0..4).map(|_| gated_pool(&gate)).collect();
+    let cluster = ServiceCluster::new(pools, config);
+    let p = UBig::from(1_000_003u64);
+    let ranking = rendezvous_ranking(&p, 4);
+    let (home, next) = (ranking[0], ranking[1]);
+    assert_eq!(cluster.home_tile(&p), Some(home));
+    let job = |i: u64| MulJob::new(UBig::from(i + 2), UBig::from(i + 3), p.clone());
+    // Tile service stats read the probe counter without probing.
+    let probes = || -> u64 {
+        (0..4)
+            .map(|t| cluster.tile_service(t).unwrap().stats().health_probes)
+            .sum()
+    };
+
+    let mut tickets = Vec::new();
+    for i in 0..32u64 {
+        // Read before the probe count: a cluster snapshot probes every tile.
+        let spilled = cluster.stats().spilled;
+        let before = probes();
+        let outcome = cluster.try_submit(job(i));
+        let cost = probes() - before;
+        let stats = cluster.stats();
+        if let Ok(ticket) = outcome {
+            tickets.push((i, ticket));
+            let landed_home = stats.spilled == spilled;
+            assert_eq!(cost, if landed_home { 1 } else { 2 }, "job {i}");
+            // Every tile that has a job holds one at the gate before
+            // its queue fills any further.
+            let busy = stats
+                .tiles
+                .iter()
+                .filter(|t| t.service.submitted > 0)
+                .count();
+            gate.wait_entered(busy as u64);
+        } else {
+            assert_eq!(cost, 2, "job {i}: the home and one spill hop");
+        }
+    }
+
+    let stats = cluster.stats();
+    assert_eq!(tickets.len(), 6, "home and rank-1 tile each hold 3");
+    assert_eq!(stats.spilled, 3);
+    assert_eq!(
+        stats.tiles[next].spilled_in, 3,
+        "every spill lands on rank 1"
+    );
+    for t in [ranking[2], ranking[3]] {
+        assert_eq!(stats.tiles[t].service.submitted, 0, "tile {t} untouched");
+    }
+    assert_eq!(
+        stats.tiles[next].service.pool_misses, 1,
+        "the spill tile prepares the hot modulus once"
+    );
+    gate.open();
+    for (i, ticket) in &tickets {
+        assert_eq!(ticket.wait().unwrap(), oracle(&job(*i)), "job {i}");
+    }
+    let final_stats = cluster.shutdown();
+    assert_eq!(final_stats.completed as usize, tickets.len());
 }
 
 #[test]

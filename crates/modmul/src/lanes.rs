@@ -480,7 +480,7 @@ impl BarrettLanes {
 // ---------------------------------------------------------------------
 
 /// The `(sum, carry)` redundant accumulator of [`crate::CsaState`] and
-/// each lane's deferred overflow carry, replicated across lanes on flat
+/// each lane's deferred overflow carry, one copy per lane on flat
 /// limbs. [`CsaLanes::reset`] sizes the lanes to the group about to
 /// run, so no lane computes padding.
 #[derive(Debug, Clone)]

@@ -85,8 +85,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A ServiceCluster owns N tiles and routes each job to its
     // modulus's rendezvous home tile, so per-modulus coalescing (and
     // the paper's LUT reuse) survives the sharding. On backpressure
-    // jobs spill to the least-loaded tile (SpillPolicy::Spill), and a
-    // tile whose executor keeps panicking is routed around.
+    // jobs spill to the modulus's next-ranked tile (SpillPolicy::Spill),
+    // and a tile whose executor keeps panicking is routed around.
     let cluster = ServiceCluster::for_engine_name("r4csa-lut", 2, ClusterConfig::default())?;
     let moduli = [p.clone(), UBig::from(0xffff_fffb_u64)];
     std::thread::scope(|scope| {
@@ -175,11 +175,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // share: doubling tile 0's weight is one atomic epoch publish plus
     // the same minimal re-home pass a drain runs — only moduli pulled
     // ONTO tile 0 move (each pays one LUT fill there), and a weight-1
-    // republish moves nothing. Under sustained single-modulus overload
-    // the cluster also replicates: a modulus whose home keeps
-    // saturating is promoted (at the probe_tiles cadence) to its top-k
-    // rendezvous tiles — each replica pays one LUT refill for it — and
-    // demoted again once the pressure subsides.
+    // republish moves nothing.
     let reweigh = cluster.set_tile_weight(0, 2)?;
     println!(
         "  tile 0 weight 2  : epoch {}, {} moduli pulled onto it",
@@ -187,9 +183,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let wstats = cluster.stats();
     println!(
-        "  tile weights     : {:?} ({} moduli replicated)",
-        wstats.tiles.iter().map(|t| t.weight).collect::<Vec<_>>(),
-        wstats.replicated_moduli
+        "  tile weights     : {:?}",
+        wstats.tiles.iter().map(|t| t.weight).collect::<Vec<_>>()
     );
     cluster.shutdown();
 

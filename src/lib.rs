@@ -60,8 +60,9 @@
 //! scales out to a [`ServiceCluster`]: the same submit/ticket surface
 //! over N tiles, with each job routed to its modulus's rendezvous
 //! *home* tile (so per-modulus coalescing and LUT reuse survive the
-//! sharding), spill to the least-loaded tile on backpressure under a
-//! configurable [`SpillPolicy`], and poisoned tiles routed around:
+//! sharding), spill to the modulus's next-ranked tile on backpressure
+//! under a configurable [`SpillPolicy`], and poisoned tiles routed
+//! around:
 //!
 //! ```
 //! use modsram::bigint::UBig;
@@ -132,17 +133,14 @@
 //! cluster.shutdown();
 //! ```
 //!
-//! Weights fix *persistent* skew; a single hot modulus under
-//! [`SpillPolicy::Strict`] is transient skew, and the cluster watches
-//! for exactly that. Sustained saturation over a probe window
-//! promotes the modulus to a **replica set** of its top-k weighted
-//! rendezvous tiles; the router then picks the replica with the most
-//! queue headroom, and `probation_after` calm probes demote it again.
-//! Each replica prepares its own context — one Table 1b LUT refill
-//! per replica tile, paid lazily on that replica's first job — which
-//! is why promotion demands sustained pressure rather than one
-//! refused burst. [`ClusterStats`] surfaces the lifecycle as
-//! `replicated_moduli` and `replica_routed`.
+//! Weights fix *persistent* skew; a single hot modulus is transient
+//! skew, and spilling relieves it. Under [`SpillPolicy::Spill`] a job
+//! its saturated home refuses goes to the next usable tile in the
+//! modulus's own weighted rendezvous ranking — the tile that takes
+//! the modulus over if its home drains — so the overflow of one hot
+//! modulus always lands on the same warm tile, which prepares it once
+//! (one Table 1b LUT refill). [`ClusterStats`] counts those landings
+//! as `spilled`.
 //!
 //! Remote callers reach the same serving stack over TCP through the
 //! [`net`] front-end: a [`net::WireServer`] fronts a tile handle or a
@@ -369,12 +367,12 @@
 //!   declared hot-path modules: the modmul kernels, dispatch, service,
 //!   cluster, and the wire server/frame codecs.
 //! * **`lock_order`** — lock acquisitions respect the declared
-//!   hierarchy (`membership` ≺ router maps ≺ tile queues ≺ stats
+//!   hierarchy (`membership` ≺ tracked-home map ≺ tile queues ≺ stats
 //!   reservoirs ≺ ticket slots; the full table lives in
 //!   `modsram_analyzer::config`), and no known lock is held across a
 //!   `Ticket::wait*` park.
 //! * **`relaxed_atomic`** — `Ordering::Relaxed` on a manifest-declared
-//!   data-gating atomic (`stopped`, `draining`, `replicas_active`, …)
+//!   data-gating atomic (`stopped`, `draining`, `homes_full`, …)
 //!   is a finding; plain counters stay relaxed.
 //! * **`no_sleep`** — no `thread::sleep` in the core and net crates'
 //!   non-test code: a serving path blocks on the event it waits for,
